@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): the hot primitives on Ginja's commit
-// path — LZSS, AES-128-CTR, HMAC-SHA1, the full envelope encode (with
-// latency percentiles), WAL appends, and page aggregation. Codec throughput
+// path — LZSS, AES-128-CTR, HMAC-SHA1, CRC-32, the full envelope encode
+// (with latency percentiles), WAL appends, and page aggregation. Codec throughput
 // runs at 8 KiB / 256 KiB / 4 MiB; bytes_per_second and the p50/p95/p99
 // counters land in the JSON output (--benchmark_format=json).
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 
 #include "cloud/memory_store.h"
 #include "common/codec/aes128.h"
+#include "common/codec/crc32.h"
 #include "common/codec/envelope.h"
 #include "common/codec/hmac.h"
 #include "common/codec/lzss.h"
@@ -67,6 +68,18 @@ void BM_LzssDecompress(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_LzssDecompress)->Arg(8192)->Arg(65536);
+
+// The engine checksums every WAL page on commit and every page and record
+// at redo; 8 KiB is one page.
+void BM_Crc32(benchmark::State& state) {
+  const Bytes page = TpccLikePage(static_cast<std::size_t>(state.range(0)), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(View(page)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(8192)->Arg(65536);
 
 void BM_AesCtr(benchmark::State& state) {
   Aes128 aes(Aes128::Key{});

@@ -22,6 +22,31 @@ constexpr std::uint8_t kFlagEncrypted = 0x02;
 inline std::uint64_t BlocksPerChunk(std::size_t chunk_bytes) {
   return (static_cast<std::uint64_t>(chunk_bytes) + 15) / 16;
 }
+
+bool IsStream(ByteView enveloped) {
+  return enveloped.size() >= Envelope::kStreamPrologueSize &&
+         GetU32(enveloped.data()) == kMagicV3;
+}
+
+// Grows `out` to at least `size` bytes. Never shrinks it: a reused decode
+// buffer keeps its (already faulted-in) bytes, and only growth is
+// zero-filled.
+void EnsureSize(Bytes& out, std::size_t size) {
+  if (out.size() < size) out.resize(size);
+}
+
+// Decrypts a compressed stream into a per-thread scratch buffer and
+// returns a view of it, valid until the thread's next call. The stream is
+// read once, on its way into the caller's buffer, and is at most one v2
+// chunk or one (small) v1 object, so the scratch stays small while the
+// payload itself is never staged.
+ByteView DecryptToScratch(const Aes128& aes, ByteView cipher,
+                          std::uint64_t nonce, std::uint64_t counter) {
+  thread_local Bytes scratch;
+  scratch.assign(cipher.begin(), cipher.end());
+  aes.CtrInPlace(scratch.data(), scratch.size(), nonce, counter);
+  return View(scratch);
+}
 }  // namespace
 
 Envelope::Envelope(EnvelopeOptions options)
@@ -69,13 +94,16 @@ Bytes Envelope::EncodeDerived(ByteView payload, std::uint64_t nonce,
 Result<Bytes> Envelope::DecodeDerived(ByteView enveloped,
                                       ByteView key_tweak) const {
   if (!options_.encrypt) return Decode(enveloped);
-  if (enveloped.size() >= kStreamPrologueSize &&
-      GetU32(enveloped.data()) == kMagicV3) {
+  if (IsStream(enveloped)) {
     // Chunks are never stream containers; recursing with a derived key
     // would mix key domains across segments.
     return Status::Corruption("derived-key object cannot be a v3 stream");
   }
-  return DecodeWith(enveloped, DeriveObjectAes(key_tweak));
+  Bytes out;
+  auto end = DecodeAt(enveloped, DeriveObjectAes(key_tweak), out, 0);
+  if (!end.ok()) return end.status();
+  out.resize(*end);
+  return out;
 }
 
 ByteView Envelope::GatherRange(const PayloadView& payload, std::size_t begin,
@@ -255,17 +283,24 @@ void Envelope::AppendStreamSegment(Bytes& out, ByteView enveloped_segment) {
 }
 
 Result<Bytes> Envelope::Decode(ByteView enveloped) const {
-  // The v3 container has no header MAC of its own — integrity lives in the
-  // per-segment envelopes — so it branches off before the MAC logic.
-  if (enveloped.size() >= kStreamPrologueSize &&
-      GetU32(enveloped.data()) == kMagicV3) {
-    return DecodeV3(enveloped);
-  }
-  return DecodeWith(enveloped, enc_aes_);
+  Bytes out;
+  const Status st = DecodeInto(enveloped, out);
+  if (!st.ok()) return st;
+  return out;
 }
 
-Result<Bytes> Envelope::DecodeWith(ByteView enveloped,
-                                   const Aes128& aes) const {
+Status Envelope::DecodeInto(ByteView enveloped, Bytes& out) const {
+  // The v3 container has no header MAC of its own — integrity lives in the
+  // per-segment envelopes — so it branches off before the MAC logic.
+  auto end = IsStream(enveloped) ? DecodeV3At(enveloped, out)
+                                 : DecodeAt(enveloped, enc_aes_, out, 0);
+  if (!end.ok()) return end.status();
+  out.resize(*end);  // trims a reused buffer that was larger; fills nothing
+  return Status::Ok();
+}
+
+Result<std::size_t> Envelope::DecodeAt(ByteView enveloped, const Aes128& aes,
+                                       Bytes& out, std::size_t at) const {
   if (enveloped.size() < kHeaderSize) {
     return Status::Corruption("envelope shorter than header");
   }
@@ -287,190 +322,156 @@ Result<Bytes> Envelope::DecodeWith(ByteView enveloped,
     return Status::Corruption("object MAC mismatch");
   }
 
-  return magic == kMagicV1 ? DecodeV1(flags, nonce, aes, body)
-                           : DecodeV2(flags, nonce, aes, body);
+  return magic == kMagicV1 ? DecodeV1At(flags, nonce, aes, body, out, at)
+                           : DecodeV2At(flags, nonce, aes, body, out, at);
 }
 
-Result<Bytes> Envelope::DecodeV3(ByteView enveloped) const {
+Result<std::size_t> Envelope::DecodeV3At(ByteView enveloped, Bytes& out) const {
   // A torn stream — the final segment's frame or bytes cut short — is
   // Corruption: recovery treats the object like any other undecodable WAL
   // tail (truncate there). Every complete segment still MAC-verifies on
-  // its own, so corruption inside an earlier segment is caught too.
+  // its own, so corruption inside an earlier segment is caught too. Each
+  // segment decodes straight after the previous one's payload.
   std::size_t pos = kStreamPrologueSize;
-  Bytes out;
+  std::size_t end = 0;
   while (pos < enveloped.size()) {
     if (pos + 4 > enveloped.size()) {
       return Status::Corruption("v3 segment frame truncated");
     }
     const std::uint32_t seg_len = GetU32(enveloped.data() + pos);
     pos += 4;
-    if (seg_len == 0 || pos + seg_len > enveloped.size()) {
+    if (seg_len == 0 || seg_len > enveloped.size() - pos) {
       return Status::Corruption("v3 segment truncated");
     }
-    auto payload = Decode(enveloped.subspan(pos, seg_len));
-    if (!payload.ok()) return payload.status();
-    Append(out, View(*payload));
+    auto seg_end = DecodeAt(enveloped.subspan(pos, seg_len), enc_aes_, out, end);
+    if (!seg_end.ok()) return seg_end.status();
+    end = *seg_end;
     pos += seg_len;
   }
-  return out;
+  return end;
 }
 
-Result<Bytes> Envelope::DecodeV1(std::uint8_t flags, std::uint64_t nonce,
-                                 const Aes128& aes, ByteView body) const {
-  Bytes work;
+Result<std::size_t> Envelope::DecodeV1At(std::uint8_t flags,
+                                         std::uint64_t nonce,
+                                         const Aes128& aes, ByteView body,
+                                         Bytes& out, std::size_t at) const {
+  if (!(flags & kFlagCompressed)) {
+    // The single copy: the stored bytes land in place and decrypt there.
+    EnsureSize(out, at + body.size());
+    if (!body.empty()) std::memcpy(out.data() + at, body.data(), body.size());
+    if (flags & kFlagEncrypted) {
+      stats_.bytes_encrypted.Add(body.size());
+      aes.CtrInPlace(out.data() + at, body.size(), nonce);
+    }
+    return at + body.size();
+  }
   if (flags & kFlagEncrypted) {
-    work.assign(body.begin(), body.end());
-    stats_.bytes_encrypted.Add(work.size());
-    aes.CtrInPlace(work.data(), work.size(), nonce);  // decrypt in place
-    body = View(work);
+    stats_.bytes_encrypted.Add(body.size());
+    body = DecryptToScratch(aes, body, nonce, 0);
   }
-  if (flags & kFlagCompressed) {
-    auto plain = Lzss::Decompress(body);
-    if (!plain) return Status::Corruption("LZSS stream corrupt");
-    stats_.bytes_decompressed.Add(plain->size());
-    return std::move(*plain);
+  const auto size = Lzss::DecodedSize(body);
+  if (!size) return Status::Corruption("LZSS stream corrupt");
+  EnsureSize(out, at + *size);
+  if (!Lzss::DecompressInto(body, out.data() + at, *size)) {
+    return Status::Corruption("LZSS stream corrupt");
   }
-  if (flags & kFlagEncrypted) return work;
-  return Bytes(body.begin(), body.end());  // the single copy: plain payload
+  stats_.bytes_decompressed.Add(*size);
+  return at + *size;
 }
 
-Result<Bytes> Envelope::DecodeV2(std::uint8_t flags, std::uint64_t nonce,
-                                 const Aes128& aes, ByteView body) const {
+Result<std::size_t> Envelope::DecodeV2At(std::uint8_t flags,
+                                         std::uint64_t nonce,
+                                         const Aes128& aes, ByteView body,
+                                         Bytes& out, std::size_t at) const {
   std::size_t pos = 0;
   const auto total = GetVarint(body, pos);
   const auto chunk_bytes = GetVarint(body, pos);
   if (!total || !chunk_bytes || *chunk_bytes == 0) {
     return Status::Corruption("v2 envelope header truncated");
   }
-  const std::uint64_t blocks_per_chunk = BlocksPerChunk(*chunk_bytes);
+  const ByteView stream = body.subspan(pos);
 
-  // One working copy of the chunk stream so decryption runs in place.
-  Bytes work(body.begin() + static_cast<std::ptrdiff_t>(pos), body.end());
-  std::size_t wpos = 0;
-
-  if (!pool_ || pool_->threads() <= 1) {
-    Bytes out;
-    out.reserve(*total);
-    std::size_t chunk = 0;
-    while (out.size() < *total) {
-      if (wpos + 4 > work.size()) {
-        return Status::Corruption("v2 chunk token truncated");
-      }
-      const std::uint32_t token = GetU32(work.data() + wpos);
-      wpos += 4;
-      const std::size_t enc_len = token >> 1;
-      const bool compressed = (token & 1u) != 0;
-      const std::size_t expect =
-          std::min<std::size_t>(*chunk_bytes, *total - out.size());
-      if (enc_len > *chunk_bytes || wpos + enc_len > work.size()) {
-        return Status::Corruption("v2 chunk length out of range");
-      }
-
-      std::uint8_t* chunk_data = work.data() + wpos;
-      if (flags & kFlagEncrypted) {
-        stats_.bytes_encrypted.Add(enc_len);
-        aes.CtrInPlace(chunk_data, enc_len, nonce,
-                       static_cast<std::uint64_t>(chunk) * blocks_per_chunk);
-      }
-      const std::size_t before = out.size();
-      if (compressed) {
-        if (!Lzss::DecompressAppend(ByteView(chunk_data, enc_len), out)) {
-          return Status::Corruption("v2 chunk LZSS stream corrupt");
-        }
-        stats_.bytes_decompressed.Add(out.size() - before);
-      } else {
-        Append(out, ByteView(chunk_data, enc_len));
-      }
-      if (out.size() - before != expect) {
-        return Status::Corruption("v2 chunk size mismatch");
-      }
-      wpos += enc_len;
-      ++chunk;
-    }
-    if (wpos != work.size() || out.size() != *total) {
-      return Status::Corruption("v2 envelope trailing garbage");
-    }
-    return out;
-  }
-
-  // Parallel path: the token table is scanned serially (it is a few bytes
-  // per chunk and each token's position depends on the previous chunk's
-  // enc_len), then chunks decrypt/decompress concurrently, each writing its
-  // fixed [i*chunk_bytes, i*chunk_bytes+expect) slice of the output —
-  // disjoint slices, disjoint CTR counter ranges, no coordination needed.
+  // The token table is scanned and validated whole before anything is
+  // written (it is a few bytes per chunk and each token's position depends
+  // on the previous chunk's enc_len). Every chunk must be able to produce
+  // its share of `total`, which bounds the output allocation by the
+  // stream's own size.
   struct ChunkRef {
-    std::size_t body_off = 0;
+    std::size_t stream_off = 0;
     std::size_t enc_len = 0;
+    std::size_t begin = 0;   // payload offset
+    std::size_t expect = 0;  // payload bytes
     bool compressed = false;
   };
   std::vector<ChunkRef> chunks;
+  std::size_t spos = 0;
   std::size_t logical = 0;
   std::size_t enc_total = 0;
   while (logical < *total) {
-    if (wpos + 4 > work.size()) {
+    if (stream.size() - spos < 4) {
       return Status::Corruption("v2 chunk token truncated");
     }
-    const std::uint32_t token = GetU32(work.data() + wpos);
-    wpos += 4;
+    const std::uint32_t token = GetU32(stream.data() + spos);
+    spos += 4;
     const std::size_t enc_len = token >> 1;
-    if (enc_len > *chunk_bytes || wpos + enc_len > work.size()) {
+    const bool compressed = (token & 1u) != 0;
+    const std::size_t expect =
+        std::min<std::uint64_t>(*chunk_bytes, *total - logical);
+    if (enc_len > *chunk_bytes || enc_len > stream.size() - spos) {
       return Status::Corruption("v2 chunk length out of range");
     }
-    chunks.push_back({wpos, enc_len, (token & 1u) != 0});
-    wpos += enc_len;
+    if (compressed ? expect > enc_len * Lzss::kMaxMatch : expect != enc_len) {
+      return Status::Corruption("v2 chunk size mismatch");
+    }
+    chunks.push_back({spos, enc_len, logical, expect, compressed});
+    spos += enc_len;
     enc_total += enc_len;
-    logical += std::min<std::size_t>(*chunk_bytes, *total - logical);
+    logical += expect;
   }
-  if (wpos != work.size()) {
+  if (spos != stream.size()) {
     return Status::Corruption("v2 envelope trailing garbage");
   }
-  if (flags & kFlagEncrypted) stats_.bytes_encrypted.Add(enc_total);
 
-  Bytes out(*total);
-  enum : int { kOk = 0, kLzssCorrupt = 1, kSizeMismatch = 2 };
-  std::atomic<int> error{kOk};
+  // Each chunk lands straight in its fixed [begin, begin + expect) slice
+  // of the caller's buffer: a raw chunk is copied there (and decrypted in
+  // place), a compressed one decompresses there — from the stored bytes,
+  // or from a per-thread decrypted copy of just that chunk. Chunks touch
+  // disjoint slices and disjoint CTR counter ranges, so they fan out
+  // across the codec pool with no coordination.
+  const bool encrypted = (flags & kFlagEncrypted) != 0;
+  if (encrypted) stats_.bytes_encrypted.Add(enc_total);
+  EnsureSize(out, at + *total);
+  std::uint8_t* const dst = out.data() + at;
+  const std::uint64_t blocks_per_chunk = BlocksPerChunk(*chunk_bytes);
+  std::atomic<bool> corrupt{false};
   std::atomic<std::uint64_t> decompressed{0};
-  pool_->ParallelFor(chunks.size(), [&](std::size_t i) {
-    if (error.load(std::memory_order_relaxed) != kOk) return;
+  auto decode_chunk = [&](std::size_t i) {
+    if (corrupt.load(std::memory_order_relaxed)) return;
     const ChunkRef& c = chunks[i];
-    const std::size_t begin = i * *chunk_bytes;
-    const std::size_t expect =
-        std::min<std::size_t>(*chunk_bytes, *total - begin);
-    std::uint8_t* chunk_data = work.data() + c.body_off;
-    if (flags & kFlagEncrypted) {
-      aes.CtrInPlace(chunk_data, c.enc_len, nonce,
-                     static_cast<std::uint64_t>(i) * blocks_per_chunk);
+    ByteView src = stream.subspan(c.stream_off, c.enc_len);
+    const std::uint64_t counter = static_cast<std::uint64_t>(i) * blocks_per_chunk;
+    if (!c.compressed) {
+      std::memcpy(dst + c.begin, src.data(), c.expect);
+      if (encrypted) aes.CtrInPlace(dst + c.begin, c.expect, nonce, counter);
+      return;
     }
-    if (c.compressed) {
-      Bytes plain;
-      plain.reserve(expect);
-      if (!Lzss::DecompressAppend(ByteView(chunk_data, c.enc_len), plain)) {
-        error.store(kLzssCorrupt, std::memory_order_relaxed);
-        return;
-      }
-      if (plain.size() != expect) {
-        error.store(kSizeMismatch, std::memory_order_relaxed);
-        return;
-      }
-      decompressed.fetch_add(expect, std::memory_order_relaxed);
-      std::memcpy(out.data() + begin, plain.data(), expect);
-    } else {
-      if (c.enc_len != expect) {
-        error.store(kSizeMismatch, std::memory_order_relaxed);
-        return;
-      }
-      std::memcpy(out.data() + begin, chunk_data, expect);
+    if (encrypted) src = DecryptToScratch(aes, src, nonce, counter);
+    if (!Lzss::DecompressInto(src, dst + c.begin, c.expect)) {
+      corrupt.store(true, std::memory_order_relaxed);
+      return;
     }
-  });
-  stats_.bytes_decompressed.Add(decompressed.load(std::memory_order_relaxed));
-  switch (error.load(std::memory_order_relaxed)) {
-    case kLzssCorrupt:
-      return Status::Corruption("v2 chunk LZSS stream corrupt");
-    case kSizeMismatch:
-      return Status::Corruption("v2 chunk size mismatch");
-    default:
-      return out;
+    decompressed.fetch_add(c.expect, std::memory_order_relaxed);
+  };
+  if (pool_ && pool_->threads() > 1 && chunks.size() > 1) {
+    pool_->ParallelFor(chunks.size(), decode_chunk);
+  } else {
+    for (std::size_t i = 0; i < chunks.size(); ++i) decode_chunk(i);
   }
+  stats_.bytes_decompressed.Add(decompressed.load(std::memory_order_relaxed));
+  if (corrupt.load(std::memory_order_relaxed)) {
+    return Status::Corruption("v2 chunk LZSS stream corrupt");
+  }
+  return at + *total;
 }
 
 }  // namespace ginja

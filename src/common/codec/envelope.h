@@ -125,9 +125,17 @@ class Envelope {
   Result<Bytes> DecodeDerived(ByteView enveloped, ByteView key_tweak) const;
 
   // Verifies the MAC and reverses compression/encryption. Accepts all
-  // three wire versions (v3 decodes each segment recursively and
-  // concatenates the payloads).
+  // three wire versions (v3 decodes each segment and concatenates the
+  // payloads). A thin wrapper over DecodeInto with a fresh buffer.
   Result<Bytes> Decode(ByteView enveloped) const;
+
+  // Decode-in-place counterpart of EncodeInto: replaces `out` with the
+  // payload, reusing its allocation. Every payload byte is written once,
+  // straight into its final slot (v2 chunks decompress into their own
+  // slices); `out` only ever grows to fit, so a caller that decodes many
+  // objects through one buffer pays no per-object allocation or page
+  // faults. On error `out` holds unspecified bytes.
+  Status DecodeInto(ByteView enveloped, Bytes& out) const;
 
   // -- v3 streamed container helpers ----------------------------------------
   // The producer builds a stream as: StreamPrologue() once, then one
@@ -155,9 +163,12 @@ class Envelope {
 
   // The encode/decode cores, parameterized on the AES schedule so the
   // derived-key entry points share every byte of the format logic.
+  // DecodeAt verifies and decodes one v1/v2 envelope into out[at, end),
+  // growing `out` as needed (never shrinking it), and returns `end`.
   void EncodeIntoWith(const PayloadView& payload, std::uint64_t nonce,
                       const Aes128& aes, Bytes& out) const;
-  Result<Bytes> DecodeWith(ByteView enveloped, const Aes128& aes) const;
+  Result<std::size_t> DecodeAt(ByteView enveloped, const Aes128& aes,
+                               Bytes& out, std::size_t at) const;
 
   void EncodeV1Into(const PayloadView& payload, std::uint64_t nonce,
                     const Aes128& aes, Bytes& out) const;
@@ -168,11 +179,14 @@ class Envelope {
   void SealHeader(std::uint32_t magic, std::uint8_t flags, std::uint64_t nonce,
                   Bytes& out) const;
 
-  Result<Bytes> DecodeV1(std::uint8_t flags, std::uint64_t nonce,
-                         const Aes128& aes, ByteView body) const;
-  Result<Bytes> DecodeV2(std::uint8_t flags, std::uint64_t nonce,
-                         const Aes128& aes, ByteView body) const;
-  Result<Bytes> DecodeV3(ByteView enveloped) const;
+  Result<std::size_t> DecodeV1At(std::uint8_t flags, std::uint64_t nonce,
+                                 const Aes128& aes, ByteView body, Bytes& out,
+                                 std::size_t at) const;
+  Result<std::size_t> DecodeV2At(std::uint8_t flags, std::uint64_t nonce,
+                                 const Aes128& aes, ByteView body, Bytes& out,
+                                 std::size_t at) const;
+  // Segments decode back to back from out[0]; returns the payload end.
+  Result<std::size_t> DecodeV3At(ByteView enveloped, Bytes& out) const;
 
   EnvelopeOptions options_;
   std::array<std::uint8_t, 16> enc_key_;

@@ -139,64 +139,74 @@ void Lzss::CompressAppend(ByteView input, Bytes& out) {
 }
 
 std::optional<Bytes> Lzss::Decompress(ByteView input) {
-  Bytes out;
-  if (!DecompressAppend(input, out)) return std::nullopt;
+  const auto size = DecodedSize(input);
+  if (!size) return std::nullopt;
+  Bytes out(*size);
+  if (!DecompressInto(input, out.data(), out.size())) return std::nullopt;
   return out;
 }
 
-bool Lzss::DecompressAppend(ByteView input, Bytes& out) {
+std::optional<std::size_t> Lzss::DecodedSize(ByteView input) {
+  std::size_t pos = 0;
+  const auto size = GetVarint(input, pos);
+  // Every match token spends at least two bytes on at most kMaxMatch bytes
+  // of output and a literal spends one on one, so kMaxMatch per stream
+  // byte is a safe (loose) ceiling.
+  if (!size || *size > (input.size() - pos) * kMaxMatch) return std::nullopt;
+  return static_cast<std::size_t>(*size);
+}
+
+bool Lzss::DecompressInto(ByteView input, std::uint8_t* dst, std::size_t len) {
   std::size_t pos = 0;
   const auto orig_size = GetVarint(input, pos);
-  if (!orig_size) return false;
-  const std::size_t base = out.size();
-  const std::size_t target = base + *orig_size;
-  out.reserve(target);
+  if (!orig_size || *orig_size != len) return false;
 
-  while (out.size() < target) {
+  std::size_t out = 0;
+  while (out < len) {
     if (pos >= input.size()) return false;
     const std::uint8_t flags = input[pos++];
-    for (int bit = 0; bit < 8 && out.size() < target; ++bit) {
+    for (int bit = 0; bit < 8 && out < len; ++bit) {
       if (flags & (1u << bit)) {
         const auto dist = GetVarint(input, pos);
         const auto len_enc = GetVarint(input, pos);
-        if (!dist || !len_enc || *dist == 0 || *dist > out.size() - base) {
+        if (!dist || !len_enc || *dist == 0 || *dist > out ||
+            *len_enc > kMaxMatch - kMinMatch ||
+            *len_enc + kMinMatch > len - out) {
           return false;
         }
-        const std::size_t len =
-            std::min<std::size_t>(*len_enc + Lzss::kMinMatch, target - out.size());
-        if (len != *len_enc + Lzss::kMinMatch) return false;  // overruns size
-        const std::size_t src = out.size() - *dist;
-        out.resize(out.size() + len);
-        std::uint8_t* dst = out.data() + out.size() - len;
-        if (*dist >= len) {
-          std::memcpy(dst, out.data() + src, len);
+        const std::size_t n = *len_enc + kMinMatch;
+        std::uint8_t* to = dst + out;
+        const std::uint8_t* from = to - *dist;
+        if (*dist >= n) {
+          std::memcpy(to, from, n);
         } else {
           // Overlapping run: seed with the `dist`-byte period, then double
           // the copied region until the match is filled.
-          std::memcpy(dst, out.data() + src, *dist);
+          std::memcpy(to, from, *dist);
           std::size_t copied = *dist;
-          while (copied < len) {
-            const std::size_t n = std::min(copied, len - copied);
-            std::memcpy(dst + copied, dst, n);
-            copied += n;
+          while (copied < n) {
+            const std::size_t m = std::min(copied, n - copied);
+            std::memcpy(to + copied, to, m);
+            copied += m;
           }
         }
+        out += n;
       } else {
         // Literal run: consume every consecutive 0-flag in this group with
         // one block copy instead of a byte-at-a-time loop.
         int run = 1;
         while (bit + run < 8 && !(flags & (1u << (bit + run)))) ++run;
         const std::size_t take = std::min<std::size_t>(
-            {static_cast<std::size_t>(run), target - out.size(),
-             input.size() - pos});
+            {static_cast<std::size_t>(run), len - out, input.size() - pos});
         if (take == 0) return false;
-        Append(out, input.subspan(pos, take));
+        std::memcpy(dst + out, input.data() + pos, take);
         pos += take;
+        out += take;
         bit += static_cast<int>(take) - 1;
       }
     }
   }
-  return out.size() == target;
+  return pos == input.size();  // the encoder never leaves trailing bytes
 }
 
 }  // namespace ginja

@@ -7,7 +7,9 @@
 //
 // Format: [varint original_size] then a token stream. Each control byte
 // holds 8 flags (LSB first); flag=0 → literal byte, flag=1 → match:
-// varint distance (>=1), varint length (>= kMinMatch).
+// varint distance (>=1), varint length - kMinMatch (a match is at most
+// kMaxMatch bytes). The stream ends exactly after the token that completes
+// original_size.
 #pragma once
 
 #include <optional>
@@ -32,10 +34,17 @@ class Lzss {
   // Returns nullopt if the stream is malformed/truncated.
   static std::optional<Bytes> Decompress(ByteView input);
 
-  // Appends the decompressed payload to `out`; returns false on a
-  // malformed/truncated stream (out may then hold a partial suffix). Match
-  // back-references may not reach before the append start.
-  static bool DecompressAppend(ByteView input, Bytes& out);
+  // The original size a stream declares, or nullopt when the header is
+  // truncated or declares more than any valid stream of this length can
+  // expand to (so a corrupt header never sizes a huge buffer).
+  static std::optional<std::size_t> DecodedSize(ByteView input);
+
+  // Decompresses into the caller's buffer [dst, dst + len), which must be
+  // exactly the stream's declared size. Returns false — having read only
+  // inside `input` and written only inside the buffer — on a size mismatch
+  // or a malformed, truncated or over-long stream. Back-references may not
+  // reach before dst.
+  static bool DecompressInto(ByteView input, std::uint8_t* dst, std::size_t len);
 };
 
 }  // namespace ginja

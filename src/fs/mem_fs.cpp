@@ -7,9 +7,19 @@ namespace ginja {
 Status MemFs::Write(std::string_view path, std::uint64_t offset, ByteView data,
                     bool /*sync*/) {
   std::lock_guard<std::mutex> lock(mu_);
-  Bytes& file = files_[std::string(path)];
-  if (file.size() < offset + data.size()) file.resize(offset + data.size(), 0);
-  std::copy(data.begin(), data.end(), file.begin() + static_cast<long>(offset));
+  auto it = files_.find(path);
+  if (it == files_.end()) it = files_.emplace(std::string(path), Bytes{}).first;
+  Bytes& file = it->second;
+  // Only a hole before `offset` is zero-filled; the written range
+  // overwrites what exists and appends the rest, so no byte is filled
+  // and then immediately overwritten.
+  if (file.size() < offset) file.resize(offset, 0);
+  const std::size_t overlap =
+      std::min<std::size_t>(file.size() - offset, data.size());
+  std::copy(data.begin(), data.begin() + static_cast<long>(overlap),
+            file.begin() + static_cast<long>(offset));
+  file.insert(file.end(), data.begin() + static_cast<long>(overlap),
+              data.end());
   return Status::Ok();
 }
 

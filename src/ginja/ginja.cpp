@@ -6,11 +6,35 @@
 #include <map>
 
 #include "common/codec/codec_pool.h"
+#include "common/codec/crc32.h"
 #include "ginja/fleet_runtime.h"
 #include "ginja/payload.h"
 #include "obs/log.h"
 
 namespace ginja {
+
+namespace {
+
+// Exclusive end of the WAL stream a PostgreSQL segment holds: the max over
+// its valid pages of page × payload + used — the rule
+// DbIoProcessor::OnWalWrite applies to each intercepted page write. Pages
+// that fail their checksum (never written, or torn) cover nothing.
+Lsn WalSegmentEndLsn(const DbLayout& layout, ByteView segment) {
+  const std::size_t page_size = layout.wal_page_size;
+  Lsn end = 0;
+  for (std::size_t off = 0; page_size <= segment.size() - off;
+       off += page_size) {
+    const std::uint8_t* page = segment.data() + off;
+    if (Crc32(ByteView(page + 4, page_size - 4)) != GetU32(page)) continue;
+    const std::uint16_t used = GetU16(page + 4);
+    if (used > layout.WalPayloadSize()) continue;
+    const std::uint64_t logical_page = GetU64(page + 6);
+    end = std::max<Lsn>(end, logical_page * layout.WalPayloadSize() + used);
+  }
+  return end;
+}
+
+}  // namespace
 
 Ginja::Ginja(VfsPtr local_vfs, ObjectStorePtr store,
              std::shared_ptr<Clock> clock, DbLayout layout, GinjaConfig config)
@@ -106,12 +130,11 @@ Status Ginja::Boot() {
     id.offset = 0;
     id.max_lsn = wal_end_hint;
     if (layout_.flavor == DbFlavor::kPostgres) {
-      // Precise bound: segment i covers stream bytes < (i+1) pages' worth.
-      // Segment order is lexicographic order for our generated names.
-      const std::uint64_t seg_index =
-          static_cast<std::uint64_t>(&path - wal_files.data());
-      id.max_lsn = (seg_index + 1) * layout_.PagesPerSegment() *
-                   layout_.WalPayloadSize();
+      // Precise bound from the segment's own pages. The segment's capacity
+      // would overstate a segment still being filled: GC would then keep
+      // this object while deleting the covered WAL objects after it, and
+      // recovery would stop at the false ts gap that leaves.
+      id.max_lsn = WalSegmentEndLsn(layout_, View(*content));
     }
 
     std::vector<FileEntry> entries;

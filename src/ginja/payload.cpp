@@ -56,35 +56,42 @@ PayloadView EncodeEntriesView(const std::vector<FileEntryRef>& entries,
   return view;
 }
 
-Result<std::vector<FileEntry>> DecodeEntries(ByteView payload) {
+Result<std::vector<FileEntryRef>> DecodeEntries(ByteView payload) {
   std::size_t pos = 0;
-  std::vector<FileEntry> out;
+  std::vector<FileEntryRef> out;
   // A streamed object's payload is several count-prefixed lists back to
   // back (one per segment); keep parsing until the buffer is exhausted.
-  // At least one run is required — an empty payload is corrupt.
+  // At least one run is required — an empty payload is corrupt. Lengths
+  // are checked against the bytes left (`len > size - pos`), which cannot
+  // overflow however large a corrupt varint is.
   do {
     const auto count = GetVarint(payload, pos);
     if (!count) return Status::Corruption("entry count truncated");
+    // Each entry takes at least three framing bytes, so a count the rest
+    // of the payload cannot hold is rejected before it sizes anything.
+    if (*count > (payload.size() - pos) / 3) {
+      return Status::Corruption("entry count exceeds payload");
+    }
     out.reserve(out.size() + *count);
     for (std::uint64_t i = 0; i < *count; ++i) {
-      FileEntry e;
+      FileEntryRef e;
       const auto path_len = GetVarint(payload, pos);
-      if (!path_len || pos + *path_len > payload.size()) {
+      if (!path_len || *path_len > payload.size() - pos) {
         return Status::Corruption("entry path truncated");
       }
-      e.path.assign(reinterpret_cast<const char*>(payload.data() + pos), *path_len);
+      e.path = std::string_view(
+          reinterpret_cast<const char*>(payload.data() + pos), *path_len);
       pos += *path_len;
       const auto offset = GetVarint(payload, pos);
       if (!offset) return Status::Corruption("entry offset truncated");
       e.offset = *offset;
       const auto data_len = GetVarint(payload, pos);
-      if (!data_len || pos + *data_len > payload.size()) {
+      if (!data_len || *data_len > payload.size() - pos) {
         return Status::Corruption("entry data truncated");
       }
-      e.data.assign(payload.begin() + static_cast<long>(pos),
-                    payload.begin() + static_cast<long>(pos + *data_len));
+      e.data = payload.subspan(pos, *data_len);
       pos += *data_len;
-      out.push_back(std::move(e));
+      out.push_back(e);
     }
   } while (pos < payload.size());
   return out;

@@ -43,7 +43,10 @@ PayloadView EncodeEntriesView(const std::vector<FileEntryRef>& entries,
 // Accepts one count-prefixed entry list, or several back to back: a
 // streamed (GNJ3) WAL object decodes to its segments' payloads
 // concatenated, each a self-contained list. Entries are returned in
-// byte order, so later segments' rewrites stay last-write-wins.
-Result<std::vector<FileEntry>> DecodeEntries(ByteView payload);
+// byte order, so later segments' rewrites stay last-write-wins. The refs
+// are views into `payload` — nothing is copied — so the payload buffer
+// must outlive them (recovery applies them before decoding the next
+// object into the same buffer).
+Result<std::vector<FileEntryRef>> DecodeEntries(ByteView payload);
 
 }  // namespace ginja

@@ -221,18 +221,22 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
   std::deque<std::future<Result<Bytes>>> inflight;
   std::deque<std::uint64_t> issue_times;  // parallel to inflight, tracing only
   std::size_t next_issue = 0;
+  // One decode buffer for the whole plan: every object decodes in place
+  // into it (DecodeInto only grows it), its entries are written to the
+  // target straight from views into it, and only then does the next object
+  // overwrite it. It dies with this call, so it never outlives the plan.
+  Bytes payload;
 
   auto apply_blob = [&](Result<Bytes> blob) -> Status {
     if (!blob.ok()) return blob.status();
     ++r->objects_downloaded;
     r->bytes_downloaded += blob->size();
-    auto payload = ctx.envelope->Decode(View(*blob));
-    if (!payload.ok()) return payload.status();
-    auto entries = DecodeEntries(View(*payload));
+    GINJA_RETURN_IF_ERROR(ctx.envelope->DecodeInto(View(*blob), payload));
+    auto entries = DecodeEntries(View(payload));
     if (!entries.ok()) return entries.status();
-    for (const auto& e : *entries) {
-      GINJA_RETURN_IF_ERROR(ctx.target->Write(e.path, e.offset, View(e.data),
-                                              /*sync=*/false));
+    for (const FileEntryRef& e : *entries) {
+      GINJA_RETURN_IF_ERROR(
+          ctx.target->Write(e.path, e.offset, e.data, /*sync=*/false));
       ++r->files_written;
     }
     return Status::Ok();
@@ -247,9 +251,8 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
     if (!blob.ok()) return blob.status();
     ++r->objects_downloaded;
     r->bytes_downloaded += blob->size();
-    auto payload = ctx.envelope->Decode(View(*blob));
-    if (!payload.ok()) return payload.status();
-    auto refs = DecodeManifest(View(*payload));
+    GINJA_RETURN_IF_ERROR(ctx.envelope->DecodeInto(View(*blob), payload));
+    auto refs = DecodeManifest(View(payload));
     if (!refs.ok()) return refs.status();
 
     std::vector<std::size_t> to_fetch;

@@ -100,6 +100,59 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(before, Crc32(View(data)));
 }
 
+// The byte-at-a-time definition the slicing-by-8 implementation must match.
+std::uint32_t ReferenceCrc32(ByteView data, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes SeededBytes(std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.Next());
+  return out;
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 cover the 8-byte body loop, the byte tail and every mix
+  // of the two; offsets 0..7 start the body loop at every alignment.
+  const Bytes buf = SeededBytes(64 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const ByteView v(buf.data() + offset, len);
+      EXPECT_EQ(Crc32(v), ReferenceCrc32(v)) << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesReferenceOnWalPageAndRandomBuffers) {
+  // A WAL page as the engine checksums it: everything after the CRC field.
+  const Bytes page = SeededBytes(8192, 2);
+  const ByteView body = ByteView(page).subspan(4);
+  EXPECT_EQ(Crc32(body), ReferenceCrc32(body));
+  SplitMix64 sizes(3);
+  for (int i = 0; i < 50; ++i) {
+    const Bytes data = SeededBytes(sizes.NextBelow(20000), 100 + i);
+    EXPECT_EQ(Crc32(View(data)), ReferenceCrc32(View(data))) << "buffer " << i;
+  }
+}
+
+TEST(Crc32, ChainedSeedsEqualOneShot) {
+  // Crc32(b, Crc32(a)) == Crc32(a ++ b) at every split point.
+  const Bytes data = SeededBytes(300, 4);
+  const std::uint32_t whole = Crc32(View(data));
+  for (std::size_t cut = 0; cut <= data.size(); cut += 7) {
+    const ByteView a(data.data(), cut);
+    const ByteView b(data.data() + cut, data.size() - cut);
+    EXPECT_EQ(Crc32(b, Crc32(a)), whole) << "cut=" << cut;
+    EXPECT_EQ(Crc32(b, ReferenceCrc32(a)), ReferenceCrc32(b, ReferenceCrc32(a)));
+  }
+}
+
 // -- AES-128: FIPS-197 Appendix C vector --------------------------------------
 
 TEST(Aes128, Fips197Vector) {

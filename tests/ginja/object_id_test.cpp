@@ -102,7 +102,7 @@ TEST(Payload, EncodeDecodeEntries) {
   ASSERT_EQ(back->size(), 3u);
   EXPECT_EQ((*back)[0].path, "pg_xlog/0001");
   EXPECT_EQ((*back)[0].offset, 8192u);
-  EXPECT_EQ(ToString(View((*back)[0].data)), "page-content");
+  EXPECT_EQ(ToString((*back)[0].data), "page-content");
   EXPECT_EQ((*back)[1].data.size(), 1000u);
   EXPECT_TRUE((*back)[2].data.empty());
 }

@@ -37,13 +37,15 @@ TEST(Payload, ViewRoundTrip) {
   const auto entries = SampleEntries();
   Bytes framing;
   const PayloadView view = EncodeEntriesView(MakeEntryRefs(entries), framing);
-  auto decoded = DecodeEntries(View(view.Flatten()));
+  const Bytes payload = view.Flatten();  // the decoded refs view into it
+  auto decoded = DecodeEntries(View(payload));
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ((*decoded)[i].path, entries[i].path);
     EXPECT_EQ((*decoded)[i].offset, entries[i].offset);
-    EXPECT_EQ((*decoded)[i].data, entries[i].data);
+    EXPECT_EQ(Bytes((*decoded)[i].data.begin(), (*decoded)[i].data.end()),
+              entries[i].data);
   }
 }
 

@@ -124,7 +124,10 @@ TraceRun RunTrace(GinjaConfig config, int files = 1) {
     EXPECT_TRUE(payload.ok());
     auto entries = DecodeEntries(View(*payload));
     EXPECT_TRUE(entries.ok());
-    for (const auto& e : *entries) out.content[{e.path, e.offset}] = e.data;
+    for (const auto& e : *entries) {
+      out.content[{std::string(e.path), e.offset}] =
+          Bytes(e.data.begin(), e.data.end());
+    }
   }
   return out;
 }
@@ -337,7 +340,7 @@ TEST_P(StreamingPipelineStress, KillLosesAtMostSWrites) {
     auto entries = DecodeEntries(View(*payload));
     ASSERT_TRUE(entries.ok());
     for (const auto& entry : *entries) {
-      recovered.insert({entry.path, entry.offset});
+      recovered.emplace(std::string(entry.path), entry.offset);
     }
   }
 

@@ -220,7 +220,7 @@ TEST_P(CommitPipelineStress, KillLosesAtMostSWrites) {
     auto entries = DecodeEntries(View(*payload));
     ASSERT_TRUE(entries.ok());
     for (const auto& entry : *entries) {
-      recovered.insert({entry.path, entry.offset});
+      recovered.emplace(std::string(entry.path), entry.offset);
     }
   }
 
