@@ -11,8 +11,8 @@
 //     latency percentiles, showing how the sharded Submit path scales;
 //   * an ingestion microbench that strips away SQL and interception and
 //     hammers CommitPipeline::Submit directly against an instant store
-//     (raw MemoryStore, real clock), comparing sharded ingestion with the
-//     single-lock baseline (submit_shards = 1).
+//     (raw MemoryStore, real clock), comparing one submit ring with eight
+//     (submit_shards = 1 vs 8) on the same lock-free path.
 //
 // Pass --smoke for the reduced CI matrix. Every row also emits a
 // machine-readable `BENCH_fig5* {...}` JSON line.
@@ -128,16 +128,16 @@ void RunTerminalSweep() {
 // has returned, excluding Drain(). Aggregation and uploads are the same
 // machinery for every shard count; what sharding changes is how fast the
 // front end accepts writes. The total write count stays below S and below
-// the shards=1 ring capacity so no Submit ever blocks on the back end —
+// one ring's capacity so no Submit ever blocks on the back end —
 // the submit phase measures the front end alone. Each configuration runs
 // several repetitions and keeps the best (least-perturbed) one.
 void RunIngestSweep() {
   PrintHeader(
       "Ingestion sweep — CommitPipeline::Submit, instant store, real clock");
-  std::printf("%-8s %-9s %-16s %-16s %-14s %-14s\n", "shards", "threads",
+  std::printf("%-8s %-9s %-16s %-16s %-14s %-14s\n", "rings", "threads",
               "submitted/s", "e2e writes/s", "commit p50", "commit p99");
   // 48k total writes: under S = 100k (never safety-blocked) and under the
-  // 65536-slot ring of the shards=1 baseline (never backpressured).
+  // 65536-slot capacity of a single ring (never backpressured).
   const std::uint64_t total_writes = 48'000;
   const int reps = g_smoke ? 3 : 5;
   for (int shards : {1, 8}) {
@@ -174,8 +174,10 @@ void RunIngestSweep() {
         pipeline->Stop();
       }
 
-      std::printf("%-8d %-9d %-16.0f %-16.0f %-14.0f %-14.0f\n", shards,
-                  threads, best.SubmittedWritesPerSec(),
+      const std::string rings =
+          std::to_string(shards) + (shards == 1 ? " ring" : " rings");
+      std::printf("%-8s %-9d %-16.0f %-16.0f %-14.0f %-14.0f\n",
+                  rings.c_str(), threads, best.SubmittedWritesPerSec(),
                   best.EndToEndWritesPerSec(), commit.p50, commit.p99);
       JsonLine line("fig5_ingest");
       line.Field("shards", shards)

@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "ginja/fleet_runtime.h"
 #include "obs/log.h"
 
 namespace ginja {
@@ -25,20 +24,10 @@ CheckpointPipeline::CheckpointPipeline(ObjectStorePtr store,
       envelope_(std::move(envelope)),
       local_vfs_(std::move(local_vfs)),
       layout_(layout),
+      account_(std::make_shared<TransferAccount>(config.tenant_id)),
       chunk_index_(std::make_shared<ChunkIndex>()) {
-  if (config_.runtime) {
-    // Fleet mode: part PUTs and GC deletes run on the runtime's shared
-    // manager (which carries its own "fleet" metrics), billed to this
-    // tenant's account.
-    transfer_ = config_.runtime->transfers();
-    account_ = std::make_shared<TransferAccount>(config_.tenant_id);
-  } else {
-    transfer_ = std::make_shared<TransferManager>(
-        store_, MakeTransferOptions(config_, config_.transfer_concurrency),
-        clock_);
-    if (config_.obs) {
-      transfer_->RegisterMetrics(&config_.obs->registry, "checkpoint");
-    }
+  if (!config_.runtime) {
+    config_.runtime = MakeStandaloneRuntime(store_, clock_, config_);
   }
   if (config_.obs) {
     tracer_ = &config_.obs->tracer;
@@ -49,10 +38,10 @@ CheckpointPipeline::CheckpointPipeline(ObjectStorePtr store,
 CheckpointPipeline::~CheckpointPipeline() {
   if (config_.obs) config_.obs->registry.Unregister(this);
   Kill();
-  // Fleet: the shared manager outlives this pipeline; wait out any of this
+  // The runtime's manager may outlive this pipeline; wait out any of this
   // account's operations still on the pool (Kill cancelled them, so queued
   // ones fail fast) before members they reference are destroyed.
-  if (account_) account_->WaitIdle();
+  account_->WaitIdle();
 }
 
 void CheckpointPipeline::RegisterMetrics() {
@@ -103,13 +92,9 @@ void CheckpointPipeline::Kill() {
   idle_cv_.notify_all();
   frontier_cv_.notify_all();
   // Abort queued/retrying transfers so the checkpointer's future waits
-  // resolve and the thread can observe killed_. On a shared fleet manager
-  // only this tenant's account is cancelled; other tenants keep running.
-  if (account_) {
-    account_->Cancel();
-  } else {
-    transfer_->Cancel();
-  }
+  // resolve and the thread can observe killed_. Only this account is
+  // cancelled; the runtime's other tenants keep running.
+  account_->Cancel();
   queue_.Close();
   if (thread_.joinable()) thread_.join();
 }
@@ -403,7 +388,8 @@ void CheckpointPipeline::CheckpointerLoop() {
       p.size = enveloped_size;
       p.submit_us = Tracing() ? clock_->NowMicros() : 0;
       p.trace_id = (seq << 16) | part;
-      p.status = transfer_->PutAsync(Route(), id.Encode(), std::move(enveloped));
+      p.status =
+          Transfers().PutAsync(Route(), id.Encode(), std::move(enveloped));
       inflight.push_back(std::move(p));
       ids.push_back(id);
     }
@@ -527,7 +513,7 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
     p.size = enveloped_size;
     p.ref = missing[k];
     p.submit_us = Tracing() ? clock_->NowMicros() : 0;
-    p.status = transfer_->PutAsync(
+    p.status = Transfers().PutAsync(
         Route(), ChunkObjectId{ref.digest, ref.length}.Encode(),
         std::move(enveloped));
     inflight.push_back(std::move(p));
@@ -566,7 +552,7 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
   Bytes enveloped = envelope_->Encode(View(payload), nonce);
   const std::size_t enveloped_size = enveloped.size();
   const Status st =
-      transfer_->PutAsync(Route(), id.Encode(), std::move(enveloped)).get();
+      Transfers().PutAsync(Route(), id.Encode(), std::move(enveloped)).get();
   if (!st.ok()) {
     if (st.code() != ErrorCode::kAborted) {
       Log(LogLevel::kWarn, "checkpoint", "manifest upload failed",
@@ -580,7 +566,7 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
     // DELETE; if even that fails, assume the worst and pin its chunks
     // until a reboot rebuild reconciles against the bucket.
     const Status confirmed_absent =
-        transfer_->DeleteAll(Route(), {id.Encode()}).front();
+        Transfers().DeleteAll(Route(), {id.Encode()}).front();
     if (!confirmed_absent.ok()) chunk_index_->RegisterManifest(seq, refs);
     return;
   }
@@ -638,7 +624,7 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
   }
   const std::vector<Status> statuses =
       names.empty() ? std::vector<Status>{}
-                    : transfer_->DeleteAll(Route(), names);
+                    : Transfers().DeleteAll(Route(), names);
   std::size_t i = 0;
   std::size_t failed = 0;
   for (const auto& wal : wal_victims) {
@@ -693,7 +679,7 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
     chunk_names.reserve(dead.size());
     for (const auto& chunk : dead) chunk_names.push_back(chunk.Encode());
     const std::vector<Status> chunk_statuses =
-        transfer_->DeleteAll(Route(), chunk_names);
+        Transfers().DeleteAll(Route(), chunk_names);
     std::size_t chunk_failed = 0;
     for (std::size_t k = 0; k < dead.size(); ++k) {
       if (chunk_statuses[k].ok()) {

@@ -11,6 +11,10 @@
 //     the LSN rule rather than the paper's ts rule);
 //   * on a dump, every older DB object.
 // With `keep_history` (point-in-time recovery, §5.4) nothing is deleted.
+//
+// Part PUTs and GC DELETEs run on a FleetRuntime's shared TransferManager,
+// billed to this pipeline's account; without `config.runtime` the pipeline
+// makes a private one-tenant runtime (MakeStandaloneRuntime).
 #pragma once
 
 #include <condition_variable>
@@ -33,6 +37,7 @@
 #include "ginja/cloud_view.h"
 #include "ginja/config.h"
 #include "ginja/dedup.h"
+#include "ginja/fleet_runtime.h"
 #include "ginja/payload.h"
 #include "ginja/pitr.h"
 
@@ -149,14 +154,11 @@ class CheckpointPipeline {
                ? MetricLabels{}
                : MetricLabels{{"tenant", config_.tenant_id}};
   }
-  // Route for transfer operations: this pipeline's store, billed to the
-  // tenant's account in fleet mode.
+  // The runtime's shared manager; every operation carries Route(): this
+  // pipeline's store, billed to its account.
+  TransferManager& Transfers() const { return *config_.runtime->transfers(); }
   TransferRoute Route() const { return {store_, account_}; }
-  // "Transfers were aborted": the whole manager standalone, just this
-  // tenant's account on a shared fleet manager.
-  bool Cancelled() const {
-    return account_ ? account_->cancelled() : transfer_->cancelled();
-  }
+  bool Cancelled() const { return account_->cancelled(); }
   bool Tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
 
   ObjectStorePtr store_;
@@ -166,13 +168,8 @@ class CheckpointPipeline {
   std::shared_ptr<Envelope> envelope_;
   VfsPtr local_vfs_;
   DbLayout layout_;
-  // Concurrent part PUTs and GC DELETE fan-out; shared retry policy
-  // (jittered exponential backoff) instead of the old fixed-delay loop.
-  // Privately owned standalone; aliases the fleet runtime's shared manager
-  // when config_.runtime is set (ops then carry Route()).
-  std::shared_ptr<TransferManager> transfer_;
-  // Fleet mode only: scopes Kill() cancellation and destructor quiescence
-  // to this tenant's operations on the shared manager.
+  // Scopes Kill() cancellation and destructor quiescence to this
+  // pipeline's operations on the runtime's manager.
   TransferAccountPtr account_;
   std::shared_ptr<RetentionPolicy> retention_;
   std::shared_ptr<ChunkIndex> chunk_index_;

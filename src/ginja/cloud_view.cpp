@@ -30,6 +30,11 @@ void CloudView::RemoveWal(std::uint64_t ts) {
   wal_.erase(ts);
 }
 
+bool CloudView::HasWal(std::uint64_t ts) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return wal_.count(ts) > 0;
+}
+
 std::vector<WalObjectId> CloudView::WalObjects() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<WalObjectId> out;
@@ -58,9 +63,9 @@ void CloudView::AddTail(const TailObjectId& id) {
   }
 }
 
-void CloudView::RemoveTail(const TailObjectId& id) {
+bool CloudView::RemoveTail(const TailObjectId& id) {
   std::lock_guard<std::mutex> lock(mu_);
-  tails_.erase({id.ts, id.seg, id.replica});
+  return tails_.erase({id.ts, id.seg, id.replica}) > 0;
 }
 
 std::vector<TailObjectId> CloudView::TailObjects() const {

@@ -28,6 +28,7 @@ class CloudView {
 
   void AddWal(const WalObjectId& id);
   void RemoveWal(std::uint64_t ts);
+  bool HasWal(std::uint64_t ts) const;
   std::vector<WalObjectId> WalObjects() const;  // ascending ts
   // WAL objects whose covered stream range ends at or before `lsn` — the
   // prefix that a checkpoint with redo LSN `lsn` makes garbage.
@@ -36,7 +37,8 @@ class CloudView {
   // -- WAL tail objects (streaming early acks) ---------------------------------
 
   void AddTail(const TailObjectId& id);
-  void RemoveTail(const TailObjectId& id);
+  // False when the tail was not indexed (already removed).
+  bool RemoveTail(const TailObjectId& id);
   std::vector<TailObjectId> TailObjects() const;  // ascending (ts, seg, replica)
   std::vector<TailObjectId> TailsForTs(std::uint64_t ts) const;
   // Tails that are safe to delete given a checkpoint redo LSN: those whose

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "obs/log.h"
 
@@ -17,8 +18,6 @@ constexpr auto kPollInterval = std::chrono::milliseconds(1);
 constexpr double kEwmaAlpha = 0.2;
 // Slice length for kill-interruptible backoff sleeps (model time).
 constexpr std::uint64_t kSleepSliceUs = 20'000;
-// Decorrelates the uploaders' jitter streams (golden-ratio increment).
-constexpr std::uint64_t kSeedStride = 0x9E3779B97F4A7C15ull;
 // Stream-segment nonces live in their own subspace, disjoint from WAL
 // object nonces (the raw ts) and DB part nonces (bit 63 | seq | part):
 // tag | ts << 16 | seg. A tail object reuses its segment's envelope bytes
@@ -125,7 +124,12 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
       view_(std::move(view)),
       clock_(std::move(clock)),
       config_(config),
-      envelope_(std::move(envelope)) {
+      envelope_(std::move(envelope)),
+      account_(std::make_shared<TransferAccount>(config.tenant_id)),
+      retry_(MakeTransferOptions(config, 1), &stats_.upload_retries) {
+  if (!config_.runtime) {
+    config_.runtime = MakeStandaloneRuntime(store_, clock_, config_);
+  }
   const int shard_count = std::max(1, config_.submit_shards);
   // Each ring must absorb a full S backlog plus a batch in flight; beyond
   // that Submit backpressures by spinning, which S-blocking normally
@@ -149,48 +153,17 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
     tracer_ = &config_.obs->tracer;
     RegisterMetrics();
   }
-  if (config_.runtime) {
-    // Fleet mode: no private pools. Upload jobs go to the runtime's DRR
-    // scheduler (registered at Start), transfers run on the shared manager
-    // billed to this account, and one thread-safe retry policy serves every
-    // shared worker that picks up this tenant's jobs.
-    account_ = std::make_shared<TransferAccount>(config_.tenant_id);
-    fleet_retry_ = std::make_unique<RetryPolicy>(MakeTransferOptions(config_, 1),
-                                                 &stats_.upload_retries);
-    if (config_.streaming_commit) {
-      stream_transfers_ = config_.runtime->transfers();
-    }
-  } else if (config_.streaming_commit) {
-    stream_transfers_ = std::make_shared<TransferManager>(
-        store_,
-        MakeTransferOptions(
-            config_,
-            std::max(config_.uploader_threads, config_.transfer_concurrency)),
-        clock_);
-    if (config_.obs) {
-      stream_transfers_->RegisterMetrics(&config_.obs->registry,
-                                         "commit_stream");
-    }
-  }
 }
 
 CommitPipeline::~CommitPipeline() {
   if (config_.obs) config_.obs->registry.Unregister(this);
   // After a clean Stop() the only remaining work is background folded-tail
-  // deletes queued on the stream transfer pool; destroying the members
-  // drains them. Kill() here would cancel them for no benefit.
+  // deletes; the WaitIdle below drains them. Kill() here would cancel them
+  // for no benefit.
   if (!stopped_clean_.load(std::memory_order_acquire)) Kill();
-  // Fleet mode: the shared manager and scheduler outlive this pipeline, so
-  // quiesce everything that could call back into it. Stop()/Kill() already
-  // deregistered the scheduler queue; WaitIdle covers operations still on
-  // the shared pool (a clean stop's folded-tail deletes drain here, the
-  // standalone analogue of destroying the private manager).
-  if (sched_tenant_ != nullptr) {
-    config_.runtime->scheduler().Deregister(sched_tenant_,
-                                            /*discard_queued=*/true);
-    sched_tenant_ = nullptr;
-  }
-  if (account_) account_->WaitIdle();
+  // The runtime's pools may outlive this pipeline (a fleet's always do):
+  // wait out every operation that could still call back into it.
+  account_->WaitIdle();
 }
 
 void CommitPipeline::RegisterMetrics() {
@@ -257,17 +230,10 @@ void CommitPipeline::RegisterMetrics() {
 }
 
 void CommitPipeline::Start() {
+  // Uploads run on the runtime's worker pool, DRR-scheduled across its
+  // tenants; only the control threads (aggregator, unlocker) are private.
+  sched_tenant_ = config_.runtime->scheduler().Register(config_.tenant_id);
   threads_.emplace_back([this] { AggregatorLoop(); });
-  if (config_.runtime) {
-    // Fleet mode: uploads run on the runtime's shared worker pool, DRR-
-    // scheduled across tenants; only the per-tenant control threads
-    // (aggregator, unlocker) are private.
-    sched_tenant_ = config_.runtime->scheduler().Register(config_.tenant_id);
-  } else {
-    for (int i = 0; i < config_.uploader_threads; ++i) {
-      threads_.emplace_back([this, i] { UploaderLoop(i); });
-    }
-  }
   threads_.emplace_back([this] { UnlockerLoop(); });
 }
 
@@ -290,7 +256,6 @@ void CommitPipeline::Stop() {
              batches_inflight_.load(std::memory_order_acquire) == 0;
     });
   }
-  upload_queue_.Close();
   ack_queue_.Close();
   {
     std::lock_guard<std::mutex> lock(block_mu_);
@@ -300,14 +265,10 @@ void CommitPipeline::Stop() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  // Fleet: every batch retired means the scheduler queue is empty; a clean
-  // deregistration just waits out any job still finishing on a shared
-  // worker. After the aggregator joined, nothing can enqueue again.
-  if (sched_tenant_ != nullptr) {
-    config_.runtime->scheduler().Deregister(sched_tenant_,
-                                            /*discard_queued=*/false);
-    sched_tenant_ = nullptr;
-  }
+  // Every batch retired means the scheduler queue is empty; a clean
+  // release just waits out any job still finishing on a worker. After the
+  // aggregator joined, nothing can enqueue again.
+  ReleaseUploadQueue(/*discard_queued=*/false);
   stopped_clean_.store(true, std::memory_order_release);
 }
 
@@ -327,29 +288,26 @@ void CommitPipeline::Kill() {
     std::lock_guard<std::mutex> lock(block_mu_);
   }
   unblock_cv_.notify_all();
-  upload_queue_.Close();
   ack_queue_.Close();
   // Abandon in-flight stream parts / tail PUTs; their callbacks fire with
   // ABORTED against the already-closed ack queue. Stop() deliberately does
-  // NOT cancel — it drains. Fleet mode cancels only this tenant's account:
-  // the shared manager keeps serving the other tenants.
-  if (account_) {
-    account_->Cancel();
-  } else if (stream_transfers_) {
-    stream_transfers_->Cancel();
-  }
+  // NOT cancel — it drains. Only this pipeline's account is cancelled: the
+  // runtime's manager may keep serving other tenants.
+  account_->Cancel();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
   threads_.clear();
   // Drop queued upload jobs unrun (the crash abandons them) and wait out
-  // the ones a shared worker is already executing — they observe killed_
-  // and bail at their next check. Must follow the aggregator join: a live
-  // aggregator could enqueue into a deregistered (freed) tenant handle.
-  if (sched_tenant_ != nullptr) {
-    config_.runtime->scheduler().Deregister(sched_tenant_,
-                                            /*discard_queued=*/true);
-    sched_tenant_ = nullptr;
+  // the ones a worker is already executing — they observe killed_ and bail
+  // at their next check. Must follow the aggregator join: a live
+  // aggregator could enqueue into a released (freed) queue handle.
+  ReleaseUploadQueue(/*discard_queued=*/true);
+}
+
+void CommitPipeline::ReleaseUploadQueue(bool discard_queued) {
+  if (auto* tenant = std::exchange(sched_tenant_, nullptr)) {
+    config_.runtime->scheduler().Deregister(tenant, discard_queued);
   }
 }
 
@@ -389,78 +347,46 @@ void CommitPipeline::Submit(WalWrite write) {
   if (killed_.load(std::memory_order_acquire)) return;
   Slot slot;
   slot.write = std::move(write);
-  std::uint64_t seq;
-  bool block_fast;
-  if (shards_.size() == 1) {
-    // Single-lock baseline, reproducing the contention profile of the old
-    // global-deque design line by line: one mutex covers the entire submit
-    // body — the enqueue-time clock read, sequencing, enqueue, stats, the
-    // aggregator wakeup, and the S/TS fast-path check with its own clock
-    // read — and the aggregator holds the same mutex while it drains and
-    // coalesces a batch, so submitters stall behind aggregation exactly as
-    // they did behind the old locked std::map build.
-    std::unique_lock<std::mutex> lock(legacy_mu_);
-    slot.enqueue_us = clock_->NowMicros();
-    seq = submit_seq_.fetch_add(1, std::memory_order_acq_rel);
-    slot.seq = seq;
-    while (!shards_[0]->TryPush(slot)) {
-      if (killed_.load(std::memory_order_acquire)) return;
-      // Drop the lock while yielding: draining the ring needs legacy_mu_,
-      // so spinning with it held would deadlock when backlog > capacity.
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-    }
-    stats_.writes_submitted.Add();
-    // Old behavior: notify under the lock on every over-threshold submit.
-    if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
-        config_.batch) {
-      agg_cv_.notify_one();
-    }
-    block_fast = ShouldBlock(clock_->NowMicros());
-  } else {
-    // Coarse enqueue stamp: see coarse_now_us_. Saves a clock read per
-    // Submit; the error is bounded by one aggregator poll and biased old,
-    // which only over-ages writes against the seconds-scale TS bound.
-    slot.enqueue_us = coarse_now_us_.load(std::memory_order_relaxed);
-    const std::size_t shard = ShardOf(slot.write);
-    seq = submit_seq_.fetch_add(1, std::memory_order_acq_rel);
-    slot.seq = seq;
-    // Ring full = S-sized backlog on this shard; spin as backpressure. The
-    // aggregator cannot stage past this seq until the push lands, so the
-    // write is never lost, only delayed.
-    while (!shards_[shard]->TryPush(slot)) {
-      if (killed_.load(std::memory_order_acquire)) return;
-      std::this_thread::yield();
-    }
-    stats_.writes_submitted.Add();
+  // Coarse enqueue stamp: see coarse_now_us_. Saves a clock read per
+  // Submit; the error is bounded by one aggregator poll and biased old,
+  // which only over-ages writes against the seconds-scale TS bound.
+  slot.enqueue_us = coarse_now_us_.load(std::memory_order_relaxed);
+  const std::size_t shard = ShardOf(slot.write);
+  const std::uint64_t seq = submit_seq_.fetch_add(1, std::memory_order_acq_rel);
+  slot.seq = seq;
+  // Ring full = S-sized backlog on this shard; spin as backpressure. The
+  // aggregator cannot stage past this seq until the push lands, so the
+  // write is never lost, only delayed.
+  while (!shards_[shard]->TryPush(slot)) {
+    if (killed_.load(std::memory_order_acquire)) return;
+    std::this_thread::yield();
+  }
+  stats_.writes_submitted.Add();
 
-    // Wake the Aggregator only when a full batch is pending AND it is
-    // parked; partial batches are picked up by its TB/adaptive poll.
-    // Skipping the notify while it is awake keeps agg_mu_ off the submit
-    // hot path — under a burst every thread would otherwise serialize on
-    // it here.
-    if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
-            config_.batch &&
-        agg_idle_.load(std::memory_order_acquire)) {
-      {
-        std::lock_guard<std::mutex> lock(agg_mu_);
-      }
-      agg_cv_.notify_one();
+  // Wake the Aggregator only when a full batch is pending AND it is
+  // parked; partial batches are picked up by its TB/adaptive poll.
+  // Skipping the notify while it is awake keeps agg_mu_ off the submit
+  // hot path — under a burst every thread would otherwise serialize on
+  // it here.
+  if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
+          config_.batch &&
+      agg_idle_.load(std::memory_order_acquire)) {
+    {
+      std::lock_guard<std::mutex> lock(agg_mu_);
     }
-    // Alg. 2 lines 5-7 fast path, lock-free and reusing the enqueue
-    // timestamp (TS is seconds-scale, the push is microseconds).
-    block_fast = ShouldBlock(slot.enqueue_us);
+    agg_cv_.notify_one();
   }
 
-  // Block while S/TS would be violated. The slow path is event-driven (no
+  // Block while S/TS would be violated. The fast path is lock-free and
+  // reuses the enqueue timestamp (TS is seconds-scale, the push is
+  // microseconds). The slow path is event-driven (no
   // polling): while blocked, ShouldBlock can only flip to false through an
   // Unlocker completion, and every completion updates the counters *before*
   // signalling unblock_cv_ (with an empty block_mu_ critical section
   // ordering the two), so waiting without a timeout is safe. Time passing
   // alone never unblocks — it only ages the oldest write toward the TS
   // limit.
-  if (block_fast) {
+  if (ShouldBlock(slot.enqueue_us)) {
     std::unique_lock<std::mutex> lock(block_mu_);
     bool blocked = false;
     while (!killed_.load(std::memory_order_acquire) &&
@@ -570,12 +496,6 @@ void CommitPipeline::AggregatorLoop() {
       agg_idle_.store(false, std::memory_order_release);
     }
     if (killed_.load(std::memory_order_acquire)) return;
-    // Single-lock baseline: the old design coalesced under the global
-    // submit mutex, stalling every Submit for the duration of batch
-    // formation. Reproduce that by holding legacy_mu_ across the drain and
-    // the FormBatch calls. Sharded mode takes no submit-path lock here.
-    std::unique_lock<std::mutex> legacy_lock(legacy_mu_, std::defer_lock);
-    if (shards_.size() == 1) legacy_lock.lock();
     const std::size_t newly = DrainShards();
     const std::uint64_t now = clock_->NowMicros();
     coarse_now_us_.store(now, std::memory_order_release);
@@ -804,7 +724,7 @@ void CommitPipeline::OpenStream(std::uint64_t now_us) {
   open_stream_->ts = view_->NextWalTs();
   open_stream_->batch_seq = next_batch_seq_++;
   open_stream_->opened_us = now_us;
-  open_stream_->session = stream_transfers_->BeginStream(
+  open_stream_->session = Transfers().BeginStream(
       StreamRoute(), "WALSTREAM/" + std::to_string(open_stream_->ts));
   // Part 0 is the GNJ3 prologue: every prefix of the stream is a valid
   // (possibly torn) container from the first bytes on.
@@ -949,42 +869,22 @@ bool CommitPipeline::SleepInterruptible(std::uint64_t micros) {
   return !killed_.load(std::memory_order_acquire);
 }
 
-void CommitPipeline::UploaderLoop(int index) {
-  // Each uploader draws backoffs from the shared RetryPolicy schedule with
-  // its own decorrelated jitter stream, and reuses its framing/envelope
-  // buffers across jobs (EncodeInto clears but keeps capacity), so a
-  // steady-state uploader stops allocating altogether.
-  TransferOptions retry_options = MakeTransferOptions(config_, 1);
-  retry_options.seed += kSeedStride * static_cast<std::uint64_t>(index + 1);
-  RetryPolicy retry(retry_options, &stats_.upload_retries);
-  Bytes framing;
-  Bytes enveloped;
-  while (auto job = upload_queue_.Take()) {
-    ExecuteUploadJob(std::move(*job), retry, framing, enveloped);
-  }
-}
-
 void CommitPipeline::EnqueueUpload(UploadJob job) {
-  if (sched_tenant_ == nullptr) {
-    upload_queue_.Put(std::move(job));
-    return;
-  }
-  // Fleet: the DRR cost is the job's logical payload bytes — what the PUT
-  // path actually pays for. Stream-finish jobs carry no payload and weigh
-  // the minimum. Boxed because std::function requires a copyable target
-  // and the job owns the write buffers (moved, never copied).
+  // The DRR cost is the job's logical payload bytes — what the PUT path
+  // actually pays for. Stream-finish jobs carry no payload and weigh the
+  // minimum. Boxed because std::function requires a copyable target and
+  // the job owns the write buffers (moved, never copied).
   std::size_t cost = 0;
   for (const Bytes& d : job.data) cost += d.size();
   auto boxed = std::make_shared<UploadJob>(std::move(job));
   config_.runtime->scheduler().Enqueue(
       sched_tenant_, cost, [this, boxed](UploadScratch& scratch) {
-        ExecuteUploadJob(std::move(*boxed), *fleet_retry_, scratch.framing,
-                         scratch.enveloped);
+        ExecuteUploadJob(std::move(*boxed), scratch.framing, scratch.enveloped);
       });
 }
 
-void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
-                                      Bytes& framing, Bytes& enveloped) {
+void CommitPipeline::ExecuteUploadJob(UploadJob job, Bytes& framing,
+                                      Bytes& enveloped) {
   if (job.kind == UploadJob::Kind::kStreamSegment) {
     UploadStreamSegment(std::move(job), framing, enveloped);
     return;
@@ -1013,7 +913,7 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
   std::uint64_t put_end_us = 0;
   Status last_status = Status::Ok();
   buffered_inflight_puts_.fetch_add(1, std::memory_order_relaxed);
-  for (int attempt = 1; attempt <= retry.max_attempts(); ++attempt) {
+  for (int attempt = 1; attempt <= retry_.max_attempts(); ++attempt) {
     const std::uint64_t started = clock_->NowMicros();
     if (attempt == 1) first_attempt_us = started;
     Status st = store_->Put(job.name, View(enveloped));
@@ -1025,11 +925,11 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
     }
     last_status = st;
     if (killed_.load(std::memory_order_acquire) ||
-        attempt >= retry.max_attempts() ||
+        attempt >= retry_.max_attempts() ||
         !RetryPolicy::Retryable(st.code())) {
       break;
     }
-    if (!SleepInterruptible(retry.NextBackoffUs(attempt))) break;
+    if (!SleepInterruptible(retry_.NextBackoffUs(attempt))) break;
   }
   buffered_inflight_puts_.fetch_sub(1, std::memory_order_relaxed);
   if (uploaded) {
@@ -1079,7 +979,7 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
   }
 
   // Bounded run-ahead: wait while the stream already has a full window of
-  // parts staged or in flight. Progress comes from stream_transfers_'
+  // parts staged or in flight. Progress comes from the transfer manager's
   // workers, so polling here cannot deadlock; a failed session drains its
   // backlog, which also releases this wait.
   while (job.session->BacklogParts() >= config_.stream_part_window) {
@@ -1101,13 +1001,16 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
       tid.seg = job.seg_index;
       tid.replica = static_cast<std::uint32_t>(r);
       tid.max_lsn = job.seg_max_lsn;
-      stream_transfers_->PutAsyncCb(
+      Transfers().PutAsyncCb(
           StreamRoute(), tid.Encode(), Bytes(enveloped),
           [this, tid, remaining, failed, seq = job.batch_seq, traced,
            trace_seq = job.trace_seq, close_us = job.close_us](Status st) {
             if (st.ok()) {
               view_->AddTail(tid);
               stats_.tail_objects_uploaded.Add();
+              // A tail that lands after its object published was missed by
+              // the fold's sweep (FinishStream); delete it here instead.
+              if (view_->HasWal(tid.ts)) DeleteFoldedTail(tid);
               if (tid.replica == 0 && traced && Tracing()) {
                 const std::uint64_t now = clock_->NowMicros();
                 tracer_->Record(TraceStage::kTailPut, trace_seq, close_us,
@@ -1178,12 +1081,7 @@ void CommitPipeline::FinishStream(UploadJob job) {
       // The folded object supersedes this ts's tails; delete them in the
       // background. A missed delete is re-swept by checkpoint GC.
       for (const TailObjectId& tail : view_->TailsForTs(ts)) {
-        stream_transfers_->DeleteAsyncCb(StreamRoute(), tail.Encode(),
-                                         [this, tail](Status dst) {
-                                           if (!dst.ok()) return;
-                                           view_->RemoveTail(tail);
-                                           stats_.tail_objects_deleted.Add();
-                                         });
+        DeleteFoldedTail(tail);
       }
     } else if (!killed_.load(std::memory_order_acquire)) {
       Log(LogLevel::kError, "commit", "stream upload permanently failed",
@@ -1201,11 +1099,26 @@ void CommitPipeline::FinishStream(UploadJob job) {
   session->Finish(job.total_parts, std::move(job.name), std::move(done));
 }
 
+void CommitPipeline::DeleteFoldedTail(const TailObjectId& tail) {
+  Transfers().DeleteAsyncCb(StreamRoute(), tail.Encode(),
+                            [this, tail](Status st) {
+                              // Both the fold's sweep and a late tail's own
+                              // check may delete it; count it once.
+                              if (st.ok() && view_->RemoveTail(tail)) {
+                                stats_.tail_objects_deleted.Add();
+                              }
+                            });
+}
+
 void CommitPipeline::UnlockerLoop() {
+  // Frontier values this pass advanced through, in order (the unlocker is
+  // the frontier's only writer, so `frontier` mirrors frontier_lsn_).
+  std::vector<Lsn> advances;
+  Lsn frontier = frontier_lsn_.load(std::memory_order_acquire);
   while (auto ack = ack_queue_.Take()) {
     const std::uint64_t now = clock_->NowMicros();
     coarse_now_us_.store(now, std::memory_order_release);
-    bool advanced = false;
+    advances.clear();
     std::uint64_t completed = 0;
     {
       std::lock_guard<std::mutex> lock(window_mu_);
@@ -1247,11 +1160,9 @@ void CommitPipeline::UnlockerLoop() {
         completed += n;
         // The recoverable WAL frontier advances only with the consecutive
         // prefix of *successfully* acknowledged batches.
-        if (!frontier_broken_.load() &&
-            batches_.front().max_lsn > frontier_lsn_.load()) {
-          frontier_lsn_.store(batches_.front().max_lsn,
-                              std::memory_order_release);
-          advanced = true;
+        if (!frontier_broken_.load() && batches_.front().max_lsn > frontier) {
+          frontier = batches_.front().max_lsn;
+          advances.push_back(frontier);
         }
         batches_.pop_front();
         batches_inflight_.fetch_sub(1, std::memory_order_release);
@@ -1285,10 +1196,9 @@ void CommitPipeline::UnlockerLoop() {
           completed += n;
           stats_.writes_early_acked.Add(n);
           if (!frontier_broken_.load() &&
-              head.seg_max_lsn[head.tail_prefix - 1] > frontier_lsn_.load()) {
-            frontier_lsn_.store(head.seg_max_lsn[head.tail_prefix - 1],
-                                std::memory_order_release);
-            advanced = true;
+              head.seg_max_lsn[head.tail_prefix - 1] > frontier) {
+            frontier = head.seg_max_lsn[head.tail_prefix - 1];
+            advances.push_back(frontier);
           }
         }
       }
@@ -1296,13 +1206,22 @@ void CommitPipeline::UnlockerLoop() {
           pending_times_.empty() ? kNoOldest : pending_times_.front(),
           std::memory_order_release);
     }
+    // Publish each advance in order, off window_mu_ (the listener takes the
+    // checkpoint pipeline's mutex) but before the completions below, so a
+    // caller that sees its writes confirmed also sees the frontier cover
+    // them. One listener call per advanced batch or segment makes the
+    // observed trace independent of how acks interleave across workers.
+    for (const Lsn lsn : advances) {
+      frontier_lsn_.store(lsn, std::memory_order_release);
+      if (frontier_listener_) frontier_listener_();
+    }
     if (completed > 0) {
       completed_count_.fetch_add(completed, std::memory_order_release);
     }
     if (ack->trace_seq != kNoTrace && Tracing()) {
       tracer_->Record(TraceStage::kAck, ack->trace_seq, ack->put_end_us,
                       now >= ack->put_end_us ? now - ack->put_end_us : 0);
-      if (advanced) {
+      if (!advances.empty()) {
         tracer_->Record(TraceStage::kFrontier, ack->trace_seq, now, 0);
       }
     }
@@ -1313,8 +1232,6 @@ void CommitPipeline::UnlockerLoop() {
       std::lock_guard<std::mutex> lock(block_mu_);
     }
     unblock_cv_.notify_all();
-    // Off-lock: the listener takes the checkpoint pipeline's mutex.
-    if (advanced && frontier_listener_) frontier_listener_();
   }
 }
 

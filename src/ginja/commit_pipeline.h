@@ -2,24 +2,29 @@
 //
 // Intercepted WAL writes enter through Submit; the Aggregator coalesces
 // batches of up to B writes into WAL objects (page rewrites to the same
-// offset collapse — the key cost optimisation); Uploader threads PUT the
-// objects in parallel; the Unlocker removes batches from the pending
-// window *in timestamp order* as their uploads are acknowledged, which is
-// what bounds data loss to S even with out-of-order parallel uploads.
+// offset collapse — the key cost optimisation); upload jobs run in parallel
+// on the FleetRuntime's uploader pool; the Unlocker removes batches from
+// the pending window *in timestamp order* as their uploads are
+// acknowledged, which is what bounds data loss to S even with out-of-order
+// parallel uploads.
 //
 // A write blocks (stalling the DBMS inside its intercepted syscall) while
 // more than S writes are unconfirmed, or while the oldest unconfirmed
 // write has been pending longer than TS.
 //
-// Ingestion front end (DESIGN.md "Sharded commit ingestion"): Submit is
-// lock-free — a global sequencer (one fetch_add) stamps the submit order,
-// the write lands in a per-shard MPSC ring chosen by (file, page), and the
-// S/TS predicate reads three atomics. The Aggregator drains the shards and
-// restores sequencer order through a dense reorder window, so batches are
-// formed from exactly the same global write order as the old single-mutex
-// queue — byte-for-byte the same objects regardless of shard count. With
-// submit_shards == 1 the sequencing + enqueue step is serialized under a
-// mutex instead, reproducing the single-lock baseline for comparison.
+// Ingestion front end (DESIGN.md "Low-latency commit ingestion"): Submit
+// is lock-free — a global sequencer (one fetch_add) stamps the submit
+// order, the write lands in a per-shard MPSC ring chosen by (file, page),
+// and the S/TS predicate reads three atomics. The Aggregator drains the
+// rings and restores sequencer order through a dense reorder window, so
+// batches are formed from exactly the global write order — byte-for-byte
+// the same objects for any shard count, one ring included.
+//
+// Execution resources are never owned here: upload jobs go to a
+// FleetRuntime's DRR scheduler and streamed parts, tails and tail deletes
+// to its shared TransferManager, billed to this pipeline's account. A
+// pipeline built without `config.runtime` makes a private one-tenant
+// runtime (MakeStandaloneRuntime); a fleet member shares the fleet's.
 #pragma once
 
 #include <atomic>
@@ -176,9 +181,11 @@ class CommitPipeline {
     return frontier_lsn_.load(std::memory_order_acquire);
   }
 
-  // Invoked (off-lock, from the Unlocker thread) every time the frontier
-  // advances; the checkpoint pipeline hooks this to wake its WAL-coverage
-  // wait instead of polling UploadedWalFrontier(). Set before Start().
+  // Invoked (off-lock, from the Unlocker thread) once per frontier advance
+  // — per retired batch, or per early-acked segment prefix — with
+  // UploadedWalFrontier() already at the new value, even when one ack
+  // retires several batches at once. The checkpoint pipeline hooks this to
+  // wake its WAL-coverage wait instead of polling. Set before Start().
   void SetFrontierListener(std::function<void()> fn) {
     frontier_listener_ = std::move(fn);
   }
@@ -260,21 +267,20 @@ class CommitPipeline {
   };
 
   void AggregatorLoop();
-  void UploaderLoop(int index);
   void UnlockerLoop();
 
-  // Hands a formed job to the upload path: the private upload_queue_ when
-  // standalone, the fleet runtime's DRR scheduler (under this tenant's
-  // queue, weighted by the job's logical bytes) when config_.runtime is
-  // set.
+  // Hands a formed job to the runtime's DRR scheduler, under this
+  // pipeline's queue and weighted by the job's logical bytes.
   void EnqueueUpload(UploadJob job);
-  // One upload job end to end (encode → PUT/stream op → ack); the body the
-  // standalone UploaderLoop runs per job and the fleet scheduler runs on a
-  // shared worker. `retry` must be thread-safe when shared across workers.
-  void ExecuteUploadJob(UploadJob job, RetryPolicy& retry, Bytes& framing,
-                        Bytes& enveloped);
-  // Route for operations on the (possibly shared) stream transfer manager:
-  // always this pipeline's store, billed to account_ in fleet mode.
+  // One upload job end to end (encode → PUT/stream op → ack), run on a
+  // scheduler worker with that worker's reusable buffers.
+  void ExecuteUploadJob(UploadJob job, Bytes& framing, Bytes& enveloped);
+  // Removes this pipeline's scheduler queue, dropping queued jobs unrun
+  // when `discard_queued`; waits out jobs already running. Idempotent.
+  void ReleaseUploadQueue(bool discard_queued);
+  // The runtime's shared manager, for streamed parts, tails and tail
+  // deletes; every operation carries StreamRoute().
+  TransferManager& Transfers() const { return *config_.runtime->transfers(); }
   TransferRoute StreamRoute() const { return {store_, account_}; }
 
   // Alg. 2's blocking predicate over the sequencer counters (lock-free).
@@ -297,6 +303,9 @@ class CommitPipeline {
   // Uploader-side handlers for the streaming job kinds.
   void UploadStreamSegment(UploadJob job, Bytes& framing, Bytes& enveloped);
   void FinishStream(UploadJob job);
+  // Deletes a tail object that its published WAL object supersedes, in the
+  // background; a failed delete is re-swept by checkpoint GC.
+  void DeleteFoldedTail(const TailObjectId& tail);
   // Sleeps model-time micros in slices, aborting on Kill(); false if killed.
   bool SleepInterruptible(std::uint64_t micros);
 
@@ -340,21 +349,18 @@ class CommitPipeline {
   // whether a full batch is pending and the aggregator needs a wakeup.
   std::atomic<std::uint64_t> batched_count_{0};
   // Clock sampled by the background threads (aggregator each pass, unlocker
-  // each ack), used for enqueue stamps on the sharded submit path instead
-  // of a per-Submit clock read. At most ~one poll interval stale, and never
-  // ahead of the real clock, so commit latencies stay non-negative and TS
-  // ages err toward blocking earlier. The shards == 1 baseline still reads
-  // the clock per Submit, as the old design did.
+  // each ack), used for enqueue stamps instead of a per-Submit clock read.
+  // At most ~one poll interval stale, and never ahead of the real clock, so
+  // commit latencies stay non-negative and TS ages err toward blocking
+  // earlier.
   std::atomic<std::uint64_t> coarse_now_us_{0};
 
   std::vector<std::unique_ptr<MpscRing<Slot>>> shards_;
-  std::mutex legacy_mu_;  // serializes sequencing+enqueue when shards == 1
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
-  // Set when Stop() ran to completion: the destructor then lets the stream
-  // transfer pool drain its queued folded-tail deletes instead of Kill()
-  // cancelling them.
+  // Set when Stop() ran to completion: the destructor then lets queued
+  // folded-tail deletes drain instead of Kill() cancelling them.
   std::atomic<bool> stopped_clean_{false};
 
   std::mutex block_mu_;                 // protects nothing: CV discipline only
@@ -414,7 +420,6 @@ class CommitPipeline {
   // taking window_mu_ under block_mu_.
   std::atomic<std::size_t> batches_inflight_{0};
 
-  BlockingQueue<UploadJob> upload_queue_;
   BlockingQueue<Ack> ack_queue_;
 
   std::vector<std::thread> threads_;
@@ -432,27 +437,18 @@ class CommitPipeline {
   // AdaptiveBatchController::NoteUploadState.
   std::atomic<int> buffered_inflight_puts_{0};
 
-  // -- fleet mode (config_.runtime set) --------------------------------------
-  // This tenant's queue in the shared DRR upload scheduler; null when
-  // standalone (private uploader threads) or after deregistration.
+  // This pipeline's queue in the runtime's DRR upload scheduler, from
+  // Start() until Stop()/Kill() releases it.
   UploadScheduler::Tenant* sched_tenant_ = nullptr;
   // Billing/cancellation scope for this pipeline's operations on the
-  // shared TransferManager: Kill() cancels the account (not the manager,
-  // which serves other tenants), the destructor WaitIdle()s it so no
-  // callback referencing this pipeline survives destruction.
+  // runtime's shared TransferManager: Kill() cancels the account (never
+  // the manager, which may serve other tenants), and the destructor
+  // WaitIdle()s it so no callback referencing this pipeline survives
+  // destruction.
   TransferAccountPtr account_;
-  // Shared retry schedule for fleet upload jobs (thread-safe); standalone
-  // uploaders keep their per-thread decorrelated policies.
-  std::unique_ptr<RetryPolicy> fleet_retry_;
-
-  // Drives streamed part appends, tail PUTs, and superseded-tail deletes
-  // (streaming_commit only, else null). Standalone it is privately owned
-  // and declared LAST: destroyed first, its destructor joining the workers
-  // before anything its callbacks reference goes away; Stop() lets it
-  // drain, Kill() cancels it. In fleet mode it aliases the runtime's
-  // shared manager — the destructor instead quiesces via
-  // account_->WaitIdle(), and Kill() cancels only the account.
-  std::shared_ptr<TransferManager> stream_transfers_;
+  // Retry schedule for buffered PUTs, shared by every scheduler worker that
+  // runs this pipeline's jobs (thread-safe).
+  RetryPolicy retry_;
 };
 
 }  // namespace ginja

@@ -31,11 +31,10 @@ struct GinjaConfig {
   // -- pipeline ----------------------------------------------------------------
   // Parallel Uploader threads; the paper's evaluation fixes 5 (§8).
   int uploader_threads = 5;
-  // Per-shard MPSC submit queues feeding the commit pipeline's aggregator.
+  // Per-shard MPSC submit rings feeding the commit pipeline's aggregator.
   // Concurrent DBMS threads contend only within a shard (writes hash by
   // (file, page)); a global sequencer keeps batch formation identical
-  // across shard counts. 1 serializes sequencing+enqueue under a mutex —
-  // the single-lock baseline.
+  // across shard counts. 1 is a single ring on the same lock-free path.
   int submit_shards = 4;
   // When true, the commit pipeline replaces the fixed TB batch-close poll
   // with an adaptive deadline steered by the observed PUT round-trip and
@@ -72,9 +71,9 @@ struct GinjaConfig {
   int tail_replicas = 1;
   // Retry policy (model time) for failed cloud operations: jittered
   // exponential backoff starting at retry_backoff_us, multiplied per
-  // attempt up to retry_backoff_max_us. One RetryPolicy schedule is shared
-  // by every TransferManager consumer and the commit pipeline's uploaders
-  // (each uploader derives a decorrelated jitter seed from its index).
+  // attempt up to retry_backoff_max_us. The same schedule drives the
+  // transfer manager and the commit pipeline's buffered PUTs, which share
+  // one thread-safe RetryPolicy (one jitter stream) across uploaders.
   std::uint64_t retry_backoff_us = 200'000;
   int max_retries = 100;
   double retry_backoff_multiplier = 2.0;
@@ -120,17 +119,19 @@ struct GinjaConfig {
   TraceOptions trace;
 
   // -- fleet ------------------------------------------------------------------------
-  // Shared fleet resources (uploader pool with DRR scheduling, one
-  // TransferManager, one CodecPool, one obs bundle). When set, this
-  // instance spawns no uploader or transfer threads of its own: upload
-  // jobs go to the runtime's deficit-round-robin scheduler under
-  // `tenant_id`, and checkpoint/stream/GC transfers run on the shared
-  // manager billed to a per-tenant TransferAccount. B/S/TB semantics stay
-  // per-instance. Normally injected by GinjaFleet::AddTenant, which also
-  // wraps the store in a TenantNamespace.
+  // The execution resources the pipelines run on (uploader pool with DRR
+  // scheduling, one TransferManager, one CodecPool, one obs bundle).
+  // Upload jobs go to the runtime's scheduler under `tenant_id`, and
+  // checkpoint/stream/GC transfers run on its manager billed to a
+  // per-instance TransferAccount; B/S/TB semantics stay per-instance.
+  // GinjaFleet::AddTenant injects a runtime shared by every tenant (and
+  // wraps the store in a TenantNamespace). When null, Ginja — or a directly
+  // constructed pipeline — builds a private one-tenant runtime from this
+  // config (MakeStandaloneRuntime in ginja/fleet_runtime.h).
   std::shared_ptr<FleetRuntime> runtime;
   // Label for per-tenant metric series (tenant=<id>) and the scheduler
-  // queue; empty means a standalone (non-fleet) instance.
+  // queue. Empty for a standalone instance: its series carry no tenant
+  // label.
   std::string tenant_id;
 
   // -- point-in-time recovery (§5.4) ----------------------------------------------
@@ -148,7 +149,9 @@ struct GinjaConfig {
 
 // Sanity-checks the knobs whose zero values would make the pipelines hang
 // rather than fail: no uploader ever drains the queue, no shard ever
-// accepts a write, or the streaming aggregator never seals a segment.
+// accepts a write, the aggregator forms empty batches forever, the
+// streaming aggregator never seals a segment, or an uploader waits forever
+// for part-window space.
 // Called by Ginja::Boot/Reboot before any thread starts, so a bad config
 // is a clear error instead of a stuck database.
 inline Status ValidateGinjaConfig(const GinjaConfig& config) {
@@ -161,10 +164,20 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
     return Status::InvalidArgument(
         "submit_shards must be >= 1 (there would be no queue to submit to)");
   }
+  if (config.batch == 0) {
+    return Status::InvalidArgument(
+        "batch must be >= 1 (the aggregator would form empty batches "
+        "forever once a write is staged)");
+  }
   if (config.stream_segment_writes == 0) {
     return Status::InvalidArgument(
         "stream_segment_writes must be >= 1 (a segment that never fills "
         "never uploads, hanging the streaming path)");
+  }
+  if (config.streaming_commit && config.stream_part_window == 0) {
+    return Status::InvalidArgument(
+        "stream_part_window must be >= 1 with streaming_commit (an empty "
+        "window makes every segment upload wait forever)");
   }
   if (config.dedup_dumps &&
       (config.dedup_chunk_bytes == 0 || config.dedup_chunk_bytes % 4096 != 0)) {

@@ -203,4 +203,20 @@ FleetRuntime::FleetRuntime(ObjectStorePtr base_store,
 
 FleetRuntime::~FleetRuntime() = default;
 
+std::shared_ptr<FleetRuntime> MakeStandaloneRuntime(
+    ObjectStorePtr store, std::shared_ptr<Clock> clock,
+    const GinjaConfig& config) {
+  FleetRuntime::Options options;
+  options.uploader_threads = config.uploader_threads;
+  options.transfer = MakeTransferOptions(config, 1);
+  options.transfer_concurrency = config.transfer_concurrency;
+  if (config.streaming_commit) {
+    options.transfer_concurrency +=
+        std::max(config.uploader_threads, config.transfer_concurrency);
+  }
+  options.codec_threads = config.codec_threads;
+  return std::make_shared<FleetRuntime>(std::move(store), std::move(clock),
+                                        options, config.obs);
+}
+
 }  // namespace ginja

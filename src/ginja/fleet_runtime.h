@@ -19,6 +19,10 @@
 // Per-tenant state (B/S/TB knobs, pending window, CloudView, namespaced
 // store) stays inside each Ginja; only execution resources are shared, so
 // S/TS blocking semantics remain per-tenant exact.
+//
+// There is no other upload path: a standalone Ginja (or a directly
+// constructed pipeline) runs on a private one-tenant runtime built by
+// MakeStandaloneRuntime from its own config.
 #pragma once
 
 #include <atomic>
@@ -38,13 +42,13 @@
 #include "common/clock.h"
 #include "common/codec/codec_pool.h"
 #include "common/stats.h"
+#include "ginja/config.h"
 #include "obs/obs.h"
 
 namespace ginja {
 
-// Per-worker reusable buffers handed to each upload job, replacing the
-// per-uploader-thread framing/envelope buffers of the standalone
-// pipeline. Capacity amortizes across jobs from every tenant.
+// Per-worker reusable buffers handed to each upload job. Capacity
+// amortizes across jobs from every tenant.
 struct UploadScratch {
   Bytes framing;
   Bytes enveloped;
@@ -65,11 +69,11 @@ struct UploadScratch {
 //   * slot fairness: with A tenants backlogged, one tenant may occupy at
 //     most ceil(threads / A) workers at once, so a single tenant can
 //     never hold every worker while another has work ready. With one
-//     active tenant the cap is the whole pool — a 1-tenant fleet behaves
-//     exactly like the standalone uploader pool.
+//     active tenant the cap is the whole pool: a standalone instance's
+//     private runtime runs its jobs on every worker.
 //
 // Jobs of one tenant start in FIFO order (they may complete out of order
-// across workers, exactly like the standalone pipeline's N uploaders).
+// across workers, like the paper's N parallel uploaders).
 class UploadScheduler {
  public:
   struct Options {
@@ -208,5 +212,17 @@ class FleetRuntime {
   std::shared_ptr<TransferManager> transfers_;
   UploadScheduler scheduler_;
 };
+
+// The private one-tenant runtime behind a standalone Ginja or a directly
+// constructed pipeline, sized from existing config knobs only:
+// `uploader_threads` scheduler workers, `codec_threads` codec workers, the
+// config's retry schedule (`max_retries` etc.), and one transfer pool as
+// large as the pools it replaces — `transfer_concurrency` for checkpoint
+// parts and GC, plus max(uploader_threads, transfer_concurrency) for
+// streamed parts and tails when `streaming_commit` is on. `config.obs`
+// (may be null) receives the shared manager's component="fleet" series.
+std::shared_ptr<FleetRuntime> MakeStandaloneRuntime(
+    ObjectStorePtr store, std::shared_ptr<Clock> clock,
+    const GinjaConfig& config);
 
 }  // namespace ginja

@@ -56,13 +56,12 @@ Ginja::Ginja(VfsPtr local_vfs, ObjectStorePtr store,
     config_.obs = config_.runtime ? config_.runtime->obs()
                                   : std::make_shared<Observability>(config_.trace);
   }
-  if (config_.runtime && config_.runtime->codec_pool()) {
-    codec_pool_ = config_.runtime->codec_pool();  // one pool for the fleet
-    envelope_->SetCodecPool(codec_pool_);
-  } else if (config_.codec_threads > 1) {
-    codec_pool_ = std::make_shared<CodecPool>(config_.codec_threads);
-    envelope_->SetCodecPool(codec_pool_);
+  // Standalone is a one-tenant fleet: a private runtime whose uploader
+  // pool, transfer manager and codec pool serve both pipelines.
+  if (!config_.runtime) {
+    config_.runtime = MakeStandaloneRuntime(store_, clock_, config_);
   }
+  envelope_->SetCodecPool(config_.runtime->codec_pool());
   commits_ = std::make_unique<CommitPipeline>(store_, view_, clock_, config_,
                                               envelope_);
   checkpoints_ = std::make_unique<CheckpointPipeline>(

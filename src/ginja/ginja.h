@@ -117,7 +117,6 @@ class Ginja : public FileEventListener {
   std::shared_ptr<RetentionPolicy> retention_;
   std::shared_ptr<ChunkIndex> chunk_index_;
   std::shared_ptr<Envelope> envelope_;
-  std::shared_ptr<CodecPool> codec_pool_;  // shared by both pipelines
   std::unique_ptr<CommitPipeline> commits_;
   std::unique_ptr<CheckpointPipeline> checkpoints_;
   std::unique_ptr<DbIoProcessor> processor_;

@@ -249,15 +249,21 @@ TEST(FleetScheduler, DeregisterDiscardDropsQueuedJobsButWaitsForRunning) {
   auto* t = sched.Register("t");
 
   Gate gate;
+  std::atomic<bool> gate_entered{false};
   std::atomic<bool> gate_ran{false};
   std::atomic<int> dropped_jobs_ran{0};
   sched.Enqueue(t, 1, [&](UploadScratch&) {
+    gate_entered = true;
     gate.Wait();
     gate_ran = true;
   });
   for (int i = 0; i < 5; ++i) {
     sched.Enqueue(t, 1, [&](UploadScratch&) { dropped_jobs_ran.fetch_add(1); });
   }
+  // The gate job must be on the worker before the discard: a discard that
+  // wins the race drops it too, and Deregister then frees `t` while the
+  // Backlog poll below still reads it.
+  while (!gate_entered) std::this_thread::yield();
   std::thread dereg([&] { sched.Deregister(t, /*discard_queued=*/true); });
   // Deregister clears the queue immediately; only the running gate job
   // remains, and Deregister blocks on it.
@@ -365,10 +371,12 @@ TEST(FleetNamespace, StreamedPutPublishesUnderPrefix) {
 
 // -- 1-tenant fleet == standalone pipeline ------------------------------------
 
-// The acceptance bar for resource sharing: a fleet of one must produce
-// byte-for-byte the cloud objects and the frontier trace of the
-// single-instance pipeline. Single uploader/scheduler thread gives the
-// in-order acks that make the per-batch frontier trace deterministic.
+// A fleet of one must produce byte-for-byte the cloud objects and the
+// frontier trace of a standalone pipeline. Both run on a FleetRuntime (the
+// standalone one builds its own), so this proves the shared-runtime wiring
+// and the TenantNamespace key prefix transparent. A single scheduler
+// thread gives the in-order acks that make the per-batch frontier trace
+// deterministic.
 TEST(FleetEquivalence, SingleTenantFleetMatchesStandalonePipeline) {
   struct RunResult {
     std::map<std::string, Bytes> contents;
@@ -713,6 +721,23 @@ TEST_F(FleetConfigValidation, BootRejectsZeroSubmitShards) {
   Status st = BootWith(config);
   EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(st.ToString().find("submit_shards"), std::string::npos);
+}
+
+TEST_F(FleetConfigValidation, BootRejectsZeroBatch) {
+  GinjaConfig config;
+  config.batch = 0;
+  Status st = BootWith(config);
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("batch"), std::string::npos);
+}
+
+TEST_F(FleetConfigValidation, BootRejectsZeroStreamPartWindow) {
+  GinjaConfig config;
+  config.streaming_commit = true;
+  config.stream_part_window = 0;
+  Status st = BootWith(config);
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("stream_part_window"), std::string::npos);
 }
 
 TEST_F(FleetConfigValidation, BootRejectsZeroStreamSegmentWrites) {

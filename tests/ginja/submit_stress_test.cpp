@@ -239,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, CommitPipelineStress,
 // sequencer + reorder window reproduce the single queue's global order, so
 // the same single-threaded submit trace yields identical cloud objects
 // (names and enveloped bytes) and the same frontier trace for any shard
-// configuration.
+// configuration, the single-ring path (shards = 1) included.
 TEST(CommitPipelineEquivalence, ShardCountPreservesBatchesAndFrontier) {
   auto run = [](int shards) {
     StressFixture fx;
