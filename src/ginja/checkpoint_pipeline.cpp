@@ -584,11 +584,12 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
 
 void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
                                         std::uint64_t uploaded_seq) {
-  // Point-in-time retention (§5.4): objects a protected snapshot still
-  // needs are exempt from deletion.
+  // Point-in-time retention (§5.4): objects a restore to a protected
+  // snapshot reads are exempt from deletion.
   std::set<std::string> keep;
   if (retention_ != nullptr && !retention_->Empty()) {
-    keep = retention_->KeepSet(view_->WalObjects(), view_->DbObjects());
+    keep = retention_->KeepSet(view_->WalObjects(), view_->DbObjects(),
+                               view_->TailObjects());
   }
 
   // WAL objects fully below the checkpoint's redo point are unreachable by
@@ -610,7 +611,9 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
   // their cumulative range or their object's fold landed. Because the
   // cumulative max_lsn is monotone in seg, this always deletes a
   // seg-prefix per ts — the invariant recovery's dense-suffix rule needs.
+  // A tail run a protected point's restore reads is kept whole.
   for (const auto& tail : view_->TailGarbage(job.redo_lsn)) {
+    if (keep.count(tail.Encode()) > 0) continue;
     tail_victims.push_back(tail);
     names.push_back(tail.Encode());
   }

@@ -17,6 +17,9 @@ constexpr std::size_t kHexDigestLen = Sha1::kDigestSize * 2;
 // file name, small enough that a corrupt length can't drive a huge
 // allocation before the trailing-bytes check would catch it.
 constexpr std::uint64_t kMaxManifestPathLen = 4096;
+// The smallest encoded ref: empty path, one-byte offset and length
+// varints, and the digest.
+constexpr std::size_t kMinManifestRefBytes = 3 + Sha1::kDigestSize;
 
 }  // namespace
 
@@ -31,17 +34,15 @@ std::optional<ChunkObjectId> ChunkObjectId::Decode(std::string_view name) {
   if (name.size() < kHexDigestLen + 2 || name[kHexDigestLen] != '_') {
     return std::nullopt;
   }
-  const auto raw = FromHex(name.substr(0, kHexDigestLen));
-  if (!raw) return std::nullopt;
-  std::uint64_t size = 0;
-  std::string_view size_field = name.substr(kHexDigestLen + 1);
-  for (char c : size_field) {
-    if (c < '0' || c > '9') return std::nullopt;
-    size = size * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const std::string_view hex = name.substr(0, kHexDigestLen);
+  const auto raw = FromHex(hex);
+  // Canonical spelling only (lowercase hex, see object_id.h).
+  if (!raw || ToHex(View(*raw)) != hex) return std::nullopt;
+  const auto size = ParseDecimal(name.substr(kHexDigestLen + 1));
+  if (!size) return std::nullopt;
   ChunkObjectId out;
   std::copy(raw->begin(), raw->end(), out.digest.begin());
-  out.size = size;
+  out.size = *size;
   return out;
 }
 
@@ -113,6 +114,12 @@ Result<std::vector<ChunkRef>> DecodeManifest(ByteView payload) {
   std::size_t pos = 4;
   const auto count = GetVarint(payload, pos);
   if (!count) return Status::Corruption("manifest: truncated count");
+  // Bound the count before reserving: a ref takes at least three one-byte
+  // varints plus its digest, so a crafted count cannot drive the
+  // allocation past what the payload could hold.
+  if (*count > (payload.size() - pos) / kMinManifestRefBytes) {
+    return Status::Corruption("manifest: count exceeds payload");
+  }
   std::vector<ChunkRef> refs;
   refs.reserve(static_cast<std::size_t>(*count));
   for (std::uint64_t i = 0; i < *count; ++i) {

@@ -1,14 +1,11 @@
 #include "ginja/ginja.h"
 
 #include <algorithm>
-#include <deque>
-#include <future>
-#include <map>
 
-#include "common/codec/codec_pool.h"
 #include "common/codec/crc32.h"
 #include "ginja/fleet_runtime.h"
 #include "ginja/payload.h"
+#include "ginja/standby.h"
 #include "obs/log.h"
 
 namespace ginja {
@@ -214,57 +211,16 @@ Status Ginja::Recover(ObjectStorePtr store, const GinjaConfig& config,
   RecoveryReport& r = report ? *report : local_report;
   const std::uint64_t started_at = clock ? clock->NowMicros() : 0;
 
-  Envelope envelope(config.envelope);
-  std::shared_ptr<CodecPool> codec_pool;
-  if (config.codec_threads > 1) {
-    codec_pool = std::make_shared<CodecPool>(config.codec_threads);
-    envelope.SetCodecPool(codec_pool);
-  }
-
-  auto objects = store->List("");
-  if (!objects.ok()) return objects.status();
-
-  // The whole download schedule is computable before the first GET: DB
-  // object names carry their redo LSN and part counts, WAL names their ts
-  // and covered range. That is what makes windowed prefetch safe — the
-  // plan is exactly the serial loop's visit order, so a K-deep window
-  // changes *when* bytes arrive but never *what* is applied. The plan
-  // builder and the windowed apply loop live in tail_apply.* and are
-  // shared with the warm StandbyReplica (tailing) and the point-in-time
-  // path (`up_to_ts` opens the same plan at an arbitrary frontier).
-  TailPlan plan = BuildTailPlan(*objects, up_to_ts);
-  r.found_dump = plan.found_dump;
-
-  std::shared_ptr<TransferManager> owned_transfers;
-  TransferRoute route;
-  if (config.runtime) {
-    // Fleet recovery reuses the shared worker pool: GETs route to this
-    // tenant's (namespaced) store and bill a per-recovery account, so N
-    // concurrent recoveries share one global in-flight window.
-    route.store = store;
-    route.account = std::make_shared<TransferAccount>(
-        config.tenant_id.empty() ? "recovery" : config.tenant_id);
-  } else {
-    owned_transfers = std::make_shared<TransferManager>(
-        store, MakeTransferOptions(config, config.recovery_prefetch), clock);
-    if (config.obs) {
-      owned_transfers->RegisterMetrics(&config.obs->registry, "recovery");
-    }
-  }
-  TailApplyContext ctx;
-  ctx.transfers =
-      config.runtime ? config.runtime->transfers().get() : owned_transfers.get();
-  ctx.route = route;
-  ctx.envelope = &envelope;
-  ctx.target = target;
-  // Fetch/apply spans need timestamps; without a clock recovery runs
-  // untraced (the registry gauges above still work).
-  ctx.clock = clock;
-  ctx.tracer = config.obs ? &config.obs->tracer : nullptr;
-  ctx.window = static_cast<std::size_t>(std::max(1, config.recovery_prefetch));
-  TailApplyResult applied = ApplyTailPlan(plan.items, ctx, &r);
-  if (!applied.db_failure.ok()) return applied.db_failure;
-  if (plan.gap_after_plan && !applied.wal_truncated) r.gap_detected = true;
+  // Recovery is one full pass of a standby opened at `up_to_ts`: the same
+  // LIST → plan → windowed apply that bootstraps and resyncs a warm
+  // replica, into the caller's target, with no tail thread (tail_apply.h
+  // explains why the plan is computable before the first GET). Its
+  // transfer series carry component="recovery".
+  StandbyOptions options;
+  options.open_at_ts = up_to_ts;
+  options.component = "recovery";
+  StandbyReplica reader(std::move(store), config, clock, std::move(options));
+  GINJA_RETURN_IF_ERROR(reader.RecoverInto(std::move(target), &r));
 
   if (clock) r.duration_micros = clock->NowMicros() - started_at;
   if (r.gap_detected) {

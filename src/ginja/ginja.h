@@ -38,7 +38,7 @@
 #include "ginja/config.h"
 #include "ginja/pitr.h"
 #include "ginja/processor.h"
-#include "ginja/tail_apply.h"  // RecoveryReport + the shared apply loop
+#include "ginja/tail_apply.h"  // RecoveryReport
 
 namespace ginja {
 
@@ -60,9 +60,12 @@ class Ginja : public FileEventListener {
   Status Reboot();
 
   // Mode Recovery (Alg. 1 lines 23–40): rebuilds the database files from
-  // the cloud into `target` (normally an empty directory). With
-  // `up_to_ts`, only objects with ts <= limit are used (point-in-time
-  // recovery; requires a config that kept history).
+  // the cloud into `target` (normally an empty directory). It is one full
+  // pass of a StandbyReplica opened at `up_to_ts` (standby.h): the plan
+  // and apply loop a warm replica bootstraps with, with no tail thread and
+  // no drain. With `up_to_ts`, only objects with ts <= limit are used
+  // (point-in-time recovery; needs a protected point or a config that kept
+  // history). A null `clock` runs untraced with duration_micros 0.
   static Status Recover(ObjectStorePtr store, const GinjaConfig& config,
                         const DbLayout& layout, VfsPtr target,
                         RecoveryReport* report = nullptr,

@@ -1,24 +1,22 @@
 #include "ginja/object_id.h"
 
 #include <charconv>
+#include <limits>
 #include <vector>
 
 namespace ginja {
 
 namespace {
 
-std::optional<std::uint64_t> ParseU64(std::string_view s) {
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
+std::optional<std::uint32_t> ParseU32(std::string_view s) {
+  const auto v = ParseDecimal(s);
+  if (!v || *v > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  return static_cast<std::uint32_t>(*v);
 }
 
-// Splits on '_' from the right into exactly `n` trailing fields; the
-// remainder (which may itself contain '_' from escaped file names... it
-// cannot: we escape '/' only, but table names could contain '_') is
-// returned as the head. To be unambiguous, numeric fields are parsed from
-// fixed positions right-to-left.
+// Splits on '_' from the right into exactly `n` trailing fields plus the
+// head, which may itself contain '_' (file names can): numeric fields are
+// parsed from fixed positions right-to-left.
 std::vector<std::string_view> RSplit(std::string_view s, char sep, int n) {
   std::vector<std::string_view> fields;
   for (int i = 0; i < n; ++i) {
@@ -32,6 +30,14 @@ std::vector<std::string_view> RSplit(std::string_view s, char sep, int n) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> ParseDecimal(std::string_view s) {
+  if (s.empty() || (s.size() > 1 && s[0] == '0')) return std::nullopt;
+  std::uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
 
 std::string EscapePath(std::string_view path) {
   std::string out(path);
@@ -60,18 +66,20 @@ std::optional<WalObjectId> WalObjectId::Decode(std::string_view name) {
   // Layout: <ts>_<escaped>_<offset>_<maxlsn>; escaped may contain '_'.
   const auto fields = RSplit(name, '_', 2);  // [maxlsn, offset, ts_escaped]
   if (fields.size() != 3) return std::nullopt;
-  const auto max_lsn = ParseU64(fields[0]);
-  const auto offset = ParseU64(fields[1]);
+  const auto max_lsn = ParseDecimal(fields[0]);
+  const auto offset = ParseDecimal(fields[1]);
   if (!max_lsn || !offset) return std::nullopt;
   const std::string_view head = fields[2];
   const auto us = head.find('_');
   if (us == std::string_view::npos) return std::nullopt;
-  const auto ts = ParseU64(head.substr(0, us));
-  if (!ts && head.substr(0, us) != "0") return std::nullopt;
+  const auto ts = ParseDecimal(head.substr(0, us));
+  // A raw '/' would unescape and re-encode as '|': not this name.
+  const std::string_view escaped = head.substr(us + 1);
+  if (!ts || escaped.find('/') != std::string_view::npos) return std::nullopt;
 
   WalObjectId out;
-  out.ts = ts.value_or(0);
-  out.filename = UnescapePath(head.substr(us + 1));
+  out.ts = *ts;
+  out.filename = UnescapePath(escaped);
   out.offset = *offset;
   out.max_lsn = *max_lsn;
   return out;
@@ -87,15 +95,15 @@ std::optional<TailObjectId> TailObjectId::Decode(std::string_view name) {
   name.remove_prefix(8);
   const auto fields = RSplit(name, '_', 3);  // [maxlsn, replica, seg, ts]
   if (fields.size() != 4) return std::nullopt;
-  const auto max_lsn = ParseU64(fields[0]);
-  const auto replica = ParseU64(fields[1]);
-  const auto seg = ParseU64(fields[2]);
-  const auto ts = ParseU64(fields[3]);
+  const auto max_lsn = ParseDecimal(fields[0]);
+  const auto replica = ParseU32(fields[1]);
+  const auto seg = ParseU32(fields[2]);
+  const auto ts = ParseDecimal(fields[3]);
   if (!max_lsn || !replica || !seg || !ts) return std::nullopt;
   TailObjectId out;
   out.ts = *ts;
-  out.seg = static_cast<std::uint32_t>(*seg);
-  out.replica = static_cast<std::uint32_t>(*replica);
+  out.seg = *seg;
+  out.replica = *replica;
   out.max_lsn = *max_lsn;
   return out;
 }
@@ -113,53 +121,37 @@ std::string DbObjectId::Encode() const {
 std::optional<DbObjectId> DbObjectId::Decode(std::string_view name) {
   if (!name.starts_with("DB/")) return std::nullopt;
   name.remove_prefix(3);
-  // [pXofY, lN, sN, size, ts_type...]
+  // [p<part>of<total>, l<redolsn>, s<seq>, <size>, <ts>_<type>]
   const auto fields = RSplit(name, '_', 4);
   if (fields.size() != 5) return std::nullopt;
-
-  DbObjectId out;
-  // part field: "p<part>of<total>"
-  std::string_view part_field = fields[0];
-  if (!part_field.starts_with('p')) return std::nullopt;
-  part_field.remove_prefix(1);
-  const auto of = part_field.find("of");
-  if (of == std::string_view::npos) return std::nullopt;
-  const auto part = ParseU64(part_field.substr(0, of));
-  const auto total = ParseU64(part_field.substr(of + 2));
-  if (!part || !total || *total == 0 || *part >= *total) return std::nullopt;
-  out.part = static_cast<std::uint32_t>(*part);
-  out.total_parts = static_cast<std::uint32_t>(*total);
-
-  std::string_view lsn_field = fields[1];
-  if (!lsn_field.starts_with('l')) return std::nullopt;
-  const auto redo_lsn = ParseU64(lsn_field.substr(1));
-  if (!redo_lsn) return std::nullopt;
-  out.redo_lsn = *redo_lsn;
-
-  std::string_view seq_field = fields[2];
-  if (!seq_field.starts_with('s')) return std::nullopt;
-  const auto seq = ParseU64(seq_field.substr(1));
-  if (!seq && seq_field.substr(1) != "0") return std::nullopt;
-  out.seq = seq.value_or(0);
-
-  const auto size = ParseU64(fields[3]);
-  if (!size && fields[3] != "0") return std::nullopt;
-  out.size = size.value_or(0);
-
-  const std::string_view head = fields[4];  // "<ts>_<type>"
+  auto tagged = [](std::string_view field, char tag) {
+    return field.starts_with(tag) ? ParseDecimal(field.substr(1)) : std::nullopt;
+  };
+  const auto of = fields[0].find("of");
+  const std::string_view head = fields[4];
   const auto us = head.find('_');
-  if (us == std::string_view::npos) return std::nullopt;
-  const auto ts = ParseU64(head.substr(0, us));
-  if (!ts && head.substr(0, us) != "0") return std::nullopt;
-  out.ts = ts.value_or(0);
+  if (!fields[0].starts_with('p') || of == std::string_view::npos ||
+      us == std::string_view::npos) {
+    return std::nullopt;
+  }
+  const auto part = ParseU32(fields[0].substr(1, of - 1));
+  const auto total = ParseU32(fields[0].substr(of + 2));
+  const auto redo_lsn = tagged(fields[1], 'l');
+  const auto seq = tagged(fields[2], 's');
+  const auto size = ParseDecimal(fields[3]);
+  const auto ts = ParseDecimal(head.substr(0, us));
+  if (!part || !total || *total == 0 || *part >= *total || !redo_lsn ||
+      !seq || !size || !ts) {
+    return std::nullopt;
+  }
+  DbObjectId out{*ts, DbObjectType::kCheckpoint, *size, *seq, *redo_lsn,
+                 *part, *total};
   const std::string_view type = head.substr(us + 1);
   if (type == "dump") {
     out.type = DbObjectType::kDump;
-  } else if (type == "checkpoint") {
-    out.type = DbObjectType::kCheckpoint;
   } else if (type == "manifest") {
     out.type = DbObjectType::kManifest;
-  } else {
+  } else if (type != "checkpoint") {
     return std::nullopt;
   }
   return out;

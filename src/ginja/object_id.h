@@ -25,6 +25,12 @@
 // only the names survive.
 //
 // '/' in file names is escaped as '|' so names stay flat object keys.
+//
+// Decoding accepts only the canonical spelling — the one Encode() writes
+// (decimal fields without leading zeros, 32-bit fields within range) — so
+// every accepted name re-encodes to itself. Recovery and GC address
+// objects by id.Encode(); a second spelling of the same id would make
+// them GET or DELETE a name that does not exist.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +88,10 @@ struct DbObjectId {
   std::string Encode() const;
   static std::optional<DbObjectId> Decode(std::string_view name);
 };
+
+// A canonical decimal field: digits only, no leading zero (except "0"
+// itself), at most UINT64_MAX.
+std::optional<std::uint64_t> ParseDecimal(std::string_view s);
 
 std::string EscapePath(std::string_view path);
 std::string UnescapePath(std::string_view escaped);

@@ -1,7 +1,8 @@
 #include "ginja/pitr.h"
 
 #include <algorithm>
-#include <map>
+
+#include "ginja/tail_apply.h"
 
 namespace ginja {
 
@@ -27,55 +28,20 @@ bool RetentionPolicy::Empty() const {
 
 std::set<std::string> RetentionPolicy::KeepSet(
     const std::vector<WalObjectId>& wal_objects,
-    const std::vector<DbObjectId>& db_objects) const {
-  std::vector<std::uint64_t> points;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    points.assign(protected_ts_.begin(), protected_ts_.end());
-  }
+    const std::vector<DbObjectId>& db_objects,
+    const std::vector<TailObjectId>& tail_objects) const {
   std::set<std::string> keep;
+  const std::vector<std::uint64_t> points = ProtectedTs();
   if (points.empty()) return keep;
-
-  // Group DB objects by checkpoint sequence for whole-object decisions.
-  std::map<std::uint64_t, std::vector<DbObjectId>> by_seq;
-  for (const auto& db : db_objects) by_seq[db.seq].push_back(db);
-
+  std::vector<ObjectMeta> listing;
+  listing.reserve(wal_objects.size() + db_objects.size() + tail_objects.size());
+  for (const auto& id : wal_objects) listing.push_back({id.Encode(), 0});
+  for (const auto& id : db_objects) listing.push_back({id.Encode(), 0});
+  for (const auto& id : tail_objects) listing.push_back({id.Encode(), 0});
   for (const std::uint64_t point : points) {
-    // (1) The most recent dump with ts <= point. A delta-dump manifest
-    // (dedup_dumps) IS the dump: keeping it keeps its chunk references,
-    // which is what exempts the chunks from the refcount GC's second wave.
-    const std::vector<DbObjectId>* dump = nullptr;
-    for (const auto& [seq, parts] : by_seq) {
-      if (parts.empty() || parts[0].ts > point) continue;
-      if (parts[0].type == DbObjectType::kDump ||
-          parts[0].type == DbObjectType::kManifest) {
-        dump = &parts;
-      }
-    }
-    std::uint64_t dump_seq = 0;
-    std::uint64_t last_redo_lsn = 0;
-    if (dump != nullptr) {
-      dump_seq = (*dump)[0].seq;
-      last_redo_lsn = (*dump)[0].redo_lsn;
-      for (const auto& part : *dump) keep.insert(part.Encode());
-    }
-
-    // (2) Incremental checkpoints between the dump and the point.
-    for (const auto& [seq, parts] : by_seq) {
-      if (parts.empty() || parts[0].ts > point) continue;
-      if (dump != nullptr && seq <= dump_seq) continue;
-      if (parts[0].type != DbObjectType::kCheckpoint) continue;
-      last_redo_lsn = std::max(last_redo_lsn, parts[0].redo_lsn);
-      for (const auto& part : parts) keep.insert(part.Encode());
-    }
-
-    // (3) WAL objects up to the point that redo from the last kept
-    // checkpoint still needs (their stream range reaches past its redo
-    // LSN). Everything earlier is already reflected in the kept pages.
-    for (const auto& wal : wal_objects) {
-      if (wal.ts > point) continue;
-      if (wal.max_lsn <= last_redo_lsn) continue;
-      keep.insert(wal.Encode());
+    for (const TailPlanItem& item : BuildTailPlan(listing, point).items) {
+      keep.insert(item.name);
+      keep.insert(item.fallbacks.begin(), item.fallbacks.end());
     }
   }
   return keep;

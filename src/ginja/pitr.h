@@ -2,15 +2,21 @@
 //
 // The paper's garbage collector deletes everything a new checkpoint
 // supersedes. To keep the database restorable to earlier moments, §5.4
-// modifies it: for a protected point T, keep (1) the most recent dump d
-// written before T, (2) the incremental checkpoints between d and T, and
-// (3) the WAL objects between the last kept checkpoint and T.
+// modifies it: for a protected point T, keep what a restore to T needs —
+// (1) the most recent dump d written before T, (2) the incremental
+// checkpoints between d and T, and (3) the WAL objects between the last
+// kept checkpoint and T.
 //
-// This implementation computes that keep-set purely from object *names*
-// (every DB object carries its redo LSN, every WAL object its max LSN), so
-// retention survives reboots, and prunes precisely *between* snapshots —
-// the storage-cost trade-off the paper calls out is exactly the size of
-// these keep-sets (approximately one dump + checkpoint chain per point).
+// The keep set is exactly what the recovery plan reads: for each point,
+// the objects BuildTailPlan (tail_apply.h) schedules for a restore to T.
+// No second copy of the selection rules exists, so retention can never
+// disagree with recovery — a torn dump or checkpoint (parts missing) is
+// skipped by both, and the WAL a restore replays past it stays. The plan
+// works from object *names* (every DB object carries its redo LSN and part
+// count, every WAL object its max LSN), so retention survives reboots, and
+// it prunes precisely *between* snapshots — the storage-cost trade-off the
+// paper calls out is exactly the size of these keep-sets (approximately
+// one dump + checkpoint chain per point).
 #pragma once
 
 #include <cstdint>
@@ -43,11 +49,12 @@ class RetentionPolicy {
   bool Empty() const;
 
   // Object names that garbage collection must NOT delete, given the
-  // current cloud contents: the union over protected points of
-  // {latest dump <= T} ∪ {checkpoints in between} ∪ {WAL objects with
-  // ts <= T still needed past the last kept checkpoint's redo LSN}.
-  std::set<std::string> KeepSet(const std::vector<WalObjectId>& wal_objects,
-                                const std::vector<DbObjectId>& db_objects) const;
+  // current cloud contents: the union over protected points T of every
+  // object (and replica fallback) in BuildTailPlan(contents, T).
+  std::set<std::string> KeepSet(
+      const std::vector<WalObjectId>& wal_objects,
+      const std::vector<DbObjectId>& db_objects,
+      const std::vector<TailObjectId>& tail_objects = {}) const;
 
  private:
   mutable std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/codec/codec_pool.h"
 #include "ginja/failover.h"
@@ -64,19 +63,6 @@ StandbyReplica::StandbyReplica(ObjectStorePtr store, GinjaConfig config,
     owned_transfers_->RegisterMetrics(&obs_->registry, options_.component);
     transfers_ = owned_transfers_.get();
   }
-
-  MetricLabels labels;
-  if (!config_.tenant_id.empty()) labels = {{"tenant", config_.tenant_id}};
-  obs_->registry.RegisterGauge(
-      this, "ginja_standby_lag_objects", labels,
-      [this] { return static_cast<double>(lag_objects()); });
-  obs_->registry.RegisterGauge(
-      this, "ginja_standby_lag_micros", labels,
-      [this] { return static_cast<double>(lag_micros()); });
-  obs_->registry.RegisterCounter(this, "ginja_standby_objects_applied_total",
-                                 labels, &objects_applied_);
-  obs_->registry.RegisterCounter(this, "ginja_standby_resyncs_total",
-                                 std::move(labels), &resyncs_);
 }
 
 StandbyReplica::~StandbyReplica() {
@@ -123,25 +109,37 @@ void StandbyReplica::UpdateLag() {
   }
 }
 
-TailApplyContext StandbyReplica::MakeContext(
-    const std::shared_ptr<MemFs>& target, std::size_t items) {
+TailApplyContext StandbyReplica::MakeContext(VfsPtr target,
+                                             std::size_t items) {
   TailApplyContext ctx;
   ctx.transfers = transfers_;
   ctx.route = route_;
   ctx.envelope = &envelope_;
-  ctx.target = target;
+  ctx.target = std::move(target);
   ctx.clock = clock_;
   ctx.tracer = &obs_->tracer;
   ctx.window =
       static_cast<std::size_t>(std::max(1, config_.recovery_prefetch));
-  ctx.fetch_stage = TraceStage::kTailFetch;
-  ctx.apply_stage = TraceStage::kTailApply;
   ctx.trace_id_base = trace_seq_;
   trace_seq_ += items;
   return ctx;
 }
 
 Status StandbyReplica::Start() {
+  // Registered here, not at construction: a one-shot RecoverInto reader
+  // (Ginja::Recover) is no standby and exports no standby series.
+  MetricLabels labels;
+  if (!config_.tenant_id.empty()) labels = {{"tenant", config_.tenant_id}};
+  obs_->registry.RegisterGauge(
+      this, "ginja_standby_lag_objects", labels,
+      [this] { return static_cast<double>(lag_objects()); });
+  obs_->registry.RegisterGauge(
+      this, "ginja_standby_lag_micros", labels,
+      [this] { return static_cast<double>(lag_micros()); });
+  obs_->registry.RegisterCounter(this, "ginja_standby_objects_applied_total",
+                                 labels, &objects_applied_);
+  obs_->registry.RegisterCounter(this, "ginja_standby_resyncs_total",
+                                 std::move(labels), &resyncs_);
   GINJA_RETURN_IF_ERROR(Rebuild(/*bootstrap=*/true));
   stop_.store(false);
   running_.store(true);
@@ -198,6 +196,8 @@ Status StandbyReplica::ApplyItems(const std::vector<TailPlanItem>& items,
     target = image_;
   }
   TailApplyContext ctx = MakeContext(target, items.size());
+  ctx.fetch_stage = TraceStage::kTailFetch;
+  ctx.apply_stage = TraceStage::kTailApply;
   RecoveryReport r;
   TailApplyResult applied = ApplyTailPlan(items, ctx, &r);
   {
@@ -294,27 +294,22 @@ bool StandbyReplica::CheckpointAheadOfFrontier() {
   auto objects = store_->List("DB/");
   if (!objects.ok()) return false;
   const std::uint64_t next = next_ts_.load(std::memory_order_acquire);
-  // Distinct parts per upload (keyed by sequence number); only a complete
-  // set counts — a torn upload is invisible, exactly as in BuildTailPlan.
-  std::map<std::uint64_t, std::pair<std::uint32_t, std::set<std::uint32_t>>>
-      groups;
-  for (const auto& meta : *objects) {
+  // Is some DB object set with next <= ts <= open_at_ts complete? The
+  // planner plans a DB object iff a set in its listing is complete, so it
+  // sees only the sets past the frontier. (Not the plan of the whole
+  // listing: DB ts is not monotone in seq across a Reboot whose GC took
+  // every WAL object.) ts 0 is ambiguous — a DB object uploaded before any
+  // WAL existed also encodes 0 (see BuildTailPlan) — so it is never ahead.
+  std::erase_if(*objects, [next](const ObjectMeta& meta) {
     auto id = DbObjectId::Decode(meta.name);
-    // ts 0 is ambiguous: a DB object uploaded before any WAL existed also
-    // encodes 0 (see BuildTailPlan); never treat it as "ahead".
-    if (!id || id->ts == 0 || id->ts < next) continue;
-    if (options_.open_at_ts && id->ts > *options_.open_at_ts) continue;
-    auto& group = groups[id->seq];
-    group.first = id->total_parts;
-    group.second.insert(id->part);
-  }
-  for (const auto& [seq, group] : groups) {
-    if (group.first > 0 && group.second.size() == group.first) return true;
-  }
-  return false;
+    return !id || id->ts == 0 || id->ts < next;
+  });
+  return !BuildTailPlan(*objects, options_.open_at_ts).items.empty();
 }
 
-Status StandbyReplica::Rebuild(bool bootstrap) {
+Status StandbyReplica::FullPass(VfsPtr target, VfsPtr chunk_source,
+                                RecoveryReport* r, std::uint64_t* resume_ts,
+                                std::uint32_t* resume_segs) {
   auto objects = store_->List("");
   if (!objects.ok()) return objects.status();
   TailPlan plan = BuildTailPlan(*objects, options_.open_at_ts);
@@ -322,42 +317,52 @@ Status StandbyReplica::Rebuild(bool bootstrap) {
       *plan.newest_wal_ts + 1 > newest_seen_.load(std::memory_order_acquire)) {
     newest_seen_.store(*plan.newest_wal_ts + 1, std::memory_order_release);
   }
-
-  auto fresh = std::make_shared<MemFs>();
-  TailApplyContext ctx = MakeContext(fresh, plan.items.size());
-  // Warm resync against delta dumps: the outgoing image donates chunks
-  // whose bytes still hash to the manifest's digest, so only the chunks
-  // that actually changed are downloaded. Bootstrap passes an empty image
-  // (nothing matches — a plain full recovery).
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ctx.chunk_source = image_;
-  }
-  RecoveryReport r;
-  TailApplyResult applied = ApplyTailPlan(plan.items, ctx, &r);
+  TailApplyContext ctx = MakeContext(std::move(target), plan.items.size());
+  ctx.chunk_source = std::move(chunk_source);
+  r->found_dump = r->found_dump || plan.found_dump;
+  TailApplyResult applied = ApplyTailPlan(plan.items, ctx, r);
   if (!applied.db_failure.ok()) return applied.db_failure;
+  if (plan.gap_after_plan) r->gap_detected = true;
 
   // The frontier the plan would leave us at — or, if the apply truncated
   // early (an object vanished mid-build), the truncation point itself, so
   // tailing re-fetches from there instead of skipping past it.
-  std::uint64_t resume_ts = plan.resume_ts;
-  std::uint32_t resume_segs = plan.resume_tail_segs;
+  if (resume_ts == nullptr) return Status::Ok();
+  *resume_ts = plan.resume_ts;
+  *resume_segs = plan.resume_tail_segs;
   if (applied.wal_truncated && applied.items_applied < plan.items.size()) {
     const TailPlanItem& failed = plan.items[applied.items_applied];
-    resume_ts = failed.wal_ts;
-    resume_segs = 0;
+    *resume_ts = failed.wal_ts;
+    *resume_segs = 0;
     if (failed.is_tail) {
-      if (auto id = TailObjectId::Decode(failed.name)) resume_segs = id->seg;
+      if (auto id = TailObjectId::Decode(failed.name)) *resume_segs = id->seg;
     }
   }
+  return Status::Ok();
+}
+
+Status StandbyReplica::Rebuild(bool bootstrap) {
+  // Into a fresh image; warm resync against delta dumps lets the outgoing
+  // image donate chunks whose bytes still hash to the manifest's digest,
+  // so only the chunks that actually changed are downloaded. Bootstrap
+  // donates an empty image (nothing matches — a plain full recovery).
+  auto fresh = std::make_shared<MemFs>();
+  RecoveryReport r;
+  std::uint64_t resume_ts = 0;
+  std::uint32_t resume_segs = 0;
+  GINJA_RETURN_IF_ERROR(
+      FullPass(fresh, image(), &r, &resume_ts, &resume_segs));
+  // Every applied plan item is exactly one dump/checkpoint part, WAL
+  // object or tail segment.
+  const std::uint64_t items_applied =
+      r.db_objects_applied + r.wal_objects_applied + r.tail_segments_applied;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     image_ = std::move(fresh);
     MergeReport(&report_, r);
-    report_.found_dump = report_.found_dump || plan.found_dump;
   }
-  objects_applied_.Add(applied.items_applied);
+  objects_applied_.Add(items_applied);
   next_ts_.store(resume_ts, std::memory_order_release);
   tail_seg_cursor_ = resume_segs;
   resync_needed_ = false;
@@ -365,7 +370,7 @@ Status StandbyReplica::Rebuild(bool bootstrap) {
   if (!bootstrap) {
     resyncs_.Add();
     Log(LogLevel::kWarn, "standby", "full resync",
-        {{"resume_ts", resume_ts}, {"objects", applied.items_applied}});
+        {{"resume_ts", resume_ts}, {"objects", items_applied}});
   }
   UpdateLag();
   return Status::Ok();

@@ -1,21 +1,29 @@
 // StandbyReplica — a warm replica that tails the bucket continuously so
-// failover costs milliseconds instead of a full re-download.
+// failover costs milliseconds instead of a full re-download — and the one
+// reader of restore points: the cold path is one pass of this class.
 //
-// Ginja's cold path (Ginja::Recover) rebuilds the database from scratch at
-// disaster time: RTO grows with database size. The warm path keeps a live
-// materialized image on a standby machine by *tailing* the same objects
-// recovery would read, as they appear:
+// A full pass is one LIST → BuildTailPlan → ApplyTailPlan into an empty
+// image (paper Alg. 1 lines 23–40). Ginja::Recover is exactly one such
+// pass into the caller's target (RecoverInto: no thread, no drain), so
+// disaster recovery rebuilds the database from scratch and its RTO grows
+// with database size. The warm path keeps a live materialized image on a
+// standby machine by *tailing* the same objects recovery would read, as
+// they appear:
 //
-//   * bootstrap: one full LIST → BuildTailPlan → ApplyTailPlan, exactly a
-//     recovery into an empty image;
+//   * bootstrap: one full pass (Start), exactly a recovery into an empty
+//     image;
 //   * steady state: a poll loop LISTs `WAL/` with a start-after cursor (an
 //     S3 ListObjectsV2 `start-after`), so each pass costs O(new objects),
 //     applies the new consecutive-ts run, and — when the primary streams
 //     with early acks — applies the acked `WALTAIL/` segment prefix of the
 //     in-progress object too, keeping lag below one batch;
+//   * resync: a full pass into a fresh image, swapped in once complete;
 //   * promotion: fence the old primary (epoch bump via ginja::Promote +
 //     an optional local FenceToken mirroring S3 conditional writes), drain
 //     the residual tail, serve. RTO is O(lag), independent of DB size.
+//
+// Full passes trace into the recovery_fetch/recovery_apply stages, tail
+// polls into tail_fetch/tail_apply.
 //
 // Cursor caveat: WAL timestamps are encoded unpadded, so lexicographic
 // order diverges from numeric order across digit-length changes
@@ -95,8 +103,8 @@ class StandbyReplica {
  public:
   // `store` is the bucket the primary replicates into (a fleet tenant
   // passes its namespaced stack). The config supplies envelope keys, codec
-  // threads, prefetch window, retry policy, obs bundle, and fleet routing —
-  // the same knobs Recover reads.
+  // threads, prefetch window, retry policy, obs bundle, and fleet routing.
+  // A null `clock` is allowed for RecoverInto only: the pass runs untraced.
   StandbyReplica(ObjectStorePtr store, GinjaConfig config,
                  std::shared_ptr<Clock> clock, StandbyOptions options = {});
   ~StandbyReplica();
@@ -104,9 +112,19 @@ class StandbyReplica {
   StandbyReplica(const StandbyReplica&) = delete;
   StandbyReplica& operator=(const StandbyReplica&) = delete;
 
-  // Bootstraps the image (one full recovery pass) and starts the tail
-  // thread. Returns only after the bootstrap applied.
+  // Registers the lag gauges and counters, bootstraps the image (one full
+  // pass) and starts the tail thread. Returns only after the bootstrap
+  // applied.
   Status Start();
+
+  // One full pass into `target` (capped at open_at_ts): the pass Start()
+  // and every resync run, minus the image swap and frontier update. Starts
+  // no thread and passes no chunk donor; `report` gains the pass's
+  // counters, found_dump, and gap_detected when the visible tail is
+  // truncated. Ginja::Recover is this call.
+  Status RecoverInto(VfsPtr target, RecoveryReport* report) {
+    return FullPass(std::move(target), nullptr, report, nullptr, nullptr);
+  }
 
   // Stops tailing (idempotent). The image stays readable.
   void Stop();
@@ -154,7 +172,13 @@ class StandbyReplica {
   // over the applied prefix; flags resync_needed_ on a GC'd frontier.
   Status ApplyItems(const std::vector<TailPlanItem>& items,
                     std::size_t* progressed);
-  // Full re-list into a FRESH image, swapped in only once complete — a
+  // LIST → plan → apply into `target`, offering `chunk_source` as the
+  // delta-dump chunk donor. When `resume_ts` is set, it and `resume_segs`
+  // receive where tailing continues: the plan's resume point, or the
+  // truncation point when a WAL item failed.
+  Status FullPass(VfsPtr target, VfsPtr chunk_source, RecoveryReport* r,
+                  std::uint64_t* resume_ts, std::uint32_t* resume_segs);
+  // A full pass into a FRESH image, swapped in only once complete — a
   // reader never sees a half-rebuilt image. `bootstrap` skips the resync
   // counter (Start's first build is not a resync).
   Status Rebuild(bool bootstrap);
@@ -164,8 +188,7 @@ class StandbyReplica {
   // one way the bucket gets ahead of the image without any visible WAL
   // (lag reads 0). Answers false on listing errors (the caller retries).
   bool CheckpointAheadOfFrontier();
-  TailApplyContext MakeContext(const std::shared_ptr<MemFs>& target,
-                               std::size_t items);
+  TailApplyContext MakeContext(VfsPtr target, std::size_t items);
   void UpdateLag();
 
   ObjectStorePtr store_;
@@ -196,7 +219,7 @@ class StandbyReplica {
   bool resync_needed_ = false;
   int gap_polls_ = 0;
   std::uint64_t polls_ = 0;
-  std::uint64_t trace_seq_ = 0;  // span-id base for tail_fetch/tail_apply
+  std::uint64_t trace_seq_ = 0;  // span-id base for the next applied plan
 
   Counter objects_applied_;
   Counter resyncs_;

@@ -1,14 +1,20 @@
-// Shared tail-apply machinery — the one place the "fetch cloud objects in
-// order, decode, write into a DB image" loop lives.
+// Shared tail-apply machinery — the one place that decides which objects
+// make up a restore point, and the one "fetch cloud objects in order,
+// decode, write into a DB image" loop.
 //
-// Three consumers drive it:
-//   * Ginja::Recover — disaster recovery: full LIST → bootstrap plan →
-//     windowed apply into an empty target (paper Alg. 1 lines 23–40);
+// Consumers of the plan (BuildTailPlan):
+//   * StandbyReplica — the only reader of the bucket. A full pass (LIST →
+//     plan → windowed apply) bootstraps and resyncs the warm image;
+//     between passes ContinueWalPlan() increments against an incremental
+//     LIST cursor, applied into the live image so promotion is O(lag), not
+//     O(DB). Its DB/ probe for a checkpoint ahead of the frontier asks the
+//     planner whether any set at or past the frontier is complete;
+//   * Ginja::Recover — disaster recovery is one full pass of a standby
+//     into an empty target (paper Alg. 1 lines 23–40);
 //   * point-in-time recovery — the same plan opened at an arbitrary
 //     frontier (`up_to_ts`), which is all time travel is;
-//   * StandbyReplica — warm tailing: the bootstrap plan once, then
-//     ContinueWalPlan() increments against an incremental LIST cursor,
-//     applied into a live image so promotion is O(lag), not O(DB).
+//   * GC retention (RetentionPolicy::KeepSet) — a protected point keeps
+//     exactly the objects its restore plan reads (paper §5.4).
 //
 // The plan is computable before the first GET because object names carry
 // their recovery metadata (ts, redo LSN, part counts): a K-deep prefetch

@@ -1,6 +1,7 @@
 // Seeded-mutation tests for the in-place decoders: Lzss::DecompressInto,
-// Envelope::DecodeInto (GNJ1, GNJ2 and GNJ3) and the view-returning
-// DecodeEntries. Every truncation point and a few hundred seeded
+// Envelope::DecodeInto (GNJ1, GNJ2 and GNJ3), the view-returning
+// DecodeEntries and the GMF1 manifest decoder — plus the object-name
+// decoders, which must accept only the spelling they encode. Every truncation point and a few hundred seeded
 // single-byte flips of valid streams must fail cleanly (false or
 // Corruption, a MAC failure for authenticated bytes) and never touch
 // memory outside the decoder's buffers. Writes are fenced with canary
@@ -15,6 +16,8 @@
 #include "common/codec/hmac.h"
 #include "common/codec/lzss.h"
 #include "common/rng.h"
+#include "ginja/dedup.h"
+#include "ginja/object_id.h"
 #include "ginja/payload.h"
 
 namespace ginja {
@@ -339,6 +342,112 @@ TEST(DecoderMutation, DecodeEntriesFlipsYieldViewsInsideThePayload) {
       EXPECT_TRUE(Within(View(mutated), e.data.data(), e.data.size())) << "trial " << trial;
     }
   }
+}
+
+// -- GMF1 manifests ------------------------------------------------------------
+
+Bytes SampleManifest() {
+  std::vector<ChunkRef> refs;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    ChunkRef ref;
+    ref.path = i < 2 ? "base/16384/2611" : "";  // an empty path is the smallest ref
+    ref.offset = std::uint64_t{i} * 65536;
+    ref.length = 65536 + i;
+    for (std::size_t k = 0; k < ref.digest.size(); ++k) {
+      ref.digest[k] = static_cast<std::uint8_t>(i * 31 + k);
+    }
+    refs.push_back(std::move(ref));
+  }
+  return EncodeManifest(refs);
+}
+
+TEST(DecoderMutation, ManifestRejectsACountPastThePayload) {
+  // Magic plus a 9-byte varint count of 2^60: 13 bytes that once asked
+  // reserve() for 2^60 refs.
+  Bytes payload = Exact(ByteView(SampleManifest().data(), 4));
+  PutVarint(payload, std::uint64_t{1} << 60);
+  ASSERT_EQ(payload.size(), 13u);
+  auto refs = DecodeManifest(View(Exact(View(payload))));
+  ASSERT_FALSE(refs.ok());
+  EXPECT_EQ(refs.status().code(), ErrorCode::kCorruption);
+}
+
+TEST(DecoderMutation, ManifestRejectsEveryTruncation) {
+  const Bytes full = SampleManifest();
+  ASSERT_TRUE(DecodeManifest(View(full)).ok());
+  for (std::size_t keep = 0; keep < full.size(); ++keep) {
+    const Bytes cut = Exact(ByteView(full.data(), keep));
+    auto refs = DecodeManifest(View(cut));
+    ASSERT_FALSE(refs.ok()) << "keep=" << keep;
+    EXPECT_EQ(refs.status().code(), ErrorCode::kCorruption) << "keep=" << keep;
+  }
+}
+
+TEST(DecoderMutation, ManifestFlipsFailCleanlyOrStayBounded) {
+  const Bytes full = SampleManifest();
+  SplitMix64 rng(91);
+  for (int trial = 0; trial < kFlips; ++trial) {
+    Bytes mutated = Exact(View(full));
+    mutated[rng.NextBelow(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+    auto refs = DecodeManifest(View(mutated));
+    if (!refs.ok()) {
+      EXPECT_EQ(refs.status().code(), ErrorCode::kCorruption) << "trial " << trial;
+      continue;
+    }
+    EXPECT_LE(refs->size() * 23, mutated.size()) << "trial " << trial;
+    for (const ChunkRef& ref : *refs) {
+      EXPECT_LE(ref.path.size(), mutated.size()) << "trial " << trial;
+    }
+  }
+}
+
+// -- object names ----------------------------------------------------------------
+
+// Accepted names re-encode to themselves: the planner and GC address
+// objects by id.Encode(), so a second spelling of one id would make them
+// GET or DELETE a name that is not in the bucket.
+template <typename Id>
+void ExpectOnlyCanonicalNamesDecode(const std::string& valid, std::uint64_t seed) {
+  static constexpr char kAlphabet[] = "0123456789_|/ofpslWALTDBCHUNKdumpcheckmanifestx";
+  SplitMix64 rng(seed);
+  int accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string name = valid;
+    const int edits = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = rng.NextBelow(name.size() + 1);
+      const char c = kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)];
+      switch (rng.NextBelow(4)) {
+        case 0: if (pos < name.size()) name[pos] = c; break;         // substitute
+        case 1: name.insert(pos, 1, c); break;                      // insert
+        case 2: if (pos < name.size()) name.erase(pos, 1); break;    // delete
+        default: name.insert(pos, rng.NextBelow(2) ? "0" : "429496729"); break;
+      }
+    }
+    if (auto id = Id::Decode(name)) {
+      ++accepted;
+      EXPECT_EQ(id->Encode(), name) << "seed " << seed << " trial " << trial;
+    }
+  }
+  EXPECT_GT(accepted, 0) << "no mutation of " << valid << " decoded";
+}
+
+TEST(DecoderMutation, WalNamesDecodeOnlyInCanonicalSpelling) {
+  ExpectOnlyCanonicalNamesDecode<WalObjectId>("WAL/7_pg_xlog|0001_8192_1200", 11);
+}
+
+TEST(DecoderMutation, TailNamesDecodeOnlyInCanonicalSpelling) {
+  ExpectOnlyCanonicalNamesDecode<TailObjectId>("WALTAIL/3_1_0_100", 12);
+}
+
+TEST(DecoderMutation, DbNamesDecodeOnlyInCanonicalSpelling) {
+  ExpectOnlyCanonicalNamesDecode<DbObjectId>("DB/10_checkpoint_4096_s2_l900_p1of3", 13);
+  ExpectOnlyCanonicalNamesDecode<DbObjectId>("DB/0_manifest_65536_s0_l0_p0of1", 14);
+}
+
+TEST(DecoderMutation, ChunkNamesDecodeOnlyInCanonicalSpelling) {
+  ExpectOnlyCanonicalNamesDecode<ChunkObjectId>(
+      "CHUNK/00112233445566778899aabbccddeeff00112233_65536", 15);
 }
 
 }  // namespace

@@ -84,6 +84,46 @@ TEST(DbObjectId, RejectsBadPartCounts) {
   EXPECT_FALSE(DbObjectId::Decode("DB/1_dump_10_s0_p0of1").has_value());  // missing redo lsn
 }
 
+// Only the spelling Encode() writes decodes: a second spelling of the same
+// id would make recovery GET, and GC DELETE, a name that does not exist.
+TEST(WalObjectId, RejectsNonCanonicalSpellings) {
+  EXPECT_TRUE(WalObjectId::Decode("WAL/7_pg_xlog|0001_0_100").has_value());
+  EXPECT_FALSE(WalObjectId::Decode("WAL/07_pg_xlog|0001_0_100").has_value());
+  EXPECT_FALSE(WalObjectId::Decode("WAL/7_pg_xlog|0001_00_100").has_value());
+  EXPECT_FALSE(WalObjectId::Decode("WAL/7_pg_xlog|0001_0_0100").has_value());
+  EXPECT_FALSE(WalObjectId::Decode("WAL/_pg_xlog|0001_0_100").has_value());
+  // A raw '/' would re-encode as '|'.
+  EXPECT_FALSE(WalObjectId::Decode("WAL/7_pg_xlog/0001_0_100").has_value());
+}
+
+TEST(TailObjectId, RejectsNonCanonicalSpellings) {
+  const auto ok = TailObjectId::Decode("WALTAIL/3_1_0_100");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->Encode(), "WALTAIL/3_1_0_100");
+  // seg 2^32 + 1 must not wrap to seg 1.
+  EXPECT_FALSE(TailObjectId::Decode("WALTAIL/3_4294967297_0_100").has_value());
+  EXPECT_FALSE(TailObjectId::Decode("WALTAIL/3_0_4294967296_100").has_value());
+  EXPECT_TRUE(TailObjectId::Decode("WALTAIL/3_4294967295_0_100").has_value());
+  EXPECT_FALSE(TailObjectId::Decode("WALTAIL/03_1_0_100").has_value());
+  EXPECT_FALSE(TailObjectId::Decode("WALTAIL/3_01_0_100").has_value());
+}
+
+TEST(DbObjectId, RejectsNonCanonicalSpellings) {
+  EXPECT_TRUE(DbObjectId::Decode("DB/1_dump_10_s0_l0_p0of2").has_value());
+  // 2^32 + 2 parts must not wrap to 2.
+  EXPECT_FALSE(
+      DbObjectId::Decode("DB/1_dump_10_s0_l0_p0of4294967298").has_value());
+  EXPECT_FALSE(
+      DbObjectId::Decode("DB/1_dump_10_s0_l0_p4294967296of4294967297").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/01_dump_10_s0_l0_p0of2").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/1_dump_010_s0_l0_p0of2").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/1_dump_10_s00_l0_p0of2").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/1_dump_10_s0_l00_p0of2").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/1_dump_10_s0_l0_p00of2").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/1_dump_10_s0_l0_p0of02").has_value());
+  EXPECT_FALSE(DbObjectId::Decode("DB/1_dump__s0_l0_p0of2").has_value());
+}
+
 TEST(EscapePath, RoundTrip) {
   EXPECT_EQ(UnescapePath(EscapePath("a/b/c_d")), "a/b/c_d");
   EXPECT_EQ(EscapePath("a/b"), "a|b");

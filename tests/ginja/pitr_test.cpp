@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <set>
+
 #include "cloud/memory_store.h"
+#include "common/rng.h"
 #include "db/database.h"
 #include "fs/intercept_fs.h"
 #include "fs/mem_fs.h"
 #include "ginja/ginja.h"
 #include "ginja/pitr.h"
+#include "ginja/tail_apply.h"
 
 namespace ginja {
 namespace {
@@ -97,6 +103,151 @@ TEST(RetentionPolicy, MultiplePointsUnionKeepSets) {
   EXPECT_TRUE(keep.count(wal[2].Encode()));
   EXPECT_TRUE(keep.count(wal[5].Encode())); // lsn 600 > redo 550, ts<=6
   EXPECT_FALSE(keep.count(wal[4].Encode())); // lsn 500 <= 550 and > point 2
+}
+
+DbObjectId Part(DbObjectId id, std::uint32_t part, std::uint32_t total) {
+  id.part = part;
+  id.total_parts = total;
+  return id;
+}
+
+std::vector<ObjectMeta> Listing(const std::vector<WalObjectId>& wal,
+                                const std::vector<DbObjectId>& db) {
+  std::vector<ObjectMeta> out;
+  for (const auto& id : wal) out.push_back({id.Encode(), 0});
+  for (const auto& id : db) out.push_back({id.Encode(), 0});
+  return out;
+}
+
+// Every object a restore to `point` reads, as the recovery planner sees it.
+std::set<std::string> PlannedNames(const std::vector<ObjectMeta>& listing,
+                                   std::uint64_t point) {
+  std::set<std::string> names;
+  for (const auto& item : BuildTailPlan(listing, point).items) {
+    names.insert(item.name);
+    names.insert(item.fallbacks.begin(), item.fallbacks.end());
+  }
+  return names;
+}
+
+TEST(RetentionPolicy, TornCheckpointBeforePointKeepsWhatItsRestoreReads) {
+  // A complete dump, WAL ts 0..5, and a checkpoint at the point whose
+  // second part never landed. Recovery to 5 skips the torn set and replays
+  // all six WAL objects from the dump, so all six must survive GC.
+  RetentionPolicy policy;
+  policy.Protect(5);
+  std::vector<WalObjectId> wal;
+  for (std::uint64_t i = 0; i < 6; ++i) wal.push_back(Wal(i, (i + 1) * 100));
+  const DbObjectId dump = Db(0, 0, DbObjectType::kDump, 0);
+  const DbObjectId torn =
+      Part(Db(1, 5, DbObjectType::kCheckpoint, 600), 0, 2);
+  const auto keep = policy.KeepSet(wal, {dump, torn});
+
+  const auto planned = PlannedNames(Listing(wal, {dump, torn}), 5);
+  ASSERT_EQ(planned.size(), 7u);  // the dump + six WAL objects
+  for (const auto& name : planned) EXPECT_TRUE(keep.count(name)) << name;
+  EXPECT_FALSE(keep.count(torn.Encode()));
+}
+
+TEST(RetentionPolicy, TornDumpBeforePointKeepsWhatItsRestoreReads) {
+  // The dump twin: a torn newer dump must not displace the complete one
+  // that a restore to 5 actually starts from.
+  RetentionPolicy policy;
+  policy.Protect(5);
+  std::vector<WalObjectId> wal;
+  for (std::uint64_t i = 0; i < 6; ++i) wal.push_back(Wal(i, (i + 1) * 100));
+  const DbObjectId dump = Db(0, 0, DbObjectType::kDump, 0);
+  const DbObjectId torn = Part(Db(1, 3, DbObjectType::kDump, 400), 1, 2);
+  const auto keep = policy.KeepSet(wal, {dump, torn});
+
+  const auto planned = PlannedNames(Listing(wal, {dump, torn}), 5);
+  ASSERT_EQ(planned.size(), 7u);
+  EXPECT_TRUE(planned.count(dump.Encode()));
+  for (const auto& name : planned) EXPECT_TRUE(keep.count(name)) << name;
+  EXPECT_FALSE(keep.count(torn.Encode()));
+}
+
+TEST(RetentionPolicy, KeepsTheTailSegmentsAndReplicasARestoreReads) {
+  // WAL ts 0..2, then a streamed ts 3 that never finished: its acked
+  // segments 0 and 1 (two replicas each) are what a restore to 4 applies
+  // after ts 2 — keep every replica; segment 3 follows a hole and is not
+  // read.
+  RetentionPolicy policy;
+  policy.Protect(4);
+  std::vector<WalObjectId> wal;
+  for (std::uint64_t i = 0; i < 3; ++i) wal.push_back(Wal(i, (i + 1) * 100));
+  wal.push_back(Wal(4, 500));
+  std::vector<TailObjectId> tails;
+  for (std::uint32_t seg : {0u, 1u, 3u}) {
+    for (std::uint32_t replica = 0; replica < 2; ++replica) {
+      tails.push_back({3, seg, replica, 310 + seg * 10});
+    }
+  }
+  const auto keep = policy.KeepSet(wal, {Db(0, 0, DbObjectType::kDump, 0)}, tails);
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_TRUE(keep.count(tails[k].Encode())) << k;
+  EXPECT_FALSE(keep.count(tails[4].Encode()));
+  EXPECT_FALSE(keep.count(tails[5].Encode()));
+  EXPECT_FALSE(keep.count(wal[3].Encode()));  // past the gap at ts 3
+}
+
+TEST(RetentionPolicy, SeededListingsKeepEveryPlannedObject) {
+  // Random buckets: WAL runs with holes, complete and torn dumps,
+  // manifests and checkpoints (ts non-decreasing in seq, as one primary
+  // writes them), several protected points. For each point the keep set
+  // holds every object its restore plan reads, and pruning everything
+  // outside the keep set leaves that plan unchanged.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SplitMix64 rng(seed);
+    const std::uint64_t wal_count = 4 + rng.NextBelow(12);
+    std::vector<WalObjectId> wal;
+    for (std::uint64_t ts = 0; ts < wal_count; ++ts) {
+      if (rng.NextBelow(8) != 0) wal.push_back(Wal(ts, (ts + 1) * 100));
+    }
+    std::vector<DbObjectId> db;
+    std::uint64_t ts = 0;
+    const std::uint64_t sets = 1 + rng.NextBelow(5);
+    for (std::uint64_t seq = 0; seq < sets; ++seq) {
+      ts = std::min(wal_count - 1, ts + rng.NextBelow(4));
+      const std::uint64_t kind = rng.NextBelow(8);
+      const DbObjectType type = seq == 0 || kind < 2 ? DbObjectType::kDump
+                                : kind == 2          ? DbObjectType::kManifest
+                                                     : DbObjectType::kCheckpoint;
+      const std::uint32_t total =
+          type == DbObjectType::kManifest
+              ? 1
+              : static_cast<std::uint32_t>(1 + rng.NextBelow(3));
+      const bool torn = total > 1 && rng.NextBelow(3) == 0;
+      const std::uint32_t dropped =
+          static_cast<std::uint32_t>(rng.NextBelow(total));
+      const DbObjectId set = Db(seq, ts, type, (ts + 1) * 100 + rng.NextBelow(50));
+      for (std::uint32_t part = 0; part < total; ++part) {
+        if (torn && part == dropped) continue;
+        db.push_back(Part(set, part, total));
+      }
+    }
+    RetentionPolicy policy;
+    std::vector<std::uint64_t> points;
+    for (int k = 0; k < 3; ++k) {
+      points.push_back(rng.NextBelow(wal_count));
+      policy.Protect(points.back());
+    }
+
+    const auto keep = policy.KeepSet(wal, db);
+    const auto listing = Listing(wal, db);
+    std::vector<ObjectMeta> pruned;
+    for (const auto& meta : listing) {
+      if (keep.count(meta.name)) pruned.push_back(meta);
+    }
+    for (const std::uint64_t point : points) {
+      const auto planned = PlannedNames(listing, point);
+      for (const auto& name : planned) {
+        EXPECT_TRUE(keep.count(name)) << "seed " << seed << " point " << point
+                                      << ": " << name;
+      }
+      EXPECT_EQ(PlannedNames(pruned, point), planned)
+          << "seed " << seed << " point " << point;
+    }
+  }
 }
 
 // -- end to end: selective retention with GC enabled -------------------------
@@ -224,6 +375,83 @@ TEST(PitrEndToEnd, ReleasedSnapshotGetsCollected) {
   h.ginja->Drain();
   EXPECT_LT(h.ginja->cloud_view().WalCount(), kept);
   h.ginja->Stop();
+}
+
+// Forwards to an inner store; while `tear` is set, every PUT of a DB
+// object's second part fails (non-retryably), leaving a torn part set.
+class TornPartStore : public ObjectStore {
+ public:
+  explicit TornPartStore(ObjectStorePtr inner) : inner_(std::move(inner)) {}
+  Status Put(std::string_view name, ByteView data) override {
+    if (tear && name.starts_with("DB/") &&
+        name.find("_p1of") != std::string_view::npos) {
+      return Status::InvalidArgument("injected: torn checkpoint part");
+    }
+    return inner_->Put(name, data);
+  }
+  Result<Bytes> Get(std::string_view name) override { return inner_->Get(name); }
+  Result<std::vector<ObjectMeta>> List(std::string_view prefix) override {
+    return inner_->List(prefix);
+  }
+  Result<std::vector<ObjectMeta>> List(std::string_view prefix,
+                                       std::string_view start_after) override {
+    return inner_->List(prefix, start_after);
+  }
+  Status Delete(std::string_view name) override { return inner_->Delete(name); }
+
+  std::atomic<bool> tear{false};
+
+ private:
+  ObjectStorePtr inner_;
+};
+
+TEST(PitrEndToEnd, TornCheckpointAfterRebootKeepsTheProtectedPoint) {
+  // A checkpoint taken right after the snapshot tears (part 1 never
+  // lands). A reboot re-lists the torn set; after re-protecting the point,
+  // the next checkpoint's GC must still keep the WAL the restore replays.
+  PitrHarness h;
+  auto store = std::make_shared<TornPartStore>(std::make_shared<MemoryStore>());
+  GinjaConfig config = h.config;
+  config.max_object_bytes = 2048;  // multi-part checkpoints
+  h.intercept->SetListener(nullptr);
+  h.ginja->Stop();
+  auto ginja = std::make_unique<Ginja>(h.local, store, h.clock,
+                                       DbLayout::Postgres(), config);
+  ASSERT_TRUE(ginja->Boot().ok());
+  h.intercept->SetListener(ginja.get());
+
+  h.PutN(0, 30, "phase-1");
+  const auto snapshot = ginja->ProtectCurrentState();
+  ASSERT_TRUE(snapshot.has_value());
+  store->tear = true;
+  ASSERT_TRUE(h.db->Checkpoint().ok());
+  ginja->Drain();
+  store->tear = false;
+  h.intercept->SetListener(nullptr);
+  ginja->Stop();
+
+  auto rebooted = std::make_unique<Ginja>(h.local, store, h.clock,
+                                          DbLayout::Postgres(), config);
+  ASSERT_TRUE(rebooted->Reboot().ok());
+  h.intercept->SetListener(rebooted.get());
+  rebooted->retention().Protect(*snapshot);
+  h.PutN(0, 30, "phase-2");
+  ASSERT_TRUE(h.db->Checkpoint().ok());
+  rebooted->Drain();
+  h.intercept->SetListener(nullptr);
+  rebooted->Stop();
+
+  auto machine = std::make_shared<MemFs>();
+  ASSERT_TRUE(Ginja::Recover(store, config, DbLayout::Postgres(), machine,
+                             nullptr, *snapshot)
+                  .ok());
+  Database rewound(machine, DbLayout::Postgres());
+  ASSERT_TRUE(rewound.Open().ok());
+  for (int i = 0; i < 30; ++i) {
+    auto v = rewound.Get("t", "k" + std::to_string(i));
+    ASSERT_TRUE(v.has_value()) << i;
+    EXPECT_EQ(ToString(View(*v)), "phase-1") << i;
+  }
 }
 
 }  // namespace
