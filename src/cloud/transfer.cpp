@@ -451,9 +451,10 @@ void StreamSession::Abort() {
   for (auto& cb : drained) cb(status);
 }
 
-std::size_t StreamSession::BacklogParts() const {
+bool StreamSession::WithinWindow(std::uint32_t index,
+                                 std::uint32_t window) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size() + (op_inflight_ ? 1 : 0);
+  return failed_ || index < next_index_ + window;
 }
 
 std::vector<std::function<void(Status)>> StreamSession::FailLocked(

@@ -231,9 +231,12 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // Fails everything still pending with ABORTED. Idempotent.
   void Abort();
 
-  // Parts staged or in flight, i.e. accepted but not yet durable — the
-  // producer-side backpressure signal.
-  std::size_t BacklogParts() const;
+  // Whether part `index` lies within `window` parts of the durable
+  // frontier — the producer-side backpressure signal. The frontier's next
+  // part is always admitted, so producers staging parts out of order can
+  // never fill the window with parts that wait on one still unstaged. A
+  // dead session admits everything (AppendPart fails it at once).
+  bool WithinWindow(std::uint32_t index, std::uint32_t window) const;
 
  private:
   friend class TransferManager;

@@ -11,6 +11,12 @@
 
 namespace ginja {
 
+namespace {
+// Most parts one DB object may have: the part index fills the low 16 bits
+// of the part's nonce, (1 << 63) | seq << 16 | part.
+constexpr std::size_t kMaxDbParts = std::size_t{1} << 16;
+}  // namespace
+
 CheckpointPipeline::CheckpointPipeline(ObjectStorePtr store,
                                        std::shared_ptr<CloudView> view,
                                        std::shared_ptr<Clock> clock,
@@ -301,28 +307,35 @@ void CheckpointPipeline::CheckpointerLoop() {
     // subspan refs into job->entries — no data is copied; the job outlives
     // every upload below.
     std::vector<std::vector<FileEntryRef>> parts;
-    std::vector<FileEntryRef> current;
-    std::size_t bytes = 0;
-    auto flush_part = [&] {
-      if (!current.empty()) {
-        parts.push_back(std::move(current));
-        current.clear();
-        bytes = 0;
+    auto split = [&](std::size_t limit) {
+      parts.clear();
+      std::vector<FileEntryRef> current;
+      std::size_t bytes = 0;
+      for (const auto& entry : job->entries) {
+        std::size_t pos = 0;
+        do {
+          const std::size_t chunk = std::min(limit, entry.data.size() - pos);
+          if (bytes + chunk > limit && !current.empty()) {
+            parts.push_back(std::move(current));
+            current.clear();
+            bytes = 0;
+          }
+          current.push_back({entry.path, entry.offset + pos,
+                             View(entry.data).subspan(pos, chunk)});
+          bytes += chunk;
+          pos += chunk;
+        } while (pos < entry.data.size());
       }
+      if (!current.empty()) parts.push_back(std::move(current));
     };
-    for (const auto& entry : job->entries) {
-      std::size_t pos = 0;
-      do {
-        const std::size_t chunk =
-            std::min(config_.max_object_bytes, entry.data.size() - pos);
-        if (bytes + chunk > config_.max_object_bytes) flush_part();
-        current.push_back(
-            {entry.path, entry.offset + pos, View(entry.data).subspan(pos, chunk)});
-        bytes += chunk;
-        pos += chunk;
-      } while (pos < entry.data.size());
-    }
-    flush_part();
+    // max_object_bytes is a latency target (§5.2 fn. 3), but the part index
+    // owns only the nonce's low 16 bits: an object that would need more
+    // than kMaxDbParts parts doubles its part size until it fits, so no
+    // two parts ever share an AES-CTR nonce. Smaller objects split exactly
+    // as before.
+    std::size_t part_limit = config_.max_object_bytes;
+    split(part_limit);
+    while (parts.size() > kMaxDbParts) split(part_limit *= 2);
     if (parts.empty()) parts.push_back({});  // degenerate empty checkpoint
 
     const std::uint64_t seq = view_->NextCheckpointSeq();
@@ -377,7 +390,7 @@ void CheckpointPipeline::CheckpointerLoop() {
       id.part = part;
       id.total_parts = static_cast<std::uint32_t>(parts.size());
       // Nonce: unique per DB object part (seq/part disjoint from WAL ts
-      // space by the high bit).
+      // space by the high bit; part < kMaxDbParts fits its 16 bits).
       const std::uint64_t nonce = (1ull << 63) | (seq << 16) | part;
       Bytes enveloped;
       envelope_->EncodeInto(payload, nonce, enveloped);

@@ -14,106 +14,24 @@ namespace {
 // Poll interval for time-based predicates (TB/TS); wall time, so it works
 // with any Clock scale.
 constexpr auto kPollInterval = std::chrono::milliseconds(1);
-// EWMA weight for the adaptive controller's RTT / arrival-rate estimates.
-constexpr double kEwmaAlpha = 0.2;
 // Slice length for kill-interruptible backoff sleeps (model time).
 constexpr std::uint64_t kSleepSliceUs = 20'000;
 // Stream-segment nonces live in their own subspace, disjoint from WAL
 // object nonces (the raw ts) and DB part nonces (bit 63 | seq | part):
 // tag | ts << 16 | seg. A tail object reuses its segment's envelope bytes
 // verbatim — same nonce, same ciphertext — so the fold needs no re-encode
-// and never reuses a CTR keystream on different plaintext.
+// and never reuses a CTR keystream on different plaintext. The segment
+// index owns the low 16 bits, so a stream closes at kMaxStreamSegments
+// rather than let segment 2^16 collide with the next ts's segment 0.
 constexpr std::uint64_t kStreamNonceTag = 0xE5ull << 56;
+constexpr std::uint32_t kMaxStreamSegments = 1u << 16;
+// Parts a stream may run ahead of its durable frontier before the
+// uploader waits: bounds producer run-ahead and the memory pinned per
+// open stream.
+constexpr std::uint32_t kStreamPartWindow = 8;
 // Poll slice while an uploader waits for stream-part-window space.
 constexpr std::uint64_t kWindowPollUs = 500;
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// AdaptiveBatchController
-
-AdaptiveBatchController::AdaptiveBatchController(std::size_t batch_cap,
-                                                std::uint64_t tb_us,
-                                                int uploader_threads)
-    : batch_cap_(batch_cap < 1 ? 1 : batch_cap),
-      tb_us_(tb_us),
-      uploaders_(uploader_threads < 1 ? 1.0
-                                      : static_cast<double>(uploader_threads)) {}
-
-void AdaptiveBatchController::RecordPutRtt(std::uint64_t rtt_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const double sample = static_cast<double>(rtt_us);
-  if (!have_rtt_) {
-    rtt_ewma_us_ = sample;
-    have_rtt_ = true;
-  } else {
-    rtt_ewma_us_ = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * rtt_ewma_us_;
-  }
-}
-
-void AdaptiveBatchController::RecordArrivals(std::size_t count,
-                                             std::uint64_t now_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (last_arrival_us_ == 0) {
-    last_arrival_us_ = now_us;
-    arrival_carry_ += count;
-    return;
-  }
-  const std::uint64_t dt = now_us - last_arrival_us_;
-  if (dt == 0) {
-    // Same observation instant (coarse clocks): fold into the next sample.
-    arrival_carry_ += count;
-    return;
-  }
-  const double sample =
-      static_cast<double>(count + arrival_carry_) / static_cast<double>(dt);
-  arrival_carry_ = 0;
-  last_arrival_us_ = now_us;
-  if (!have_rate_) {
-    rate_ewma_ = sample;
-    have_rate_ = true;
-  } else {
-    rate_ewma_ = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * rate_ewma_;
-  }
-}
-
-void AdaptiveBatchController::NoteUploadState(int inflight_puts,
-                                              double window_occupancy) {
-  inflight_.store(inflight_puts, std::memory_order_relaxed);
-  occupancy_.store(window_occupancy, std::memory_order_relaxed);
-}
-
-double AdaptiveBatchController::TargetLocked() const {
-  return rate_ewma_ * rtt_ewma_us_ / uploaders_;
-}
-
-std::uint64_t AdaptiveBatchController::CloseDeadlineUs() const {
-  // An idle upload pipe means waiting buys nothing: whatever is pending
-  // ships now. (Sentinel -1 = the pipeline never reported; fall through.)
-  if (inflight_.load(std::memory_order_relaxed) == 0) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!have_rtt_ || !have_rate_) return 0;
-  if (TargetLocked() <= 1.0) return 0;
-  double deadline = rtt_ewma_us_ / uploaders_;
-  // A saturated part window means upload bandwidth, not batch timing, is
-  // the bottleneck: stretch the deadline so segments grow instead of
-  // queueing more parts. TB stays the hard cap.
-  const double occ = occupancy_.load(std::memory_order_relaxed);
-  if (occ >= 1.0) deadline *= 1.0 + occ;
-  return static_cast<std::uint64_t>(
-      std::min(deadline, static_cast<double>(tb_us_)));
-}
-
-std::size_t AdaptiveBatchController::TargetBatch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!have_rtt_ || !have_rate_) return 1;
-  const double target = TargetLocked();
-  if (target <= 1.0) return 1;
-  if (target >= static_cast<double>(batch_cap_)) return batch_cap_;
-  return static_cast<std::size_t>(target);
-}
-
-// ---------------------------------------------------------------------------
-// CommitPipeline
 
 CommitPipeline::CommitPipeline(ObjectStorePtr store,
                                std::shared_ptr<CloudView> view,
@@ -142,11 +60,6 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
   }
   reorder_.resize(1024);
   reorder_filled_.assign(1024, 0);
-  if (config_.adaptive_batching) {
-    adaptive_ = std::make_unique<AdaptiveBatchController>(
-        config_.batch, config_.batch_timeout_us,
-        std::max(1, config_.uploader_threads));
-  }
   last_agg_time_us_ = clock_->NowMicros();
   coarse_now_us_.store(last_agg_time_us_, std::memory_order_release);
   if (config_.obs) {
@@ -364,7 +277,7 @@ void CommitPipeline::Submit(WalWrite write) {
   stats_.writes_submitted.Add();
 
   // Wake the Aggregator only when a full batch is pending AND it is
-  // parked; partial batches are picked up by its TB/adaptive poll.
+  // parked; partial batches are picked up by its TB poll.
   // Skipping the notify while it is awake keeps agg_mu_ off the submit
   // hot path — under a burst every thread would otherwise serialize on
   // it here.
@@ -436,7 +349,7 @@ void CommitPipeline::GrowReorder(std::uint64_t seq) {
   }
 }
 
-std::size_t CommitPipeline::DrainShards() {
+void CommitPipeline::DrainShards() {
   Slot slot;
   for (auto& shard : shards_) {
     while (shard->TryPop(slot)) PlaceInReorder(std::move(slot));
@@ -479,7 +392,6 @@ std::size_t CommitPipeline::DrainShards() {
     oldest_pending_us_.store(pending_times_.front(),
                              std::memory_order_release);
   }
-  return newly;
 }
 
 void CommitPipeline::AggregatorLoop() {
@@ -496,24 +408,9 @@ void CommitPipeline::AggregatorLoop() {
       agg_idle_.store(false, std::memory_order_release);
     }
     if (killed_.load(std::memory_order_acquire)) return;
-    const std::size_t newly = DrainShards();
+    DrainShards();
     const std::uint64_t now = clock_->NowMicros();
     coarse_now_us_.store(now, std::memory_order_release);
-    if (adaptive_) {
-      adaptive_->RecordArrivals(newly, now);
-      if (config_.streaming_commit) {
-        const std::size_t backlog =
-            open_stream_ ? open_stream_->session->BacklogParts() : 0;
-        adaptive_->NoteUploadState(
-            static_cast<int>(backlog),
-            static_cast<double>(backlog) /
-                static_cast<double>(
-                    std::max<std::size_t>(1, config_.stream_part_window)));
-      } else {
-        adaptive_->NoteUploadState(
-            buffered_inflight_puts_.load(std::memory_order_relaxed), 0.0);
-      }
-    }
     if (config_.streaming_commit) {
       const bool stop_flush = stopping_.load(std::memory_order_acquire);
       // As in the buffered stop path: pick up writes that raced the stop
@@ -531,8 +428,6 @@ void CommitPipeline::AggregatorLoop() {
       FormBatch(config_.batch, now, /*closed_full=*/true);
     }
     if (!staged_.empty()) {
-      const std::uint64_t deadline =
-          adaptive_ ? adaptive_->CloseDeadlineUs() : config_.batch_timeout_us;
       const bool stop_flush = stopping_.load(std::memory_order_acquire);
       if (stop_flush) {
         // Stop() can land mid-pass: writes submitted before the stop but
@@ -545,7 +440,8 @@ void CommitPipeline::AggregatorLoop() {
           FormBatch(config_.batch, now, /*closed_full=*/true);
         }
       }
-      if ((stop_flush || now - last_agg_time_us_ >= deadline) &&
+      if ((stop_flush ||
+           now - last_agg_time_us_ >= config_.batch_timeout_us) &&
           !staged_.empty()) {
         FormBatch(staged_.size(), now, /*closed_full=*/false);
       }
@@ -553,8 +449,8 @@ void CommitPipeline::AggregatorLoop() {
   }
 }
 
-void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
-                               bool closed_full) {
+std::uint64_t CommitPipeline::StageWrites(std::size_t take,
+                                          std::uint64_t now_us) {
   // Aggregate (Alg. 2 lines 12-13): coalesce rewrites of the same page —
   // last write wins — so only surviving pages are encoded (a B=1000 batch
   // usually collapses to a handful of pages). The reusable table replaces
@@ -576,6 +472,24 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
               if (a.file != b.file) return a.file < b.file;
               return a.offset < b.offset;
             });
+  std::uint64_t first_traced = kNoTrace;
+  if (Tracing()) {
+    for (std::size_t k = 0; k < take; ++k) {
+      const Slot& slot = staged_[k];
+      if (!slot.traced) continue;
+      tracer_->Record(TraceStage::kBatchClose, slot.seq, slot.staged_us,
+                      now_us >= slot.staged_us ? now_us - slot.staged_us : 0);
+      if (first_traced == kNoTrace) first_traced = slot.seq;
+    }
+  }
+  return first_traced;
+}
+
+void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
+                               bool closed_full) {
+  // The batch's trace id is its first sampled write; every object of the
+  // batch carries it, so the decomposition sees each object's PUT.
+  const std::uint64_t trace_seq = StageWrites(take, now_us);
 
   // Per-file runs become objects, split at the object-size limit. Entry
   // refs borrow the submitted writes' own buffers (moved, never copied)
@@ -630,21 +544,6 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
                      return a.max_lsn < b.max_lsn;
                    });
 
-  // The batch's trace id is its first sampled write; every object of the
-  // batch carries it, so the decomposition sees each object's PUT.
-  std::uint64_t trace_seq = kNoTrace;
-  if (Tracing()) {
-    for (std::size_t k = 0; k < take; ++k) {
-      if (!staged_[k].traced) continue;
-      tracer_->Record(TraceStage::kBatchClose, staged_[k].seq,
-                      staged_[k].staged_us,
-                      now_us >= staged_[k].staged_us
-                          ? now_us - staged_[k].staged_us
-                          : 0);
-      if (trace_seq == kNoTrace) trace_seq = staged_[k].seq;
-    }
-  }
-
   Batch batch;
   batch.seq = next_batch_seq_++;
   batch.item_count = take;
@@ -686,16 +585,15 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
 void CommitPipeline::StreamPass(std::uint64_t now_us, bool stop_flush) {
   // One stream == one batch == one WAL object, filled segment by segment.
   // A full stream_segment_writes' worth of staged writes seals a segment
-  // immediately (capped at the B remaining in the batch); the TB/adaptive
-  // deadline or a stop flushes a partial one. The stream closes — its
-  // object gets its final name and publishes — at B writes, at the object
-  // size limit, or on deadline/stop; leftover staged writes then start the
-  // next stream on the following loop iteration.
+  // immediately (capped at the B remaining in the batch); the TB deadline
+  // or a stop flushes a partial one. The stream closes — its object gets
+  // its final name and publishes — at B writes, at the object size limit,
+  // at kMaxStreamSegments, or on deadline/stop; leftover staged writes
+  // then start the next stream on the following loop iteration.
   const std::size_t seg_writes =
       std::max<std::size_t>(1, config_.stream_segment_writes);
-  const std::uint64_t deadline =
-      adaptive_ ? adaptive_->CloseDeadlineUs() : config_.batch_timeout_us;
-  const bool deadline_hit = now_us - last_agg_time_us_ >= deadline;
+  const bool deadline_hit =
+      now_us - last_agg_time_us_ >= config_.batch_timeout_us;
   while (true) {
     const std::size_t batch_remaining =
         config_.batch - (open_stream_ ? open_stream_->writes : 0);
@@ -712,8 +610,10 @@ void CommitPipeline::StreamPass(std::uint64_t now_us, bool stop_flush) {
       }
       return;
     }
-    if (open_stream_ && (open_stream_->writes >= config_.batch ||
-                         open_stream_->logical_bytes >= config_.max_object_bytes)) {
+    if (open_stream_ &&
+        (open_stream_->writes >= config_.batch ||
+         open_stream_->logical_bytes >= config_.max_object_bytes ||
+         open_stream_->next_seg >= kMaxStreamSegments)) {
       CloseStream(now_us, /*closed_full=*/true);
     }
   }
@@ -745,22 +645,12 @@ void CommitPipeline::SealSegment(std::size_t take, std::uint64_t now_us) {
   // Coalesce within the segment only (last write to a page wins, as in
   // FormBatch); a page rewritten in a *later* segment of the same stream
   // survives twice, and recovery's in-order apply makes the later copy
-  // win — same end state, slightly more bytes.
-  coalesce_.Begin(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    const WalWrite& w = staged_[i].write;
-    coalesce_.Upsert(w.file, w.offset, static_cast<std::uint32_t>(i));
+  // win — same end state, slightly more bytes. The stream's trace id is
+  // its first sampled write.
+  const std::uint64_t first_traced = StageWrites(take, now_us);
+  if (open_stream_->trace_seq == kNoTrace) {
+    open_stream_->trace_seq = first_traced;
   }
-  survivors_.clear();
-  coalesce_.ForEach(
-      [&](std::string_view file, std::uint64_t offset, std::uint32_t index) {
-        survivors_.push_back({file, offset, index});
-      });
-  std::sort(survivors_.begin(), survivors_.end(),
-            [](const SurvivorRef& a, const SurvivorRef& b) {
-              if (a.file != b.file) return a.file < b.file;
-              return a.offset < b.offset;
-            });
 
   UploadJob job;
   job.kind = UploadJob::Kind::kStreamSegment;
@@ -788,20 +678,6 @@ void CommitPipeline::SealSegment(std::size_t take, std::uint64_t now_us) {
   }
   open_stream_->max_lsn = std::max(open_stream_->max_lsn, seg_lsn);
   job.seg_max_lsn = open_stream_->max_lsn;  // cumulative: monotone in seg
-
-  if (Tracing()) {
-    for (std::size_t k = 0; k < take; ++k) {
-      if (!staged_[k].traced) continue;
-      tracer_->Record(TraceStage::kBatchClose, staged_[k].seq,
-                      staged_[k].staged_us,
-                      now_us >= staged_[k].staged_us
-                          ? now_us - staged_[k].staged_us
-                          : 0);
-      if (open_stream_->trace_seq == kNoTrace) {
-        open_stream_->trace_seq = staged_[k].seq;
-      }
-    }
-  }
   job.trace_seq = open_stream_->trace_seq;
 
   {
@@ -838,11 +714,8 @@ void CommitPipeline::CloseStream(std::uint64_t now_us, bool closed_full) {
   job.session = open_stream_->session;
   job.name = id.Encode();
   job.total_parts = open_stream_->next_seg + 1;  // + the prologue part
-  job.ts = open_stream_->ts;
-  job.seg_max_lsn = open_stream_->max_lsn;
   job.trace_seq = open_stream_->trace_seq;
   job.close_us = now_us;
-  job.stream_open_us = open_stream_->opened_us;
   {
     std::lock_guard<std::mutex> lock(window_mu_);
     for (auto it = batches_.rbegin(); it != batches_.rend(); ++it) {
@@ -893,75 +766,26 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, Bytes& framing,
     FinishStream(std::move(job));
     return;
   }
-  const bool traced = job.trace_seq != kNoTrace && Tracing();
-  std::uint64_t t_encode = 0;
-  if (traced) {
-    t_encode = clock_->NowMicros();
-    tracer_->Record(TraceStage::kEncodeQueue, job.trace_seq, job.close_us,
-                    t_encode >= job.close_us ? t_encode - job.close_us : 0);
-  }
-  const PayloadView payload = EncodeEntriesView(job.entries, framing);
-  stats_.object_logical_bytes.Record(static_cast<double>(payload.size()));
-  envelope_->EncodeInto(payload, job.nonce, enveloped);
-  if (traced) {
-    const std::uint64_t t_done = clock_->NowMicros();
-    tracer_->Record(TraceStage::kEncode, job.trace_seq, t_encode,
-                    t_done - t_encode);
-  }
-  bool uploaded = false;
-  std::uint64_t first_attempt_us = 0;
-  std::uint64_t put_end_us = 0;
-  Status last_status = Status::Ok();
-  buffered_inflight_puts_.fetch_add(1, std::memory_order_relaxed);
-  for (int attempt = 1; attempt <= retry_.max_attempts(); ++attempt) {
-    const std::uint64_t started = clock_->NowMicros();
-    if (attempt == 1) first_attempt_us = started;
-    Status st = store_->Put(job.name, View(enveloped));
-    if (st.ok()) {
-      if (adaptive_ || traced) put_end_us = clock_->NowMicros();
-      if (adaptive_) adaptive_->RecordPutRtt(put_end_us - started);
-      uploaded = true;
-      break;
-    }
-    last_status = st;
-    if (killed_.load(std::memory_order_acquire) ||
+  EncodeJob(job, framing, enveloped);
+  // kPut covers first attempt → success, retries and backoff included:
+  // it decomposes outage pain, not just the happy-path round-trip.
+  const std::uint64_t first_attempt_us = clock_->NowMicros();
+  Status st = Status::Ok();
+  for (int attempt = 1;; ++attempt) {
+    st = store_->Put(job.name, View(enveloped));
+    if (st.ok() || killed_.load(std::memory_order_acquire) ||
         attempt >= retry_.max_attempts() ||
         !RetryPolicy::Retryable(st.code())) {
       break;
     }
     if (!SleepInterruptible(retry_.NextBackoffUs(attempt))) break;
   }
-  buffered_inflight_puts_.fetch_sub(1, std::memory_order_relaxed);
-  if (uploaded) {
-    stats_.objects_uploaded.Add();
-    stats_.bytes_uploaded.Add(enveloped.size());
-    if (auto id = WalObjectId::Decode(job.name)) view_->AddWal(*id);
-    // kPut covers first attempt → success, retries and backoff included:
-    // it decomposes outage pain, not just the happy-path round-trip.
-    if (traced) {
-      tracer_->Record(TraceStage::kPut, job.trace_seq, first_attempt_us,
-                      put_end_us - first_attempt_us);
-    }
-  } else if (!killed_.load(std::memory_order_acquire)) {
-    // A permanently failed upload outside a kill breaks the recoverable
-    // frontier for good — worth a structured record, not a silent drop.
-    Log(LogLevel::kError, "commit", "upload permanently failed",
-        {{"object", job.name}, {"status", last_status.ToString()}});
-  }
-  // Acknowledge even on permanent failure so Stop() can complete — but a
-  // failed ack freezes the recoverable frontier (UnlockerLoop), so no
-  // checkpoint can ever claim WAL coverage across the gap.
-  Ack ack;
-  ack.batch_seq = job.batch_seq;
-  ack.uploaded = uploaded;
-  // kAck only makes sense off a successful PUT's end time.
-  ack.trace_seq = (traced && uploaded) ? job.trace_seq : kNoTrace;
-  ack.put_end_us = put_end_us;
-  ack_queue_.ForcePut(std::move(ack));
+  if (st.ok()) stats_.bytes_uploaded.Add(enveloped.size());
+  PublishObject(job, first_attempt_us, st);
 }
 
-void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
-                                         Bytes& enveloped) {
+void CommitPipeline::EncodeJob(const UploadJob& job, Bytes& framing,
+                               Bytes& enveloped) {
   const bool traced = job.trace_seq != kNoTrace && Tracing();
   std::uint64_t t_encode = 0;
   if (traced) {
@@ -977,12 +801,58 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
     tracer_->Record(TraceStage::kEncode, job.trace_seq, t_encode,
                     t_done - t_encode);
   }
+}
 
-  // Bounded run-ahead: wait while the stream already has a full window of
-  // parts staged or in flight. Progress comes from the transfer manager's
-  // workers, so polling here cannot deadlock; a failed session drains its
-  // backlog, which also releases this wait.
-  while (job.session->BacklogParts() >= config_.stream_part_window) {
+void CommitPipeline::PublishObject(const UploadJob& job,
+                                   std::uint64_t put_start_us,
+                                   const Status& st) {
+  const std::uint64_t now = clock_->NowMicros();
+  const bool traced = job.trace_seq != kNoTrace && Tracing();
+  if (st.ok()) {
+    stats_.objects_uploaded.Add();
+    if (auto id = WalObjectId::Decode(job.name)) {
+      view_->AddWal(*id);
+      // A streamed object supersedes its ts's tails; delete them in the
+      // background. A missed delete is re-swept by checkpoint GC.
+      for (const TailObjectId& tail : view_->TailsForTs(id->ts)) {
+        DeleteFoldedTail(tail);
+      }
+    }
+    if (traced) {
+      tracer_->Record(TraceStage::kPut, job.trace_seq, put_start_us,
+                      now >= put_start_us ? now - put_start_us : 0);
+    }
+  } else if (!killed_.load(std::memory_order_acquire)) {
+    // A permanently failed upload outside a kill breaks the recoverable
+    // frontier for good — worth a structured record, not a silent drop.
+    Log(LogLevel::kError, "commit", "upload permanently failed",
+        {{"object", job.name}, {"status", st.ToString()}});
+  }
+  // Acknowledge even on permanent failure so Stop() can complete — but a
+  // failed ack freezes the recoverable frontier (UnlockerLoop), so no
+  // checkpoint can ever claim WAL coverage across the gap.
+  Ack ack;
+  ack.batch_seq = job.batch_seq;
+  ack.uploaded = st.ok();
+  // kAck only makes sense off a successful PUT's end time.
+  ack.trace_seq = (traced && st.ok()) ? job.trace_seq : kNoTrace;
+  ack.put_end_us = now;
+  ack_queue_.ForcePut(std::move(ack));
+}
+
+void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
+                                         Bytes& enveloped) {
+  EncodeJob(job, framing, enveloped);
+  const bool traced = job.trace_seq != kNoTrace && Tracing();
+
+  // Bounded run-ahead: wait while this part is a full window ahead of the
+  // stream's durable frontier. Uploaders stage a stream's segments out of
+  // order, so the bound is on the distance from the frontier, not on the
+  // count staged: a count-bound window can fill with later parts that all
+  // wait on an earlier one whose uploader is itself waiting. Progress
+  // comes from the transfer manager's workers, so polling here cannot
+  // deadlock; a failed session admits every part, releasing this wait.
+  while (!job.session->WithinWindow(job.seg_index + 1, kStreamPartWindow)) {
     if (killed_.load(std::memory_order_acquire)) return;
     clock_->SleepMicros(kWindowPollUs);
   }
@@ -1009,7 +879,7 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
               view_->AddTail(tid);
               stats_.tail_objects_uploaded.Add();
               // A tail that lands after its object published was missed by
-              // the fold's sweep (FinishStream); delete it here instead.
+              // the fold's sweep (PublishObject); delete it here instead.
               if (view_->HasWal(tid.ts)) DeleteFoldedTail(tid);
               if (tid.replica == 0 && traced && Tracing()) {
                 const std::uint64_t now = clock_->NowMicros();
@@ -1034,11 +904,10 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
   Bytes part;
   Envelope::AppendStreamSegment(part, View(enveloped));
   const std::uint32_t part_bytes = static_cast<std::uint32_t>(part.size());
-  const std::uint64_t submit_us = clock_->NowMicros();
   job.session->AppendPart(
       job.seg_index + 1, std::move(part),
       [this, seg = job.seg_index, traced, trace_seq = job.trace_seq,
-       close_us = job.close_us, open_us = job.stream_open_us, submit_us,
+       close_us = job.close_us, open_us = job.stream_open_us,
        part_bytes](Status st) {
         // A failure here permanently fails the session; the finish
         // callback reports it through the object ack.
@@ -1046,7 +915,6 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
         const std::uint64_t now = clock_->NowMicros();
         stats_.parts_uploaded.Add();
         stats_.bytes_uploaded.Add(part_bytes);
-        if (adaptive_) adaptive_->RecordPutRtt(now - submit_us);
         if (seg == 0) {
           stats_.put_first_byte_us.Record(
               static_cast<double>(now >= open_us ? now - open_us : 0));
@@ -1063,40 +931,16 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
 }
 
 void CommitPipeline::FinishStream(UploadJob job) {
-  const bool traced = job.trace_seq != kNoTrace && Tracing();
-  auto session = job.session;
-  auto done = [this, name = job.name, seq = job.batch_seq, ts = job.ts,
-               traced, trace_seq = job.trace_seq,
-               close_us = job.close_us](Status st) {
-    const std::uint64_t now = clock_->NowMicros();
-    if (st.ok()) {
-      stats_.objects_uploaded.Add();
-      if (auto id = WalObjectId::Decode(name)) view_->AddWal(*id);
-      // kPut for a streamed object covers close -> published: the part
-      // uploads overlapped the batch fill, only the tail is exposed.
-      if (traced && Tracing()) {
-        tracer_->Record(TraceStage::kPut, trace_seq, close_us,
-                        now >= close_us ? now - close_us : 0);
-      }
-      // The folded object supersedes this ts's tails; delete them in the
-      // background. A missed delete is re-swept by checkpoint GC.
-      for (const TailObjectId& tail : view_->TailsForTs(ts)) {
-        DeleteFoldedTail(tail);
-      }
-    } else if (!killed_.load(std::memory_order_acquire)) {
-      Log(LogLevel::kError, "commit", "stream upload permanently failed",
-          {{"object", name}, {"status", st.ToString()}});
-    }
-    // Acknowledge even on failure so Stop() can complete; a failed ack
-    // freezes the recoverable frontier exactly like the buffered path.
-    Ack ack;
-    ack.batch_seq = seq;
-    ack.uploaded = st.ok();
-    ack.trace_seq = (traced && st.ok()) ? trace_seq : kNoTrace;
-    ack.put_end_us = now;
-    ack_queue_.ForcePut(std::move(ack));
-  };
-  session->Finish(job.total_parts, std::move(job.name), std::move(done));
+  // kPut for a streamed object covers close -> published: the part
+  // uploads overlapped the batch fill, only the tail is exposed. The
+  // callback keeps the job but not the session, which owns the callback.
+  const StreamSessionPtr session = std::move(job.session);
+  const std::uint32_t total_parts = job.total_parts;
+  std::string name = job.name;
+  session->Finish(total_parts, std::move(name),
+                  [this, job = std::move(job)](Status st) {
+                    PublishObject(job, job.close_us, st);
+                  });
 }
 
 void CommitPipeline::DeleteFoldedTail(const TailObjectId& tail) {
@@ -1120,6 +964,16 @@ void CommitPipeline::UnlockerLoop() {
     coarse_now_us_.store(now, std::memory_order_release);
     advances.clear();
     std::uint64_t completed = 0;
+    // Retires the n oldest pending writes, recording their commit latency.
+    auto retire = [&](std::size_t n) {
+      assert(pending_times_.size() >= n);
+      for (std::size_t i = 0; i < n; ++i) {
+        stats_.commit_latency_us.Record(
+            static_cast<double>(now - pending_times_.front()));
+        pending_times_.pop_front();
+      }
+      completed += n;
+    };
     {
       std::lock_guard<std::mutex> lock(window_mu_);
       if (ack->kind == Ack::Kind::kObject) {
@@ -1149,15 +1003,7 @@ void CommitPipeline::UnlockerLoop() {
       // retires while its stream is still open.
       while (!batches_.empty() && !batches_.front().open &&
              batches_.front().objects_acked >= batches_.front().objects_total) {
-        const std::size_t n =
-            batches_.front().item_count - batches_.front().writes_completed;
-        assert(pending_times_.size() >= n);
-        for (std::size_t i = 0; i < n; ++i) {
-          stats_.commit_latency_us.Record(
-              static_cast<double>(now - pending_times_.front()));
-          pending_times_.pop_front();
-        }
-        completed += n;
+        retire(batches_.front().item_count - batches_.front().writes_completed);
         // The recoverable WAL frontier advances only with the consecutive
         // prefix of *successfully* acknowledged batches.
         if (!frontier_broken_.load() && batches_.front().max_lsn > frontier) {
@@ -1186,14 +1032,8 @@ void CommitPipeline::UnlockerLoop() {
         }
         if (prefix_writes > head.writes_completed) {
           const std::size_t n = prefix_writes - head.writes_completed;
-          assert(pending_times_.size() >= n);
-          for (std::size_t i = 0; i < n; ++i) {
-            stats_.commit_latency_us.Record(
-                static_cast<double>(now - pending_times_.front()));
-            pending_times_.pop_front();
-          }
+          retire(n);
           head.writes_completed = prefix_writes;
-          completed += n;
           stats_.writes_early_acked.Add(n);
           if (!frontier_broken_.load() &&
               head.seg_max_lsn[head.tail_prefix - 1] > frontier) {

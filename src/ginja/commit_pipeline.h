@@ -71,7 +71,7 @@ struct CommitPipelineStats {
   Counter blocked_waits;           // times a Submit had to block
   Counter upload_retries;
   Counter batches_closed_full;     // batches closed because B writes were ready
-  Counter batches_closed_deadline; // batches closed by TB / adaptive deadline
+  Counter batches_closed_deadline; // batches closed by the TB deadline or Stop
   // Streaming commit path (all zero when streaming_commit is off).
   Counter streams_opened;          // streamed WAL objects begun
   Counter parts_uploaded;          // stream segments durably appended
@@ -86,65 +86,6 @@ struct CommitPipelineStats {
   // the write's batch being fully acknowledged by the cloud. Quantiles via
   // commit_latency_us.Snapshot().
   Histogram commit_latency_us;
-};
-
-// Chooses the batch-close deadline for adaptive group commit. The fixed TB
-// poll pays worst-case latency at every load level; following BtrLog's
-// observation that commit latency under group commit is dominated by batch
-// timing, this controller tracks the PUT round-trip R and the write arrival
-// rate λ (both EWMA) and closes batches to minimise expected commit latency
-// subject to the B cap:
-//
-//   * λ·R/K <= 1 (K uploaders keep up with singleton batches): deadline 0 —
-//     ship every write as soon as the aggregator sees it;
-//   * λ·R/K > 1 (uploads would queue): a batch must carry ~λ·R/K writes to
-//     sustain the arrival rate, which takes ~R/K to gather — so the
-//     deadline is R/K, capped at B writes and at the configured TB.
-//
-// TB remains a hard upper bound in all regimes. Thread-safe.
-class AdaptiveBatchController {
- public:
-  AdaptiveBatchController(std::size_t batch_cap, std::uint64_t tb_us,
-                          int uploader_threads);
-
-  // Round-trip of one successful PUT (model-time us), from the uploaders.
-  void RecordPutRtt(std::uint64_t rtt_us);
-  // Writes drained by the aggregator this round; call with count == 0 too,
-  // so the rate estimate decays while the pipeline idles.
-  void RecordArrivals(std::size_t count, std::uint64_t now_us);
-  // Upload-pipe state, sampled by the aggregator each pass: PUTs (or stream
-  // parts) currently in flight and, for the streaming path, how full the
-  // part window is (backlog / window, >= 1.0 means the uploader is stalled
-  // on backpressure). An idle pipe closes immediately; a saturated window
-  // stretches the deadline so segments grow instead of queueing. Never
-  // calling this (sentinel -1) preserves the original deadline rule.
-  void NoteUploadState(int inflight_puts, double window_occupancy);
-
-  // Micros since the last batch closed after which a partial batch ships;
-  // always <= TB. 0 = close as soon as anything is pending (also the cold
-  // start, before the first PUT round-trip is known).
-  std::uint64_t CloseDeadlineUs() const;
-  // The batch size the controller is currently steering toward, in [1, B].
-  std::size_t TargetBatch() const;
-
- private:
-  double TargetLocked() const;  // λ·R/K, unclamped; mu_ held
-
-  const std::size_t batch_cap_;
-  const std::uint64_t tb_us_;
-  const double uploaders_;
-
-  mutable std::mutex mu_;
-  double rtt_ewma_us_ = 0;
-  bool have_rtt_ = false;
-  double rate_ewma_ = 0;  // writes per microsecond
-  bool have_rate_ = false;
-  std::uint64_t last_arrival_us_ = 0;
-  std::size_t arrival_carry_ = 0;  // same-timestamp arrivals, folded forward
-
-  // Fed by NoteUploadState; -1 until the pipeline first reports.
-  std::atomic<int> inflight_{-1};
-  std::atomic<double> occupancy_{0.0};
 };
 
 class CommitPipeline {
@@ -288,11 +229,16 @@ class CommitPipeline {
   std::uint64_t Unconfirmed() const;
   std::size_t ShardOf(const WalWrite& write) const;
 
-  // Aggregator internals. DrainShards returns the number of writes newly
-  // staged in submit order.
-  std::size_t DrainShards();
+  // Aggregator internals. DrainShards stages the newly drained writes in
+  // submit order.
+  void DrainShards();
   void PlaceInReorder(Slot slot);
   void GrowReorder(std::uint64_t seq);
+  // The staging step shared by both upload shapes: coalesces the first
+  // `take` staged writes into survivors_ in (file, offset) order, records
+  // their kBatchClose spans, and returns the first sampled write's seq
+  // (kNoTrace when none).
+  std::uint64_t StageWrites(std::size_t take, std::uint64_t now_us);
   void FormBatch(std::size_t take, std::uint64_t now_us, bool closed_full);
   // Streaming aggregator: seals ready segments into upload jobs, opening
   // and closing streams as the B / size / deadline rules dictate.
@@ -300,7 +246,14 @@ class CommitPipeline {
   void OpenStream(std::uint64_t now_us);
   void SealSegment(std::size_t take, std::uint64_t now_us);
   void CloseStream(std::uint64_t now_us, bool closed_full);
-  // Uploader-side handlers for the streaming job kinds.
+  // Uploader-side steps. EncodeJob frames and envelopes a kObject or
+  // kStreamSegment job's entries (kEncodeQueue/kEncode spans). PublishObject
+  // reports a WAL object's final status — a buffered PUT's or a finished
+  // stream's — to the view, the kPut span from `put_start_us`, and the
+  // Unlocker.
+  void EncodeJob(const UploadJob& job, Bytes& framing, Bytes& enveloped);
+  void PublishObject(const UploadJob& job, std::uint64_t put_start_us,
+                     const Status& st);
   void UploadStreamSegment(UploadJob job, Bytes& framing, Bytes& enveloped);
   void FinishStream(UploadJob job);
   // Deletes a tail object that its published WAL object supersedes, in the
@@ -391,7 +344,6 @@ class CommitPipeline {
   std::vector<SurvivorRef> survivors_;  // reused across batches
   std::uint64_t last_agg_time_us_ = 0;
   std::uint64_t next_batch_seq_ = 0;
-  std::unique_ptr<AdaptiveBatchController> adaptive_;  // null unless enabled
 
   // The stream currently filling (streaming_commit only; aggregator-private).
   // One stream == one batch == one WAL object; closed streams keep uploading
@@ -432,10 +384,6 @@ class CommitPipeline {
   // Borrowed from config_.obs (which co-owns the bundle); null when the
   // pipeline runs unobserved.
   WriteTracer* tracer_ = nullptr;
-
-  // Buffered-path PUTs currently inside the retry loop, feeding
-  // AdaptiveBatchController::NoteUploadState.
-  std::atomic<int> buffered_inflight_puts_{0};
 
   // This pipeline's queue in the runtime's DRR upload scheduler, from
   // Start() until Stop()/Kill() releases it.

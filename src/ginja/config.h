@@ -19,6 +19,19 @@ struct GinjaConfig {
   // B: maximum database updates (intercepted WAL writes) per cloud
   // synchronization. TB: a batch is also sent when this much model time has
   // passed since the last synchronization and updates are pending.
+  //
+  // TB is the one dial trading commit latency against PUT cost (§7): a
+  // short TB ships small batches sooner but pays a PUT for each. Medians
+  // over 5 seeds of perfbench tpcc_paced_colo (open-loop TPC-C at 1000
+  // txn/s, colocated store; EXPERIMENTS.md "Batch close: TB vs adaptive"):
+  //
+  //   close rule                  durable_p50_ms  puts_per_ktxn  upload_amp
+  //   TB = 1 s (default)          55.0            11.8           0.111
+  //   TB = 2 ms                   9.66            453            0.307
+  //   adaptive deadline <= 1 s    9.66            454            0.307
+  //
+  // A deadline steered by PUT round-trip and arrival rate lands on the
+  // same point as a short TB, so TB stays the only close deadline.
   std::size_t batch = 100;
   std::uint64_t batch_timeout_us = 1'000'000;
 
@@ -36,11 +49,6 @@ struct GinjaConfig {
   // (file, page)); a global sequencer keeps batch formation identical
   // across shard counts. 1 is a single ring on the same lock-free path.
   int submit_shards = 4;
-  // When true, the commit pipeline replaces the fixed TB batch-close poll
-  // with an adaptive deadline steered by the observed PUT round-trip and
-  // write arrival rate (see AdaptiveBatchController); TB stays the hard
-  // upper bound, so S/TS guarantees are unchanged.
-  bool adaptive_batching = false;
   // Objects are split at this size to optimise upload latency (§5.2 fn. 3).
   std::size_t max_object_bytes = 20 * 1024 * 1024;
   // Streaming commit path: WAL objects leave the machine part by part
@@ -55,9 +63,6 @@ struct GinjaConfig {
   // flushes a partial segment). Smaller segments start the upload sooner
   // but cost more per-part requests.
   std::size_t stream_segment_writes = 16;
-  // Max parts staged-or-in-flight per stream before the uploader waits —
-  // bounds producer run-ahead and the memory pinned per open stream.
-  std::size_t stream_part_window = 8;
   // Early acks (streaming only): each uploaded segment is also PUT as a
   // small replicated tail object (WALTAIL/...), and its writes are
   // acknowledged as soon as the tails land — before the enclosing WAL
@@ -150,8 +155,8 @@ struct GinjaConfig {
 // Sanity-checks the knobs whose zero values would make the pipelines hang
 // rather than fail: no uploader ever drains the queue, no shard ever
 // accepts a write, the aggregator forms empty batches forever, the
-// streaming aggregator never seals a segment, or an uploader waits forever
-// for part-window space.
+// streaming aggregator never seals a segment, or the checkpointer's part
+// split never advances.
 // Called by Ginja::Boot/Reboot before any thread starts, so a bad config
 // is a clear error instead of a stuck database.
 inline Status ValidateGinjaConfig(const GinjaConfig& config) {
@@ -174,10 +179,10 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
         "stream_segment_writes must be >= 1 (a segment that never fills "
         "never uploads, hanging the streaming path)");
   }
-  if (config.streaming_commit && config.stream_part_window == 0) {
+  if (config.max_object_bytes == 0) {
     return Status::InvalidArgument(
-        "stream_part_window must be >= 1 with streaming_commit (an empty "
-        "window makes every segment upload wait forever)");
+        "max_object_bytes must be >= 1 (a zero-byte part never advances "
+        "the checkpointer's part split)");
   }
   if (config.dedup_dumps &&
       (config.dedup_chunk_bytes == 0 || config.dedup_chunk_bytes % 4096 != 0)) {

@@ -238,7 +238,10 @@ TEST(TransferStream, PartsUploadAndFinishPublishes) {
   Status st = session->Finish(3, "published").get();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(parts_done.load(), 3);
-  EXPECT_EQ(session->BacklogParts(), 0u);
+  // All three parts are durable: part 3 is admitted even by a one-part
+  // window.
+  EXPECT_TRUE(session->WithinWindow(3, 1));
+  EXPECT_FALSE(session->WithinWindow(4, 1));
   auto got = store->Get("published");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, B("one two three"));

@@ -731,13 +731,12 @@ TEST_F(FleetConfigValidation, BootRejectsZeroBatch) {
   EXPECT_NE(st.ToString().find("batch"), std::string::npos);
 }
 
-TEST_F(FleetConfigValidation, BootRejectsZeroStreamPartWindow) {
+TEST_F(FleetConfigValidation, BootRejectsZeroMaxObjectBytes) {
   GinjaConfig config;
-  config.streaming_commit = true;
-  config.stream_part_window = 0;
+  config.max_object_bytes = 0;
   Status st = BootWith(config);
   EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(st.ToString().find("stream_part_window"), std::string::npos);
+  EXPECT_NE(st.ToString().find("max_object_bytes"), std::string::npos);
 }
 
 TEST_F(FleetConfigValidation, BootRejectsZeroStreamSegmentWrites) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "cloud/faulty_store.h"
@@ -115,6 +116,11 @@ TEST(CommitPipeline, BatchTimeoutFlushesPartialBatch) {
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(fx.view->WalCount(), 1u);  // TB fired, partial batch uploaded
   pipeline->Stop();
+  EXPECT_EQ(pipeline->stats().batches_closed_deadline.Get(), 1u);
+  // Commit latency was measured for every write.
+  EXPECT_EQ(pipeline->stats().commit_latency_us.Snapshot().count,
+            pipeline->stats().writes_submitted.Get());
+  EXPECT_EQ(pipeline->UploadedWalFrontier(), 10u);  // the write's max_lsn
 }
 
 TEST(CommitPipeline, SafetyTimeoutBlocksUntilDrained) {
@@ -355,6 +361,51 @@ TEST(CheckpointPipeline, LargeDumpSplitsIntoParts) {
   const auto objects = fx.view->DbObjects();
   ASSERT_GE(objects.size(), 3u);
   EXPECT_EQ(objects[0].total_parts, objects.size());
+}
+
+// The part index owns 16 bits of a DB part's nonce, so an object that
+// would split into more than 2^16 parts must grow its parts instead:
+// otherwise part 0 and part 65536 encrypt under the same AES-CTR nonce.
+TEST(CheckpointPipeline, PartNoncesStayDistinctPast65536Parts) {
+  CheckpointFixture fx;
+  EnvelopeOptions env;
+  env.encrypt = true;  // the header carries the nonce only when encrypting
+  fx.envelope = std::make_shared<Envelope>(env);
+  ASSERT_TRUE(fx.fs->Write("base/16384/t", 0, Bytes(4096, 1), false).ok());
+  DbObjectId seed;  // seq 0: the checkpoint below is an incremental at seq 1
+  seed.seq = 0;
+  seed.size = 16;
+  fx.view->AddDb(seed);
+  GinjaConfig config;
+  config.max_object_bytes = 16;
+  auto pipeline = fx.Make(config);
+  constexpr std::uint64_t kPages = 65'537;
+  pipeline->OnCheckpointBegin();
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    pipeline->AddWrite({"base/16384/t", i * 16, Bytes(16, 2)});
+  }
+  pipeline->OnCheckpointEnd(/*redo_lsn=*/500);
+  pipeline->Stop();
+  ASSERT_EQ(pipeline->stats().checkpoints_uploaded.Get(), 1u);
+
+  auto listed = fx.store->List("DB/");
+  ASSERT_TRUE(listed.ok());
+  ASSERT_FALSE(listed->empty());
+  std::set<std::uint64_t> nonces;
+  for (const ObjectMeta& meta : *listed) {
+    auto blob = fx.store->Get(meta.name);
+    ASSERT_TRUE(blob.ok());
+    ASSERT_GE(blob->size(), 13u);
+    std::uint64_t nonce = 0;  // header bytes 5..12, little-endian
+    for (int b = 0; b < 8; ++b) {
+      nonce |= static_cast<std::uint64_t>((*blob)[5 + b]) << (8 * b);
+    }
+    nonces.insert(nonce);
+  }
+  EXPECT_EQ(nonces.size(), listed->size());
+  for (const DbObjectId& id : fx.view->DbObjects()) {
+    EXPECT_LE(id.total_parts, 65'536u);
+  }
 }
 
 TEST(CheckpointPipeline, LocalDbSizeExcludesWal) {

@@ -488,5 +488,33 @@ TEST(StreamingPipelineRecovery, TailGarbageIsSegPrefixPlusFoldedTs) {
   EXPECT_EQ(view.TailCount(), 4u);
 }
 
+// A segment's nonce is tag | ts << 16 | seg, so a stream must close at
+// 2^16 segments: segment 65536 would otherwise encrypt under the nonce of
+// the next ts's segment 0. Tens of thousands of one-write segments sealed
+// by concurrent uploaders also stage parts out of order, which a part
+// window counted in staged parts could deadlock on.
+TEST(StreamingPipelineLimits, StreamClosesAt65536Segments) {
+  auto store = std::make_shared<MemoryStore>();
+  auto view = std::make_shared<CloudView>();
+  GinjaConfig config;
+  config.streaming_commit = true;
+  config.stream_segment_writes = 1;
+  config.batch = 70'000;                 // B never closes the stream
+  config.safety = 100'000;
+  config.batch_timeout_us = 60'000'000;  // nor does TB
+  CommitPipeline pipeline(store, view, std::make_shared<RealClock>(), config,
+                          std::make_shared<Envelope>(EnvelopeOptions{}));
+  pipeline.Start();
+  constexpr std::uint64_t kWrites = 65'537;
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    pipeline.Submit(W("pg_xlog/0001", i * 16, 16, 1, i + 1));
+  }
+  pipeline.Stop();
+  EXPECT_EQ(pipeline.stats().streams_opened.Get(), 2u);
+  EXPECT_EQ(pipeline.stats().batches_closed_full.Get(), 1u);
+  EXPECT_EQ(view->WalCount(), 2u);
+  EXPECT_EQ(pipeline.UploadedWalFrontier(), kWrites);
+}
+
 }  // namespace
 }  // namespace ginja
