@@ -9,8 +9,8 @@
 // lives in a single place instead of per-call-site loops.
 //
 // Consumers in this repo:
-//   * Ginja::Recover keeps a window of K GETs in flight (prefetch);
-//   * CheckpointPipeline PUTs the parts of a dump/checkpoint concurrently;
+//   * recovery's K-deep GET prefetch and the checkpointer's part/chunk
+//     PUTs keep their windows through RunInOrderWindow() below;
 //   * garbage collection fans DELETEs out through DeleteAll();
 //   * CommitPipeline streams WAL objects part-by-part via BeginStream().
 //
@@ -290,20 +290,10 @@ class TransferManager {
   TransferManager(const TransferManager&) = delete;
   TransferManager& operator=(const TransferManager&) = delete;
 
-  std::future<Result<Bytes>> GetAsync(std::string name) {
-    return GetAsync({}, std::move(name));
-  }
-  std::future<Status> PutAsync(std::string name, Bytes data) {
-    return PutAsync({}, std::move(name), std::move(data));
-  }
-  std::future<Status> DeleteAsync(std::string name) {
-    return DeleteAsync({}, std::move(name));
-  }
-
-  // Routed variants: the operation runs against `route.store` (the
-  // manager's own store when null) and is attributed to `route.account`.
-  // This is how N namespaced tenants share one pool and one in-flight
-  // window.
+  // Every submission is routed: the operation runs against `route.store`
+  // (the manager's own store when null) and is attributed to
+  // `route.account`. This is how N namespaced tenants share one pool and
+  // one in-flight window; `{}` is the plain single-tenant route.
   std::future<Result<Bytes>> GetAsync(TransferRoute route, std::string name);
   std::future<Status> PutAsync(TransferRoute route, std::string name,
                                Bytes data);
@@ -313,13 +303,6 @@ class TransferManager {
   // with the final status (after retries), sparing callers a future they
   // would only poll. The callback must not block for long — it runs on
   // the pool and stalls a worker while it does.
-  void PutAsyncCb(std::string name, Bytes data,
-                  std::function<void(Status)> done) {
-    PutAsyncCb({}, std::move(name), std::move(data), std::move(done));
-  }
-  void DeleteAsyncCb(std::string name, std::function<void(Status)> done) {
-    DeleteAsyncCb({}, std::move(name), std::move(done));
-  }
   void PutAsyncCb(TransferRoute route, std::string name, Bytes data,
                   std::function<void(Status)> done);
   void DeleteAsyncCb(TransferRoute route, std::string name,
@@ -328,10 +311,6 @@ class TransferManager {
   // Runs an arbitrary store-touching closure on the pool under the shared
   // retry policy (`fn` is re-invoked on retryable errors, so it must be
   // retry-safe). Building block for StreamSession's writer operations.
-  std::future<Status> SubmitFn(std::function<Status()> fn,
-                               std::function<void(Status)> done = nullptr) {
-    return SubmitFn({}, std::move(fn), std::move(done));
-  }
   std::future<Status> SubmitFn(TransferRoute route, std::function<Status()> fn,
                                std::function<void(Status)> done = nullptr);
 
@@ -339,21 +318,10 @@ class TransferManager {
   // `staging_hint` names the backend's in-progress upload and must be
   // unique among concurrently open streams (a TenantNamespace store makes
   // it so across tenants by scoping the hint).
-  StreamSessionPtr BeginStream(std::string staging_hint) {
-    return BeginStream({}, std::move(staging_hint));
-  }
   StreamSessionPtr BeginStream(TransferRoute route, std::string staging_hint);
 
-  // Blocking conveniences.
-  Result<Bytes> Get(std::string name) { return GetAsync(std::move(name)).get(); }
-  Status Put(std::string name, Bytes data) {
-    return PutAsync(std::move(name), std::move(data)).get();
-  }
   // Fans the deletes out across the pool and waits for all of them.
   // Returns one status per name, index-aligned.
-  std::vector<Status> DeleteAll(const std::vector<std::string>& names) {
-    return DeleteAll({}, names);
-  }
   std::vector<Status> DeleteAll(TransferRoute route,
                                 const std::vector<std::string>& names);
 
@@ -412,5 +380,32 @@ class TransferManager {
   RetryPolicy retry_;  // declared after stats_: it feeds stats_.retries
   MetricsRegistry* registry_ = nullptr;  // set by RegisterMetrics
 };
+
+// The one caller-side transfer window. Issues items 0..count-1 in index
+// order, `issue(i)` returning item i's future once fewer than `window`
+// items are in flight, and hands each future to `reap(i, future)`
+// strictly in index order. The first reap that returns non-OK stops
+// further issuing; the futures already issued are waited out before that
+// status is returned, so no transfer this call started outlives it.
+template <typename Issue, typename Reap>
+Status RunInOrderWindow(std::size_t count, std::size_t window, Issue&& issue,
+                        Reap&& reap) {
+  using Future = decltype(issue(std::size_t{0}));
+  if (window == 0) window = 1;
+  std::deque<Future> inflight;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    while (next < count && inflight.size() < window) {
+      inflight.push_back(issue(next++));
+    }
+    Status st = reap(i, std::move(inflight.front()));
+    inflight.pop_front();
+    if (!st.ok()) {
+      for (Future& f : inflight) f.wait();
+      return st;
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace ginja

@@ -1,7 +1,6 @@
 #include "ginja/checkpoint_pipeline.h"
 
 #include <algorithm>
-#include <deque>
 #include <future>
 #include <map>
 #include <set>
@@ -272,15 +271,13 @@ void CheckpointPipeline::CheckpointerLoop() {
       // Event-driven wait: the commit pipeline's Unlocker calls
       // NotifyFrontier() (via Ginja's listener wiring) on every frontier
       // advance, so no polling is needed; Kill() also signals.
-      bool aborted = false;
       {
         std::unique_lock<std::mutex> lock(mu_);
         frontier_cv_.wait(lock, [&] {
           return killed_ || wal_frontier_fn_() >= job->wal_frontier;
         });
-        aborted = killed_;
+        if (killed_) continue;  // releases mu_ before the guard retakes it
       }
-      if (aborted) continue;
 
       // Re-derive the DB object's timestamp from the first WAL object
       // whose covered range reaches the checkpoint's content frontier.
@@ -295,154 +292,147 @@ void CheckpointPipeline::CheckpointerLoop() {
         }
       }
     }
-    // Delta-dump representation (dedup_dumps): the dump becomes CHUNK/
-    // objects plus one manifest instead of monolithic parts. Incremental
-    // checkpoints keep the part path — their payload is already the delta.
-    if (config_.dedup_dumps && job->type == DbObjectType::kDump) {
-      ProcessDeltaDump(*job);
-      continue;
-    }
-    // Split the entries into parts at the object-size limit; large single
-    // entries (e.g. a dumped multi-GB table file) are chunked. Parts hold
-    // subspan refs into job->entries — no data is copied; the job outlives
-    // every upload below.
-    std::vector<std::vector<FileEntryRef>> parts;
-    auto split = [&](std::size_t limit) {
-      parts.clear();
-      std::vector<FileEntryRef> current;
-      std::size_t bytes = 0;
-      for (const auto& entry : job->entries) {
-        std::size_t pos = 0;
-        do {
-          const std::size_t chunk = std::min(limit, entry.data.size() - pos);
-          if (bytes + chunk > limit && !current.empty()) {
-            parts.push_back(std::move(current));
-            current.clear();
-            bytes = 0;
-          }
-          current.push_back({entry.path, entry.offset + pos,
-                             View(entry.data).subspan(pos, chunk)});
-          bytes += chunk;
-          pos += chunk;
-        } while (pos < entry.data.size());
-      }
-      if (!current.empty()) parts.push_back(std::move(current));
-    };
-    // max_object_bytes is a latency target (§5.2 fn. 3), but the part index
-    // owns only the nonce's low 16 bits: an object that would need more
-    // than kMaxDbParts parts doubles its part size until it fits, so no
-    // two parts ever share an AES-CTR nonce. Smaller objects split exactly
-    // as before.
-    std::size_t part_limit = config_.max_object_bytes;
-    split(part_limit);
-    while (parts.size() > kMaxDbParts) split(part_limit *= 2);
-    if (parts.empty()) parts.push_back({});  // degenerate empty checkpoint
-
+    // Alg. 3: upload the DB object, make it visible, and only then collect
+    // garbage. A dump with dedup_dumps is CHUNK/ objects plus one manifest
+    // instead of monolithic parts; incremental checkpoints keep parts —
+    // their payload is already the delta.
     const std::uint64_t seq = view_->NextCheckpointSeq();
-    bool all_uploaded = true;
-    std::vector<DbObjectId> ids;
-    Bytes framing;  // reused per part; EncodeEntriesView keeps its capacity
-
-    // Parts upload concurrently through the TransferManager: envelope
-    // encoding stays on this thread (the enveloped buffer is moved into
-    // the op, so `framing` can be reused immediately), while up to
-    // `transfer_concurrency` PUTs are in flight. The object is acked into
-    // the view only when *every* part has landed — a partial upload is
-    // invisible to recovery (total_parts mismatch) and harmless.
-    struct InflightPart {
-      std::future<Status> status;
-      std::size_t size = 0;
-      std::uint64_t submit_us = 0;  // kCheckpointPart span start
-      std::uint64_t trace_id = 0;
-    };
-    std::deque<InflightPart> inflight;
-    const std::size_t window =
-        static_cast<std::size_t>(std::max(1, config_.transfer_concurrency));
-    auto reap_one = [&] {
-      InflightPart p = std::move(inflight.front());
-      inflight.pop_front();
-      const Status st = p.status.get();
-      if (st.ok()) {
-        stats_.db_objects_uploaded.Add();
-        stats_.bytes_uploaded.Add(p.size);
-        if (Tracing()) {
-          const std::uint64_t now = clock_->NowMicros();
-          tracer_->Record(TraceStage::kCheckpointPart, p.trace_id, p.submit_us,
-                          now >= p.submit_us ? now - p.submit_us : 0);
-        }
-      } else {
-        all_uploaded = false;
-        if (st.code() != ErrorCode::kAborted) {
-          Log(LogLevel::kWarn, "checkpoint", "part upload failed",
-              {{"status", st.ToString()}});
-        }
-      }
-    };
-    for (std::uint32_t part = 0; part < parts.size() && all_uploaded;
-         ++part) {
-      const PayloadView payload = EncodeEntriesView(parts[part], framing);
-      DbObjectId id;
-      id.ts = job->ts;
-      id.type = job->type;
-      id.size = payload.size();
-      id.seq = seq;
-      id.redo_lsn = job->redo_lsn;
-      id.part = part;
-      id.total_parts = static_cast<std::uint32_t>(parts.size());
-      // Nonce: unique per DB object part (seq/part disjoint from WAL ts
-      // space by the high bit; part < kMaxDbParts fits its 16 bits).
-      const std::uint64_t nonce = (1ull << 63) | (seq << 16) | part;
-      Bytes enveloped;
-      envelope_->EncodeInto(payload, nonce, enveloped);
-      const std::size_t enveloped_size = enveloped.size();
-      while (inflight.size() >= window && all_uploaded) reap_one();
-      if (!all_uploaded) break;
-      InflightPart p;
-      p.size = enveloped_size;
-      p.submit_us = Tracing() ? clock_->NowMicros() : 0;
-      p.trace_id = (seq << 16) | part;
-      p.status =
-          Transfers().PutAsync(Route(), id.Encode(), std::move(enveloped));
-      inflight.push_back(std::move(p));
-      ids.push_back(id);
-    }
-    while (!inflight.empty()) reap_one();
-    if (!all_uploaded) {
-      bool killed;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        killed = killed_;
-      }
-      // The object stays invisible to recovery (total_parts mismatch); the
-      // next checkpoint retries naturally — but the skip must not be silent
-      // (a kill abandons it on purpose, no record needed).
-      if (!killed) {
+    const bool delta = config_.dedup_dumps && job->type == DbObjectType::kDump;
+    std::vector<DbObjectId> ids;  // enter the view only once all landed
+    std::vector<ChunkRef> refs;   // a delta dump's manifest content
+    const Status st = delta ? PutDeltaDump(*job, seq, &ids, &refs)
+                            : PutParts(*job, seq, &ids);
+    if (!st.ok()) {
+      // The object stays invisible to recovery (total_parts mismatch, or no
+      // manifest); whatever landed is harmless, and landed chunks resume
+      // the next attempt. The skip must not be silent (a kill abandons it
+      // on purpose, no record needed).
+      if (!Cancelled()) {
         Log(LogLevel::kWarn, "checkpoint", "incomplete upload, object skipped",
-            {{"seq", seq},
-             {"parts", static_cast<std::uint64_t>(parts.size())}});
+            {{"seq", seq}, {"status", st.ToString()}});
       }
       continue;  // leave old state; retry naturally later
     }
 
     for (const auto& id : ids) view_->AddDb(id);
-    if (job->type == DbObjectType::kDump) {
-      stats_.dumps_uploaded.Add();
-    } else {
-      stats_.checkpoints_uploaded.Add();
-    }
+    // Ref-before-release ordering: this manifest's chunks are pinned before
+    // GC below can release any older manifest, so a chunk shared by
+    // consecutive dumps never transiently reaches refcount zero.
+    if (delta) chunk_index_->RegisterManifest(seq, refs);
+    (job->type == DbObjectType::kDump ? stats_.dumps_uploaded
+                                      : stats_.checkpoints_uploaded).Add();
 
     if (!config_.keep_history) GarbageCollect(*job, seq);
   }
 }
 
-void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
-  const std::uint64_t seq = view_->NextCheckpointSeq();
+Status CheckpointPipeline::PutAll(
+    std::size_t count, const std::function<Upload(std::size_t)>& make) {
+  // Envelope encoding stays on this thread (the enveloped buffer is moved
+  // into the op), while up to `transfer_concurrency` PUTs are in flight.
+  std::vector<Upload> sent(count);
+  auto issue = [&](std::size_t i) {
+    Upload& u = sent[i] = make(i);
+    u.bytes = u.enveloped.size();
+    u.submit_us = Tracing() ? clock_->NowMicros() : 0;
+    return Transfers().PutAsync(Route(), u.name, std::move(u.enveloped));
+  };
+  auto reap = [&](std::size_t i, std::future<Status> put) -> Status {
+    const Upload& u = sent[i];
+    const Status st = put.get();
+    if (!st.ok()) {
+      if (st.code() != ErrorCode::kAborted) {
+        Log(LogLevel::kWarn, "checkpoint", "upload failed",
+            {{"object", u.name}, {"status", st.ToString()}});
+      }
+      return st;
+    }
+    (u.chunk ? stats_.chunks_uploaded : stats_.db_objects_uploaded).Add();
+    stats_.bytes_uploaded.Add(u.bytes);
+    if (u.chunk) chunk_index_->MarkPresent(u.chunk->digest, u.chunk->size);
+    if (u.trace_id && Tracing()) {
+      const std::uint64_t now = clock_->NowMicros();
+      tracer_->Record(TraceStage::kCheckpointPart, *u.trace_id, u.submit_us,
+                      now >= u.submit_us ? now - u.submit_us : 0);
+    }
+    return Status::Ok();
+  };
+  const auto window =
+      static_cast<std::size_t>(std::max(1, config_.transfer_concurrency));
+  return RunInOrderWindow(count, window, issue, reap);
+}
 
+Status CheckpointPipeline::PutParts(const DbObjectJob& job, std::uint64_t seq,
+                                    std::vector<DbObjectId>* ids) {
+  // Split the entries into parts at the object-size limit; large single
+  // entries (e.g. a dumped multi-GB table file) are chunked. Parts hold
+  // subspan refs into job.entries — no data is copied; the job outlives
+  // every upload below.
+  std::vector<std::vector<FileEntryRef>> parts;
+  auto split = [&](std::size_t limit) {
+    parts.clear();
+    std::vector<FileEntryRef> current;
+    std::size_t bytes = 0;
+    for (const auto& entry : job.entries) {
+      std::size_t pos = 0;
+      do {
+        const std::size_t chunk = std::min(limit, entry.data.size() - pos);
+        if (bytes + chunk > limit && !current.empty()) {
+          parts.push_back(std::move(current));
+          current.clear();
+          bytes = 0;
+        }
+        current.push_back({entry.path, entry.offset + pos,
+                           View(entry.data).subspan(pos, chunk)});
+        bytes += chunk;
+        pos += chunk;
+      } while (pos < entry.data.size());
+    }
+    if (!current.empty()) parts.push_back(std::move(current));
+  };
+  // max_object_bytes is a latency target (§5.2 fn. 3), but the part index
+  // owns only the nonce's low 16 bits: an object that would need more
+  // than kMaxDbParts parts doubles its part size until it fits, so no
+  // two parts ever share an AES-CTR nonce. Smaller objects split exactly
+  // as before.
+  std::size_t part_limit = config_.max_object_bytes;
+  split(part_limit);
+  while (parts.size() > kMaxDbParts) split(part_limit *= 2);
+  if (parts.empty()) parts.push_back({});  // degenerate empty checkpoint
+
+  // A partial upload is invisible to recovery (total_parts mismatch).
+  Bytes framing;  // reused per part; EncodeEntriesView keeps its capacity
+  return PutAll(parts.size(), [&](std::size_t part) {
+    const PayloadView payload = EncodeEntriesView(parts[part], framing);
+    DbObjectId id;
+    id.ts = job.ts;
+    id.type = job.type;
+    id.size = payload.size();
+    id.seq = seq;
+    id.redo_lsn = job.redo_lsn;
+    id.part = static_cast<std::uint32_t>(part);
+    id.total_parts = static_cast<std::uint32_t>(parts.size());
+    ids->push_back(id);
+    Upload u;
+    u.name = id.Encode();
+    // Nonce: unique per DB object part (seq/part disjoint from WAL ts
+    // space by the high bit; part < kMaxDbParts fits its 16 bits).
+    envelope_->EncodeInto(payload, (1ull << 63) | (seq << 16) | part,
+                          u.enveloped);
+    u.trace_id = (seq << 16) | part;
+    return u;
+  });
+}
+
+Status CheckpointPipeline::PutDeltaDump(const DbObjectJob& job,
+                                        std::uint64_t seq,
+                                        std::vector<DbObjectId>* ids,
+                                        std::vector<ChunkRef>* refs) {
   // Chunk + hash the image, fanned across the shared codec pool (the
   // SHA-NI path per worker where the CPU has it).
   const std::uint64_t t_hash = Tracing() ? clock_->NowMicros() : 0;
-  const std::vector<ChunkRef> refs = ChunkDumpEntries(
-      job.entries, config_.dedup_chunk_bytes, envelope_->codec_pool().get());
+  *refs = ChunkDumpEntries(job.entries, config_.dedup_chunk_bytes,
+                           envelope_->codec_pool().get());
   if (Tracing()) {
     const std::uint64_t now = clock_->NowMicros();
     tracer_->Record(TraceStage::kChunkHash, seq, t_hash,
@@ -458,119 +448,59 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
   std::vector<std::size_t> missing;
   std::set<Sha1::Digest> scheduled;
   std::uint64_t logical_bytes = 0;
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    logical_bytes += refs[i].length;
-    if (chunk_index_->Contains(refs[i].digest) ||
-        scheduled.count(refs[i].digest) > 0) {
-      stats_.dedup_hit_bytes.Add(refs[i].length);
+  for (std::size_t i = 0; i < refs->size(); ++i) {
+    const ChunkRef& ref = (*refs)[i];
+    logical_bytes += ref.length;
+    if (chunk_index_->Contains(ref.digest) ||
+        !scheduled.insert(ref.digest).second) {
+      stats_.dedup_hit_bytes.Add(ref.length);
     } else {
-      scheduled.insert(refs[i].digest);
       missing.push_back(i);
-      stats_.dedup_miss_bytes.Add(refs[i].length);
+      stats_.dedup_miss_bytes.Add(ref.length);
     }
   }
 
   // Missing chunks PUT through the same window as monolithic parts. Each
   // landed chunk is durable whether or not this dump's manifest ever
-  // lands, so it is marked present immediately — a torn upload resumes.
-  bool all_uploaded = true;
-  struct InflightChunk {
-    std::future<Status> status;
-    std::size_t size = 0;      // enveloped
-    std::size_t ref = 0;       // index into refs
-    std::uint64_t submit_us = 0;
-  };
-  std::deque<InflightChunk> inflight;
-  const std::size_t window =
-      static_cast<std::size_t>(std::max(1, config_.transfer_concurrency));
-  auto reap_one = [&] {
-    InflightChunk p = std::move(inflight.front());
-    inflight.pop_front();
-    const Status st = p.status.get();
-    if (st.ok()) {
-      stats_.chunks_uploaded.Add();
-      stats_.bytes_uploaded.Add(p.size);
-      chunk_index_->MarkPresent(refs[p.ref].digest, refs[p.ref].length);
-      if (Tracing()) {
-        const std::uint64_t now = clock_->NowMicros();
-        tracer_->Record(TraceStage::kCheckpointPart, (seq << 16) | p.ref,
-                        p.submit_us,
-                        now >= p.submit_us ? now - p.submit_us : 0);
-      }
-    } else {
-      all_uploaded = false;
-      if (st.code() != ErrorCode::kAborted) {
-        Log(LogLevel::kWarn, "checkpoint", "chunk upload failed",
-            {{"status", st.ToString()}});
-      }
-    }
-  };
-  for (std::size_t k = 0; k < missing.size() && all_uploaded; ++k) {
-    const ChunkRef& ref = refs[missing[k]];
+  // lands, so PutAll marks it present immediately — a torn upload resumes.
+  GINJA_RETURN_IF_ERROR(PutAll(missing.size(), [&](std::size_t k) {
+    const ChunkRef& ref = (*refs)[missing[k]];
     const FileEntry& entry = *by_path.at(ref.path);
-    const ByteView slice = View(entry.data)
-        .subspan(static_cast<std::size_t>(ref.offset - entry.offset),
-                 ref.length);
+    const ByteView slice = View(entry.data).subspan(
+        static_cast<std::size_t>(ref.offset - entry.offset), ref.length);
+    Upload u;
+    u.chunk = ChunkObjectId{ref.digest, ref.length};
+    u.name = u.chunk->Encode();
     // Convergent derived-key envelope: key and nonce depend only on the
     // content digest, so identical plaintext chunks envelope to identical
     // ciphertext (deduplicable CHUNK/ names) while the per-chunk AES key
     // — derived from the full 160-bit digest — keeps a truncated-nonce
     // collision from ever reusing keystream across distinct chunks.
-    Bytes enveloped = envelope_->EncodeDerived(
+    u.enveloped = envelope_->EncodeDerived(
         slice, ChunkNonce(ref.digest),
         ByteView(ref.digest.data(), ref.digest.size()));
-    const std::size_t enveloped_size = enveloped.size();
-    while (inflight.size() >= window && all_uploaded) reap_one();
-    if (!all_uploaded) break;
-    InflightChunk p;
-    p.size = enveloped_size;
-    p.ref = missing[k];
-    p.submit_us = Tracing() ? clock_->NowMicros() : 0;
-    p.status = Transfers().PutAsync(
-        Route(), ChunkObjectId{ref.digest, ref.length}.Encode(),
-        std::move(enveloped));
-    inflight.push_back(std::move(p));
-  }
-  while (!inflight.empty()) reap_one();
-  if (!all_uploaded) {
-    bool killed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      killed = killed_;
-    }
-    // No manifest was PUT, so the dump is invisible to recovery; the
-    // chunks that did land resume the next attempt.
-    if (!killed) {
-      Log(LogLevel::kWarn, "checkpoint",
-          "incomplete delta dump, manifest withheld",
-          {{"seq", seq},
-           {"chunks", static_cast<std::uint64_t>(missing.size())}});
-    }
-    return;
-  }
+    u.trace_id = (seq << 16) | missing[k];
+    return u;
+  }));
 
   // Manifest strictly last — the delta-dump analogue of the all-parts-or-
   // invisible rule: recovery only trusts a dump whose manifest is visible,
   // and a visible manifest implies every chunk above was durable first.
-  DbObjectId id;
+  DbObjectId id;  // one part: part 0 of total_parts 1, the defaults
   id.ts = job.ts;
   id.type = DbObjectType::kManifest;
   id.size = logical_bytes;  // logical DB bytes: keeps the 150% rule exact
   id.seq = seq;
   id.redo_lsn = job.redo_lsn;
-  id.part = 0;
-  id.total_parts = 1;
-  const Bytes payload = EncodeManifest(refs);
-  const std::uint64_t nonce = (1ull << 63) | (seq << 16);
-  Bytes enveloped = envelope_->Encode(View(payload), nonce);
-  const std::size_t enveloped_size = enveloped.size();
-  const Status st =
-      Transfers().PutAsync(Route(), id.Encode(), std::move(enveloped)).get();
+  ids->push_back(id);
+  const Status st = PutAll(1, [&](std::size_t) {
+    Upload u;
+    u.name = id.Encode();
+    u.enveloped = envelope_->Encode(View(EncodeManifest(*refs)),
+                                    (1ull << 63) | (seq << 16));
+    return u;
+  });
   if (!st.ok()) {
-    if (st.code() != ErrorCode::kAborted) {
-      Log(LogLevel::kWarn, "checkpoint", "manifest upload failed",
-          {{"seq", seq}, {"status", st.ToString()}});
-    }
     // The PUT ack may have been lost after the object landed. A one-part
     // manifest has no multi-part invisibility, so such a ghost would be
     // visible to recovery while unknown to the ChunkIndex — a later dump's
@@ -580,19 +510,9 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
     // until a reboot rebuild reconciles against the bucket.
     const Status confirmed_absent =
         Transfers().DeleteAll(Route(), {id.Encode()}).front();
-    if (!confirmed_absent.ok()) chunk_index_->RegisterManifest(seq, refs);
-    return;
+    if (!confirmed_absent.ok()) chunk_index_->RegisterManifest(seq, *refs);
   }
-  stats_.db_objects_uploaded.Add();
-  stats_.bytes_uploaded.Add(enveloped_size);
-  stats_.dumps_uploaded.Add();
-  view_->AddDb(id);
-  // Ref-before-release ordering: this manifest's chunks are pinned before
-  // GC below can release any older manifest, so a chunk shared by
-  // consecutive dumps never transiently reaches refcount zero.
-  chunk_index_->RegisterManifest(seq, refs);
-
-  if (!config_.keep_history) GarbageCollect(job, seq);
+  return st;
 }
 
 void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
@@ -608,17 +528,20 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
   // WAL objects fully below the checkpoint's redo point are unreachable by
   // any future (non-PITR) recovery (Alg. 3 lines 23–25, LSN-safe variant).
   // A dump also supersedes every older DB object (Alg. 3 lines 26–29).
-  // All victims are collected first and the DELETEs fanned out through the
-  // TransferManager in one wave; the view drops only the objects whose
-  // DELETE succeeded, so a failed delete is retried by the next GC pass.
-  std::vector<WalObjectId> wal_victims;
-  std::vector<TailObjectId> tail_victims;
-  std::vector<DbObjectId> db_victims;
-  std::vector<std::string> names;
+  // All victims are collected first and deleted in one wave; each one's
+  // view update runs only once its DELETE succeeded, so a failed delete
+  // is retried by the next GC pass.
+  std::vector<Victim> victims;
+  auto victim = [&](std::string name, std::function<void()> on_deleted) {
+    if (keep.count(name) == 0) {
+      victims.emplace_back(std::move(name), std::move(on_deleted));
+    }
+  };
   for (const auto& wal : view_->WalObjectsCoveredBy(job.redo_lsn)) {
-    if (keep.count(wal.Encode()) > 0) continue;
-    wal_victims.push_back(wal);
-    names.push_back(wal.Encode());
+    victim(wal.Encode(), [this, ts = wal.ts] {
+      view_->RemoveWal(ts);
+      stats_.wal_objects_deleted.Add();
+    });
   }
   // Early-ack tails (streaming commit) die when the checkpoint covers
   // their cumulative range or their object's fold landed. Because the
@@ -626,90 +549,70 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
   // seg-prefix per ts — the invariant recovery's dense-suffix rule needs.
   // A tail run a protected point's restore reads is kept whole.
   for (const auto& tail : view_->TailGarbage(job.redo_lsn)) {
-    if (keep.count(tail.Encode()) > 0) continue;
-    tail_victims.push_back(tail);
-    names.push_back(tail.Encode());
+    victim(tail.Encode(), [this, tail] {
+      view_->RemoveTail(tail);
+      stats_.wal_tails_deleted.Add();
+    });
   }
   if (job.type == DbObjectType::kDump) {
     for (const auto& db : view_->DbObjects()) {
       if (db.seq >= uploaded_seq) continue;
-      if (keep.count(db.Encode()) > 0) continue;
-      db_victims.push_back(db);
-      names.push_back(db.Encode());
+      victim(db.Encode(), [this, db] {
+        view_->RemoveDb(db);
+        stats_.db_objects_deleted.Add();
+        // A deleted manifest drops its chunk references; the chunks
+        // themselves go in the second wave below, only once *no*
+        // surviving manifest needs them. Manifests in the retention
+        // keep-set were never victims, so their chunks keep their
+        // references.
+        if (db.type == DbObjectType::kManifest) {
+          chunk_index_->ReleaseManifest(db.seq);
+        }
+      });
     }
   }
-  const std::vector<Status> statuses =
-      names.empty() ? std::vector<Status>{}
-                    : Transfers().DeleteAll(Route(), names);
-  std::size_t i = 0;
-  std::size_t failed = 0;
-  for (const auto& wal : wal_victims) {
-    if (statuses[i++].ok()) {
-      view_->RemoveWal(wal.ts);
-      stats_.wal_objects_deleted.Add();
-    } else {
-      ++failed;
-    }
-  }
-  for (const auto& tail : tail_victims) {
-    if (statuses[i++].ok()) {
-      view_->RemoveTail(tail);
-      stats_.wal_tails_deleted.Add();
-    } else {
-      ++failed;
-    }
-  }
-  for (const auto& db : db_victims) {
-    if (statuses[i++].ok()) {
-      view_->RemoveDb(db);
-      stats_.db_objects_deleted.Add();
-      // A deleted manifest drops its chunk references; the chunks
-      // themselves go in the second wave below, only once *no* surviving
-      // manifest needs them. Manifests in the retention keep-set were
-      // never victims, so their chunks keep their references.
-      if (db.type == DbObjectType::kManifest) {
-        chunk_index_->ReleaseManifest(db.seq);
-      }
-    } else {
-      ++failed;
-    }
-  }
-  // Failed deletes stay in the view and are retried by the next GC pass —
-  // they cost storage dollars in the meantime, so leave a trace.
-  if (failed > 0 && !Cancelled()) {
-    Log(LogLevel::kWarn, "checkpoint", "garbage collection incomplete",
-        {{"failed_deletes", static_cast<std::uint64_t>(failed)},
-         {"victims", static_cast<std::uint64_t>(names.size())}});
-  }
+  DeleteWave(victims, "garbage collection incomplete");
 
   // Second wave: chunks no manifest references any more — superseded dump
   // content whose manifest DELETE was just confirmed, plus orphans from
   // torn uploads that nothing resumed. Runs strictly after the manifest
   // statuses above, so a chunk is only deleted when every manifest that
   // could reach it is provably gone (a failed manifest DELETE keeps its
-  // references, keeping its chunks alive for the retry).
-  if (config_.dedup_dumps) {
-    const std::vector<ChunkObjectId> dead = chunk_index_->ZeroRefChunks();
-    if (dead.empty()) return;
-    std::vector<std::string> chunk_names;
-    chunk_names.reserve(dead.size());
-    for (const auto& chunk : dead) chunk_names.push_back(chunk.Encode());
-    const std::vector<Status> chunk_statuses =
-        Transfers().DeleteAll(Route(), chunk_names);
-    std::size_t chunk_failed = 0;
-    for (std::size_t k = 0; k < dead.size(); ++k) {
-      if (chunk_statuses[k].ok()) {
-        chunk_index_->RemoveChunk(dead[k].digest);
-        stats_.chunks_deleted.Add();
-      } else {
-        ++chunk_failed;  // still indexed as zero-ref: next pass retries
-      }
+  // references, keeping its chunks alive for the retry). It follows the
+  // bucket, not dedup_dumps: chunks an earlier run left stay collectable
+  // after the flag is turned off.
+  std::vector<Victim> chunks;
+  for (const auto& chunk : chunk_index_->ZeroRefChunks()) {
+    chunks.emplace_back(chunk.Encode(), [this, digest = chunk.digest] {
+      chunk_index_->RemoveChunk(digest);
+      stats_.chunks_deleted.Add();
+    });
+  }
+  DeleteWave(chunks, "chunk garbage collection incomplete");
+}
+
+void CheckpointPipeline::DeleteWave(const std::vector<Victim>& victims,
+                                    const char* incomplete) {
+  if (victims.empty()) return;
+  std::vector<std::string> names;
+  names.reserve(victims.size());
+  for (const auto& [name, on_deleted] : victims) names.push_back(name);
+  const std::vector<Status> statuses = Transfers().DeleteAll(Route(), names);
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < victims.size(); ++i) {
+    if (statuses[i].ok()) {
+      victims[i].second();
+    } else {
+      ++failed;
     }
-    if (chunk_failed > 0 && !Cancelled()) {
-      Log(LogLevel::kWarn, "checkpoint", "chunk garbage collection incomplete",
-          {{"failed_deletes", static_cast<std::uint64_t>(chunk_failed)},
-           {"victims", static_cast<std::uint64_t>(dead.size())}});
-    }
+  }
+  // Failed deletes stay in the view (or the index, as zero-ref chunks) and
+  // are retried by the next GC pass — they cost storage dollars in the
+  // meantime, so leave a trace.
+  if (failed > 0 && !Cancelled()) {
+    Log(LogLevel::kWarn, "checkpoint", incomplete,
+        {{"failed_deletes", static_cast<std::uint64_t>(failed)},
+         {"victims", static_cast<std::uint64_t>(victims.size())}});
   }
 }
 

@@ -22,8 +22,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cloud/object_store.h"
@@ -125,7 +127,6 @@ class CheckpointPipeline {
   void SetChunkIndex(std::shared_ptr<ChunkIndex> index) {
     chunk_index_ = std::move(index);
   }
-  const std::shared_ptr<ChunkIndex>& chunk_index() const { return chunk_index_; }
 
   const CheckpointPipelineStats& stats() const { return stats_; }
 
@@ -138,12 +139,38 @@ class CheckpointPipeline {
     std::vector<FileEntry> entries;
   };
 
+  // One object of a DB object's upload: a part, a chunk or a manifest.
+  struct Upload {
+    std::string name;
+    Bytes enveloped;                        // moved into the PUT
+    std::optional<ChunkObjectId> chunk;     // MarkPresent the moment it lands
+    std::optional<std::uint64_t> trace_id;  // its kCheckpointPart span
+    std::size_t bytes = 0;                  // set by PutAll
+    std::uint64_t submit_us = 0;            // set by PutAll
+  };
+  // A GC victim's name and what its confirmed DELETE settles.
+  using Victim = std::pair<std::string, std::function<void()>>;
+
   void CheckpointerLoop();
   std::vector<FileEntry> BuildDumpEntries() const;
-  // Delta-dump upload (dedup_dumps): chunk + hash the image, PUT only the
-  // chunks the cloud lacks, then the manifest strictly last, then GC.
-  void ProcessDeltaDump(const DbObjectJob& job);
+  // The one upload path: PUTs uploads 0..count-1 through the transfer
+  // window, `make(i)` enveloping upload i on this thread while earlier
+  // PUTs are in flight. Returns the first failure; nothing is issued
+  // after it.
+  Status PutAll(std::size_t count,
+                const std::function<Upload(std::size_t)>& make);
+  // The upload lists: a checkpoint's or monolithic dump's parts, or a
+  // delta dump's (dedup_dumps) missing chunks and then, strictly last,
+  // its manifest. `ids` are the DB objects to publish once all landed.
+  Status PutParts(const DbObjectJob& job, std::uint64_t seq,
+                  std::vector<DbObjectId>* ids);
+  Status PutDeltaDump(const DbObjectJob& job, std::uint64_t seq,
+                      std::vector<DbObjectId>* ids,
+                      std::vector<ChunkRef>* refs);
   void GarbageCollect(const DbObjectJob& job, std::uint64_t uploaded_seq);
+  // Deletes every victim in one fan-out and settles the ones that landed;
+  // logs `incomplete` when some failed (the next GC pass retries them).
+  void DeleteWave(const std::vector<Victim>& victims, const char* incomplete);
   // Whether `path` participates in the 150%-rule size walk (WAL segments
   // and the MySQL redo log do not).
   bool CountsTowardDbSize(const std::string& path) const;

@@ -857,48 +857,36 @@ void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
     clock_->SleepMicros(kWindowPollUs);
   }
 
-  // Early acks: PUT the segment's envelope as replicated tail objects. The
-  // segment's writes acknowledge once every replica lands (the unlocker
-  // still enforces the consecutive-segment rule); any failed tail simply
-  // leaves the writes to ack with the finished object instead.
+  // Early acks: PUT the segment's envelope as a tail object. The
+  // segment's writes acknowledge once it lands (the unlocker still
+  // enforces the consecutive-segment rule); a failed tail simply leaves
+  // the writes to ack with the finished object instead.
   if (config_.early_ack) {
-    const int replicas = std::max(1, config_.tail_replicas);
-    auto remaining = std::make_shared<std::atomic<int>>(replicas);
-    auto failed = std::make_shared<std::atomic<bool>>(false);
-    for (int r = 0; r < replicas; ++r) {
-      TailObjectId tid;
-      tid.ts = job.ts;
-      tid.seg = job.seg_index;
-      tid.replica = static_cast<std::uint32_t>(r);
-      tid.max_lsn = job.seg_max_lsn;
-      Transfers().PutAsyncCb(
-          StreamRoute(), tid.Encode(), Bytes(enveloped),
-          [this, tid, remaining, failed, seq = job.batch_seq, traced,
-           trace_seq = job.trace_seq, close_us = job.close_us](Status st) {
-            if (st.ok()) {
-              view_->AddTail(tid);
-              stats_.tail_objects_uploaded.Add();
-              // A tail that lands after its object published was missed by
-              // the fold's sweep (PublishObject); delete it here instead.
-              if (view_->HasWal(tid.ts)) DeleteFoldedTail(tid);
-              if (tid.replica == 0 && traced && Tracing()) {
-                const std::uint64_t now = clock_->NowMicros();
-                tracer_->Record(TraceStage::kTailPut, trace_seq, close_us,
-                                now >= close_us ? now - close_us : 0);
-              }
-            } else {
-              failed->store(true, std::memory_order_release);
-            }
-            if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-                !failed->load(std::memory_order_acquire)) {
-              Ack ack;
-              ack.kind = Ack::Kind::kTailSeg;
-              ack.batch_seq = seq;
-              ack.seg_index = tid.seg;
-              ack_queue_.ForcePut(std::move(ack));
-            }
-          });
-    }
+    TailObjectId tid;
+    tid.ts = job.ts;
+    tid.seg = job.seg_index;
+    tid.max_lsn = job.seg_max_lsn;
+    Transfers().PutAsyncCb(
+        StreamRoute(), tid.Encode(), Bytes(enveloped),
+        [this, tid, seq = job.batch_seq, traced, trace_seq = job.trace_seq,
+         close_us = job.close_us](Status st) {
+          if (!st.ok()) return;
+          view_->AddTail(tid);
+          stats_.tail_objects_uploaded.Add();
+          // A tail that lands after its object published was missed by
+          // the fold's sweep (PublishObject); delete it here instead.
+          if (view_->HasWal(tid.ts)) DeleteFoldedTail(tid);
+          if (traced && Tracing()) {
+            const std::uint64_t now = clock_->NowMicros();
+            tracer_->Record(TraceStage::kTailPut, trace_seq, close_us,
+                            now >= close_us ? now - close_us : 0);
+          }
+          Ack ack;
+          ack.kind = Ack::Kind::kTailSeg;
+          ack.batch_seq = seq;
+          ack.seg_index = tid.seg;
+          ack_queue_.ForcePut(std::move(ack));
+        });
   }
 
   Bytes part;

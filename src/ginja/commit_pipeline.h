@@ -75,7 +75,7 @@ struct CommitPipelineStats {
   // Streaming commit path (all zero when streaming_commit is off).
   Counter streams_opened;          // streamed WAL objects begun
   Counter parts_uploaded;          // stream segments durably appended
-  Counter tail_objects_uploaded;   // early-ack WALTAIL/ PUTs (all replicas)
+  Counter tail_objects_uploaded;   // early-ack WALTAIL/ PUTs
   Counter tail_objects_deleted;    // tails deleted after their object folded
   Counter writes_early_acked;      // writes acknowledged via tails
   Meter object_logical_bytes;      // pre-envelope object sizes

@@ -64,26 +64,20 @@ struct GinjaConfig {
   // but cost more per-part requests.
   std::size_t stream_segment_writes = 16;
   // Early acks (streaming only): each uploaded segment is also PUT as a
-  // small replicated tail object (WALTAIL/...), and its writes are
-  // acknowledged as soon as the tails land — before the enclosing WAL
+  // small tail object (WALTAIL/..., replica 0), and its writes are
+  // acknowledged as soon as the tail lands — before the enclosing WAL
   // object finishes. Tails are folded into the WAL object at stream close
   // and deleted. Consecutive-ack semantics are preserved: a segment acks
   // only when all earlier segments of the batch have acked.
   bool early_ack = false;
-  // Tail-object replicas per segment when early_ack is on. >1 emulates
-  // the BtrLog-style replicated small-write path; every replica must land
-  // before the segment acks.
-  int tail_replicas = 1;
-  // Retry policy (model time) for failed cloud operations: jittered
-  // exponential backoff starting at retry_backoff_us, multiplied per
-  // attempt up to retry_backoff_max_us. The same schedule drives the
-  // transfer manager and the commit pipeline's buffered PUTs, which share
-  // one thread-safe RetryPolicy (one jitter stream) across uploaders.
+  // Retry policy (model time) for failed cloud operations: backoff from
+  // retry_backoff_us, doubled per attempt up to retry_backoff_max_us, with
+  // ±20% jitter (the TransferOptions defaults). The same schedule drives
+  // the transfer manager and the commit pipeline's buffered PUTs, which
+  // share one thread-safe RetryPolicy (one jitter stream) across uploaders.
   std::uint64_t retry_backoff_us = 200'000;
   int max_retries = 100;
-  double retry_backoff_multiplier = 2.0;
   std::uint64_t retry_backoff_max_us = 5'000'000;
-  double retry_jitter = 0.2;
 
   // -- cloud transfer concurrency ---------------------------------------------
   // K: GETs kept in flight by the windowed recovery prefetcher (Alg. 1).
@@ -201,9 +195,7 @@ inline TransferOptions MakeTransferOptions(const GinjaConfig& config,
   o.concurrency = std::max(1, concurrency);
   o.max_attempts = std::max(1, config.max_retries);
   o.backoff_initial_us = config.retry_backoff_us;
-  o.backoff_multiplier = config.retry_backoff_multiplier;
   o.backoff_max_us = config.retry_backoff_max_us;
-  o.backoff_jitter = config.retry_jitter;
   return o;
 }
 

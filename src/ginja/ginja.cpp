@@ -158,12 +158,11 @@ Status Ginja::Reboot() {
   view_->Clear();
   for (const auto& meta : *objects) view_->AddFromName(meta.name);
   // Delta dumps: the chunk inventory (presence from CHUNK/ names,
-  // references from the visible manifests) must be rebuilt before the
-  // first dump decides what to skip — otherwise everything re-uploads.
-  if (config_.dedup_dumps) {
-    GINJA_RETURN_IF_ERROR(
-        RebuildChunkIndex(*store_, *envelope_, *objects, chunk_index_.get()));
-  }
+  // references from the visible manifests) is rebuilt whatever
+  // dedup_dumps says — GC must still collect an earlier run's chunks —
+  // and before the first dump decides what to skip, or all re-uploads.
+  GINJA_RETURN_IF_ERROR(
+      RebuildChunkIndex(*store_, *envelope_, *objects, chunk_index_.get()));
   checkpoints_->Start();
   commits_->Start();
   started_ = true;

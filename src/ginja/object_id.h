@@ -51,8 +51,8 @@ struct WalObjectId {
 };
 
 // Early-ack tail object (streaming commit path): one already-enveloped
-// stream segment of an in-progress WAL object, PUT per replica as soon as
-// the segment seals so its writes can acknowledge before the enclosing
+// stream segment of an in-progress WAL object, PUT as soon as the
+// segment seals so its writes can acknowledge before the enclosing
 // object finishes. `max_lsn` is the exclusive end of the WAL-stream range
 // covered by segments 0..seg of that batch (cumulative, so monotone in
 // seg), which makes GC of superseded tails a seg-prefix — recovery can
@@ -62,7 +62,7 @@ struct WalObjectId {
 struct TailObjectId {
   std::uint64_t ts = 0;       // the enclosing WAL object's ts
   std::uint32_t seg = 0;      // 0-based segment index within the stream
-  std::uint32_t replica = 0;  // 0-based tail replica
+  std::uint32_t replica = 0;  // the writer PUTs 0; recovery tries any
   std::uint64_t max_lsn = 0;  // exclusive end covered by segments 0..seg
 
   std::string Encode() const;

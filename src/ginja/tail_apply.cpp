@@ -1,7 +1,6 @@
 #include "ginja/tail_apply.h"
 
 #include <algorithm>
-#include <deque>
 #include <future>
 
 #include "common/codec/sha1.h"
@@ -184,10 +183,11 @@ std::vector<TailPlanItem> BuildTailSegmentItems(
     std::uint64_t ts, std::uint32_t from_seg) {
   std::vector<TailPlanItem> items;
   // GC only ever deletes a seg-*prefix* of tails (the cumulative max_lsn is
-  // monotone in seg), so the dense run starting at the lowest surviving
-  // segment >= from_seg is the acked prefix still worth applying; a hole
-  // ends it — what followed was never acknowledged.
+  // monotone in seg), so a fresh run starts at the lowest surviving
+  // segment; a resumed one (from_seg > 0) exactly at from_seg, as cold
+  // recovery would. A hole ends it — what followed was never acknowledged.
   std::optional<std::uint32_t> expected;
+  if (from_seg > 0) expected = from_seg;
   for (const auto& [seg, replicas] : segs) {
     if (seg < from_seg) continue;
     if (!expected) expected = seg;
@@ -217,21 +217,21 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
   TransferManager& transfers = *ctx.transfers;
   const bool tracing =
       ctx.tracer != nullptr && ctx.tracer->enabled() && ctx.clock != nullptr;
-  const std::size_t window = std::max<std::size_t>(1, ctx.window);
-  std::deque<std::future<Result<Bytes>>> inflight;
-  std::deque<std::uint64_t> issue_times;  // parallel to inflight, tracing only
-  std::size_t next_issue = 0;
   // One decode buffer for the whole plan: every object decodes in place
   // into it (DecodeInto only grows it), its entries are written to the
   // target straight from views into it, and only then does the next object
   // overwrite it. It dies with this call, so it never outlives the plan.
   Bytes payload;
-
-  auto apply_blob = [&](Result<Bytes> blob) -> Status {
+  // Counts a fetched object and decodes it into `payload`.
+  auto decode = [&](const Result<Bytes>& blob) -> Status {
     if (!blob.ok()) return blob.status();
     ++r->objects_downloaded;
     r->bytes_downloaded += blob->size();
-    GINJA_RETURN_IF_ERROR(ctx.envelope->DecodeInto(View(*blob), payload));
+    return ctx.envelope->DecodeInto(View(*blob), payload);
+  };
+
+  auto apply_blob = [&](Result<Bytes> blob) -> Status {
+    GINJA_RETURN_IF_ERROR(decode(blob));
     auto entries = DecodeEntries(View(payload));
     if (!entries.ok()) return entries.status();
     for (const FileEntryRef& e : *entries) {
@@ -248,10 +248,7 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
   // window, verified against their content digest before being written.
   // Any chunk failure fails the manifest, exactly like a missing dump part.
   auto apply_manifest = [&](Result<Bytes> blob) -> Status {
-    if (!blob.ok()) return blob.status();
-    ++r->objects_downloaded;
-    r->bytes_downloaded += blob->size();
-    GINJA_RETURN_IF_ERROR(ctx.envelope->DecodeInto(View(*blob), payload));
+    GINJA_RETURN_IF_ERROR(decode(blob));
     auto refs = DecodeManifest(View(payload));
     if (!refs.ok()) return refs.status();
 
@@ -273,17 +270,14 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       to_fetch.push_back(k);
     }
 
-    std::deque<std::future<Result<Bytes>>> chunk_inflight;
-    std::size_t chunk_issue = 0;
-    for (std::size_t k = 0; k < to_fetch.size(); ++k) {
-      while (chunk_issue < to_fetch.size() && chunk_inflight.size() < window) {
-        const ChunkRef& f = (*refs)[to_fetch[chunk_issue++]];
-        chunk_inflight.push_back(transfers.GetAsync(
-            ctx.route, ChunkObjectId{f.digest, f.length}.Encode()));
-      }
+    auto issue = [&](std::size_t k) {
       const ChunkRef& ref = (*refs)[to_fetch[k]];
-      Result<Bytes> fetched_chunk = chunk_inflight.front().get();
-      chunk_inflight.pop_front();
+      return transfers.GetAsync(ctx.route,
+                                ChunkObjectId{ref.digest, ref.length}.Encode());
+    };
+    auto reap = [&](std::size_t k, std::future<Result<Bytes>> f) -> Status {
+      const ChunkRef& ref = (*refs)[to_fetch[k]];
+      Result<Bytes> fetched_chunk = f.get();
       if (!fetched_chunk.ok()) return fetched_chunk.status();
       ++r->objects_downloaded;
       r->bytes_downloaded += fetched_chunk->size();
@@ -301,23 +295,23 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
                                               View(*chunk), /*sync=*/false));
       ++r->files_written;
       ++r->chunks_downloaded;
-    }
-    return Status::Ok();
+      return Status::Ok();
+    };
+    return RunInOrderWindow(to_fetch.size(), ctx.window, issue, reap);
   };
 
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    while (next_issue < plan.size() && inflight.size() < window) {
-      if (tracing) issue_times.push_back(ctx.clock->NowMicros());
-      inflight.push_back(transfers.GetAsync(ctx.route, plan[next_issue++].name));
-    }
-    auto blob = std::move(inflight.front());
-    inflight.pop_front();
+  std::vector<std::uint64_t> issue_times(tracing ? plan.size() : 0);
+  auto issue = [&](std::size_t i) {
+    if (tracing) issue_times[i] = ctx.clock->NowMicros();
+    return transfers.GetAsync(ctx.route, plan[i].name);
+  };
+  // A non-OK return ends the plan: the result already says why.
+  auto reap = [&](std::size_t i, std::future<Result<Bytes>> blob) -> Status {
     Result<Bytes> fetched = blob.get();
     Status fetch_status = fetched.ok() ? Status::Ok() : fetched.status();
     std::uint64_t t_fetched = 0;
     if (tracing) {
-      const std::uint64_t issued = issue_times.front();
-      issue_times.pop_front();
+      const std::uint64_t issued = issue_times[i];
       t_fetched = ctx.clock->NowMicros();
       // GET issued → blob in hand; overlap with other in-flight GETs means
       // the sum across objects can exceed the recovery wall time.
@@ -326,14 +320,12 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
     }
     Status st = plan[i].is_manifest ? apply_manifest(std::move(fetched))
                                     : apply_blob(std::move(fetched));
-    if (!st.ok() && !plan[i].fallbacks.empty()) {
-      // Replica tails hold byte-identical segments; any one of them will do.
-      for (const auto& alt : plan[i].fallbacks) {
-        Result<Bytes> alt_blob = transfers.GetAsync(ctx.route, alt).get();
-        if (!alt_blob.ok()) fetch_status = alt_blob.status();
-        st = apply_blob(std::move(alt_blob));
-        if (st.ok()) break;
-      }
+    // Replica tails hold byte-identical segments; any one of them will do.
+    for (const auto& alt : plan[i].fallbacks) {
+      if (st.ok()) break;
+      Result<Bytes> alt_blob = transfers.GetAsync(ctx.route, alt).get();
+      if (!alt_blob.ok()) fetch_status = alt_blob.status();
+      st = apply_blob(std::move(alt_blob));
     }
     if (tracing) {
       const std::uint64_t t_applied = ctx.clock->NowMicros();
@@ -345,7 +337,7 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       // page state would be incomplete) — as in the serial path.
       if (!st.ok()) {
         result.db_failure = st;
-        return result;
+        return st;
       }
       ++r->db_objects_applied;
     } else if (!st.ok()) {
@@ -356,7 +348,7 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       // Prefer the fetch-layer status (NOT_FOUND tells a standby the object
       // was GC'd under it and a resync is due) over a decode error.
       result.wal_failure = fetch_status.ok() ? st : fetch_status;
-      return result;
+      return st;
     } else {
       if (plan[i].is_tail) {
         ++r->tail_segments_applied;
@@ -366,7 +358,9 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       r->recovered_to_ts = plan[i].wal_ts;
     }
     ++result.items_applied;
-  }
+    return Status::Ok();
+  };
+  RunInOrderWindow(plan.size(), ctx.window, issue, reap);
   return result;
 }
 

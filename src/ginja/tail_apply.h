@@ -111,9 +111,10 @@ std::vector<TailPlanItem> ContinueWalPlan(
 
 // The dense acked segment run of one streamed ts, as plan items with
 // replica fallbacks. Segments below `from_seg` are skipped (already
-// applied); the run starts at from_seg or at the lowest surviving segment
-// beyond it (GC only ever deletes a seg-prefix) and ends at the first
-// hole — what followed the hole was never acknowledged.
+// applied); a fresh run (from_seg 0) starts at the lowest surviving
+// segment (GC only ever deletes a seg-prefix), a resumed one exactly at
+// from_seg, and either ends at the first hole — what followed the hole
+// was never acknowledged.
 std::vector<TailPlanItem> BuildTailSegmentItems(
     const std::map<std::uint32_t, std::vector<TailObjectId>>& segs,
     std::uint64_t ts, std::uint32_t from_seg);

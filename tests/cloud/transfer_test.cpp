@@ -1,10 +1,14 @@
 // TransferManager: bounded concurrency, retry/backoff on injected faults,
-// fan-out deletes, and cancellation.
+// fan-out deletes, and cancellation; RunInOrderWindow's ordering, bound
+// and failure contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "cloud/faulty_store.h"
 #include "cloud/memory_store.h"
@@ -59,12 +63,12 @@ TEST(TransferManagerTest, PutGetDeleteRoundtrip) {
   auto store = std::make_shared<MemoryStore>();
   TransferManager manager(store, FastOptions());
 
-  ASSERT_TRUE(manager.Put("a", B("alpha")).ok());
-  auto got = manager.Get("a");
+  ASSERT_TRUE(manager.PutAsync({}, "a", B("alpha")).get().ok());
+  auto got = manager.GetAsync({}, "a").get();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, B("alpha"));
 
-  ASSERT_TRUE(manager.DeleteAsync("a").get().ok());
+  ASSERT_TRUE(manager.DeleteAsync({}, "a").get().ok());
   EXPECT_FALSE(store->Get("a").ok());
 
   EXPECT_EQ(manager.stats().gets.Get(), 1u);
@@ -82,7 +86,7 @@ TEST(TransferManagerTest, RetriesInjectedTransientFailures) {
   TransferManager manager(faulty, FastOptions());
 
   faulty->FailNextOps(3);
-  auto got = manager.Get("k");
+  auto got = manager.GetAsync({}, "k").get();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, B("v"));
   EXPECT_EQ(faulty->injected_failures(), 3u);
@@ -98,7 +102,7 @@ TEST(TransferManagerTest, ExhaustedRetriesReturnLastError) {
   TransferManager manager(faulty, options);
 
   faulty->SetAvailable(false);
-  Status st = manager.Put("k", B("v"));
+  Status st = manager.PutAsync({}, "k", B("v")).get();
   EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(manager.stats().retries.Get(), 2u);  // attempts - 1
   EXPECT_EQ(manager.stats().failed_ops.Get(), 1u);
@@ -109,7 +113,7 @@ TEST(TransferManagerTest, NotFoundIsAnAnswerNotRetried) {
   auto store = std::make_shared<MemoryStore>();
   TransferManager manager(store, FastOptions());
 
-  auto got = manager.Get("missing");
+  auto got = manager.GetAsync({}, "missing").get();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(manager.stats().retries.Get(), 0u);
@@ -128,7 +132,7 @@ TEST(TransferManagerTest, BackoffGrowsExponentially) {
 
   faulty->FailNextOps(3);  // sleeps: 10ms + 20ms + 40ms = 70ms
   const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(manager.Get("k").ok());
+  ASSERT_TRUE(manager.GetAsync({}, "k").get().ok());
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   EXPECT_GE(elapsed.count(), 60);
@@ -144,7 +148,7 @@ TEST(TransferManagerTest, ConcurrencyIsBounded) {
 
   std::vector<std::future<Result<Bytes>>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(manager.GetAsync("obj" + std::to_string(i)));
+    futures.push_back(manager.GetAsync({}, "obj" + std::to_string(i)));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
 
@@ -163,7 +167,7 @@ TEST(TransferManagerTest, DeleteAllReportsPerName) {
 
   std::vector<std::string> names;
   for (int i = 0; i < 8; ++i) names.push_back("gc" + std::to_string(i));
-  auto statuses = manager.DeleteAll(names);
+  auto statuses = manager.DeleteAll({}, names);
   ASSERT_EQ(statuses.size(), names.size());
   for (const auto& st : statuses) EXPECT_TRUE(st.ok());
   for (const auto& name : names) EXPECT_FALSE(store->Get(name).ok());
@@ -177,7 +181,7 @@ TEST(TransferManagerTest, CancelAbortsQueuedAndFutureOps) {
   TransferManager manager(tracking, FastOptions(/*concurrency=*/1));
 
   std::vector<std::future<Result<Bytes>>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(manager.GetAsync("k"));
+  for (int i = 0; i < 4; ++i) futures.push_back(manager.GetAsync({}, "k"));
   manager.Cancel();
   EXPECT_TRUE(manager.cancelled());
 
@@ -190,7 +194,7 @@ TEST(TransferManagerTest, CancelAbortsQueuedAndFutureOps) {
   }
   EXPECT_GE(aborted, 2);  // at most the in-flight ops could still land
 
-  auto late = manager.GetAsync("k").get();
+  auto late = manager.GetAsync({}, "k").get();
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), ErrorCode::kAborted);
 }
@@ -204,7 +208,7 @@ TEST(TransferManagerTest, CancelInterruptsBackoffSleep) {
   TransferManager manager(faulty, options);
 
   faulty->SetAvailable(false);
-  auto future = manager.PutAsync("k", B("v"));
+  auto future = manager.PutAsync({}, "k", B("v"));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto start = std::chrono::steady_clock::now();
   manager.Cancel();
@@ -220,7 +224,7 @@ TEST(TransferManagerTest, CancelInterruptsBackoffSleep) {
 TEST(TransferStream, PartsUploadAndFinishPublishes) {
   auto store = std::make_shared<MemoryStore>();
   TransferManager manager(store, FastOptions());
-  auto session = manager.BeginStream("stage/s1");
+  auto session = manager.BeginStream({}, "stage/s1");
 
   std::atomic<int> parts_done{0};
   session->AppendPart(0, B("one "), [&](Status st) {
@@ -250,19 +254,19 @@ TEST(TransferStream, PartsUploadAndFinishPublishes) {
 TEST(TransferStream, FinishRetriesTransientFailures) {
   auto faulty = std::make_shared<FaultyStore>(std::make_shared<MemoryStore>());
   TransferManager manager(faulty, FastOptions());
-  auto session = manager.BeginStream("stage/s2");
+  auto session = manager.BeginStream({}, "stage/s2");
   session->AppendPart(0, B("payload"));
   faulty->FailNextOps(3);  // within max_attempts=10
   Status st = session->Finish(1, "retried").get();
   ASSERT_TRUE(st.ok());
-  EXPECT_TRUE(manager.Get("retried").ok());
+  EXPECT_TRUE(manager.GetAsync({}, "retried").get().ok());
 }
 
 TEST(TransferStream, AbortDiscardsWithoutPublishing) {
   auto store = std::make_shared<MemoryStore>();
   {
     TransferManager manager(store, FastOptions());
-    auto session = manager.BeginStream("stage/s3");
+    auto session = manager.BeginStream({}, "stage/s3");
     std::atomic<bool> part_failed{false};
     session->AppendPart(0, B("doomed"),
                         [&](Status st) { part_failed.store(!st.ok()); });
@@ -282,12 +286,121 @@ TEST(TransferStream, PermanentFailureFailsFinish) {
   options.max_attempts = 3;
   TransferManager manager(faulty, options);
   faulty->SetAvailable(false);  // never recovers: the part fails for good
-  auto session = manager.BeginStream("stage/s4");
+  auto session = manager.BeginStream({}, "stage/s4");
   session->AppendPart(0, B("lost"));
   Status st = session->Finish(1, "unreachable").get();
   EXPECT_FALSE(st.ok());
   faulty->SetAvailable(true);
-  EXPECT_FALSE(manager.Get("unreachable").ok());
+  EXPECT_FALSE(manager.GetAsync({}, "unreachable").get().ok());
+}
+
+// -- RunInOrderWindow -----------------------------------------------------
+
+TEST(TransferWindow, ReapsInIndexOrderWhenFuturesCompleteOutOfOrder) {
+  // Within each window-aligned group, item i finishes only after item i+1
+  // has, so every group completes back to front.
+  constexpr std::size_t kCount = 8;
+  constexpr std::size_t kWindow = 4;
+  std::vector<std::promise<void>> finished(kCount);
+  std::vector<std::shared_future<void>> finished_f;
+  for (auto& p : finished) finished_f.push_back(p.get_future().share());
+  std::mutex mu;
+  std::vector<std::size_t> completed;
+  std::vector<std::size_t> reaped;
+  Status st = RunInOrderWindow(
+      kCount, kWindow,
+      [&](std::size_t i) {
+        return std::async(std::launch::async, [&, i] {
+          if ((i + 1) % kWindow != 0) finished_f[i + 1].wait();
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            completed.push_back(i);
+          }
+          finished[i].set_value();
+          return i;
+        });
+      },
+      [&](std::size_t i, std::future<std::size_t> f) {
+        EXPECT_EQ(f.get(), i);
+        reaped.push_back(i);
+        return Status::Ok();
+      });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(completed, (std::vector<std::size_t>{3, 2, 1, 0, 7, 6, 5, 4}));
+  EXPECT_EQ(reaped, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(TransferWindow, InFlightNeverExceedsWindow) {
+  constexpr std::size_t kWindow = 3;
+  std::size_t inflight = 0;
+  std::size_t peak = 0;
+  std::size_t issued = 0;
+  Status st = RunInOrderWindow(
+      20, kWindow,
+      [&](std::size_t) {
+        peak = std::max(peak, ++inflight);
+        ++issued;
+        std::promise<int> ready;
+        ready.set_value(0);
+        return ready.get_future();
+      },
+      [&](std::size_t, std::future<int> f) {
+        f.get();
+        --inflight;
+        return Status::Ok();
+      });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(issued, 20u);
+  EXPECT_EQ(peak, kWindow);
+  // A zero window still makes progress, one item at a time.
+  inflight = peak = 0;
+  RunInOrderWindow(
+      5, 0,
+      [&](std::size_t) {
+        peak = std::max(peak, ++inflight);
+        std::promise<int> ready;
+        ready.set_value(0);
+        return ready.get_future();
+      },
+      [&](std::size_t, std::future<int>) {
+        --inflight;
+        return Status::Ok();
+      });
+  EXPECT_EQ(peak, 1u);
+}
+
+TEST(TransferWindow, FailedReapStopsIssuingAndWaitsOutIssued) {
+  // Every future completes on its own thread well after issue; the window
+  // must not return while one it issued is still pending.
+  constexpr std::size_t kCount = 10;
+  std::vector<std::thread> threads;
+  std::vector<std::atomic<bool>> done(kCount);
+  std::vector<std::size_t> reaped;
+  std::size_t issued = 0;
+  Status st = RunInOrderWindow(
+      kCount, 4,
+      [&](std::size_t i) {
+        ++issued;
+        auto promise = std::make_shared<std::promise<int>>();
+        auto future = promise->get_future();
+        threads.emplace_back([&done, i, promise] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          done[i].store(true);
+          promise->set_value(static_cast<int>(i));
+        });
+        return future;
+      },
+      [&](std::size_t i, std::future<int> f) {
+        f.get();
+        reaped.push_back(i);
+        return i == 2 ? Status::Unavailable("injected") : Status::Ok();
+      });
+  EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(reaped, (std::vector<std::size_t>{0, 1, 2}));
+  // Reaping item 2 found 2..5 in flight; nothing was issued after it.
+  EXPECT_EQ(issued, 6u);
+  for (std::size_t i = 0; i < issued; ++i) EXPECT_TRUE(done[i].load()) << i;
+  for (auto& t : threads) t.join();
 }
 
 }  // namespace

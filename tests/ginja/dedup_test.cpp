@@ -787,6 +787,45 @@ TEST(DedupReboot, CorruptManifestQuarantinesZeroRefSweep) {
   rebooted.Kill();
 }
 
+// dedup_dumps only chooses how a new dump is written: chunks an earlier
+// run left behind stay known to GC after the flag is turned off, so the
+// first monolithic dump that supersedes their manifest collects them.
+TEST(DedupReboot, TurningDedupOffCollectsOldChunks) {
+  Harness h;
+  int key = 0;
+  for (int i = 0; i < 60; ++i) h.Put(key++);
+  h.ginja->Drain();
+  ASSERT_TRUE(h.db->Checkpoint().ok());
+  h.ginja->Drain();
+  ASSERT_TRUE(h.DriveToNextDump(&key));
+  h.ginja->Stop();
+  ASSERT_GT(CountChunks(*h.store), 0u);
+  ASSERT_EQ(CountManifests(*h.store), 1u);
+
+  Ginja rebooted(h.local, h.store, h.clock, h.layout,
+                 DedupConfig(/*dedup=*/false));
+  ASSERT_TRUE(rebooted.Reboot().ok());
+  h.intercept->SetListener(&rebooted);
+  bool dumped = false;
+  for (int round = 0; round < 200 && !dumped; ++round) {
+    h.Put(key++);
+    rebooted.Drain();
+    ASSERT_TRUE(h.db->Checkpoint().ok());
+    rebooted.Drain();
+    dumped = rebooted.checkpoint_stats().dumps_uploaded.Get() > 0;
+  }
+  rebooted.Stop();
+  h.intercept->SetListener(h.ginja.get());  // `rebooted` dies first
+  ASSERT_TRUE(dumped);
+
+  EXPECT_EQ(CountManifests(*h.store), 0u);
+  EXPECT_EQ(CountChunks(*h.store), 0u);
+  auto audit = AuditChunks(*h.store, h.ginja->envelope());
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit->orphans.empty());
+  EXPECT_TRUE(audit->missing.empty());
+}
+
 // -- garbage collection under retention --------------------------------------
 
 TEST(DedupGc, ProtectedManifestKeepsItsChunksThroughLaterDumps) {

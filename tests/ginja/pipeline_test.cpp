@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "cloud/faulty_store.h"
@@ -236,9 +239,10 @@ struct CheckpointFixture {
   std::shared_ptr<MemFs> fs = std::make_shared<MemFs>();
 
   std::unique_ptr<CheckpointPipeline> Make(GinjaConfig config,
-                                           DbLayout layout = DbLayout::Postgres()) {
-    auto p = std::make_unique<CheckpointPipeline>(store, view, clock, config,
-                                                  envelope, fs, layout);
+                                           DbLayout layout = DbLayout::Postgres(),
+                                           ObjectStorePtr s = nullptr) {
+    auto p = std::make_unique<CheckpointPipeline>(s ? s : store, view, clock,
+                                                  config, envelope, fs, layout);
     p->Start();
     return p;
   }
@@ -415,6 +419,140 @@ TEST(CheckpointPipeline, LocalDbSizeExcludesWal) {
   auto pipeline = fx.Make(GinjaConfig{});
   EXPECT_EQ(pipeline->LocalDbSizeBytes(), 5'000u);
   pipeline->Stop();
+}
+
+// Fails, while tripped, every PUT or DELETE whose name contains the
+// matching fragment; counts the DELETEs that reach the inner store.
+class NameFailingStore : public ObjectStore {
+ public:
+  explicit NameFailingStore(ObjectStorePtr inner) : inner_(std::move(inner)) {}
+
+  Status Put(std::string_view name, ByteView data) override {
+    if (Trips(name, fail_puts_)) return Status::Unavailable("injected PUT");
+    return inner_->Put(name, data);
+  }
+  Result<Bytes> Get(std::string_view name) override {
+    return inner_->Get(name);
+  }
+  Result<std::vector<ObjectMeta>> List(std::string_view prefix) override {
+    return inner_->List(prefix);
+  }
+  Status Delete(std::string_view name) override {
+    if (Trips(name, fail_deletes_)) {
+      return Status::Unavailable("injected DELETE");
+    }
+    ++deletes_;
+    return inner_->Delete(name);
+  }
+
+  void FailPuts(std::string fragment) { Set(fail_puts_, std::move(fragment)); }
+  void FailDeletes(std::string fragment) {
+    Set(fail_deletes_, std::move(fragment));
+  }
+  int deletes() const { return deletes_.load(); }
+
+ private:
+  bool Trips(std::string_view name, const std::string& fragment) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return !fragment.empty() && name.find(fragment) != std::string_view::npos;
+  }
+  void Set(std::string& slot, std::string fragment) {
+    std::lock_guard<std::mutex> lock(mu_);
+    slot = std::move(fragment);
+  }
+
+  ObjectStorePtr inner_;
+  std::mutex mu_;
+  std::string fail_puts_;
+  std::string fail_deletes_;
+  std::atomic<int> deletes_{0};
+};
+
+GinjaConfig FailFastConfig() {
+  GinjaConfig config;
+  config.max_retries = 2;  // injected failures are permanent: give up fast
+  config.retry_backoff_us = 1'000;
+  return config;
+}
+
+// Seeds a local file, one small DB object (so checkpoints stay
+// incremental) and WAL objects ts 0, 1 (max_lsn 100, 200) in view and store.
+void SeedCheckpointState(CheckpointFixture& fx) {
+  ASSERT_TRUE(fx.fs->Write("base/16384/t", 0, Bytes(100'000, 1), false).ok());
+  DbObjectId seed;
+  seed.seq = 0;
+  seed.size = 1'000;
+  fx.view->AddDb(seed);
+  ASSERT_TRUE(fx.store->Put(seed.Encode(), View(Bytes(8, 0))).ok());
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    WalObjectId wal;
+    wal.ts = i;
+    wal.filename = "pg_xlog/0001";
+    wal.max_lsn = (i + 1) * 100;
+    fx.view->AddWal(wal);
+    ASSERT_TRUE(fx.store->Put(wal.Encode(), View(Bytes(8, 0))).ok());
+  }
+}
+
+void Checkpoint(CheckpointPipeline& pipeline, Lsn redo_lsn) {
+  pipeline.OnCheckpointBegin();
+  pipeline.AddWrite({"base/16384/t", 0, Bytes(3'000, 2)});
+  pipeline.OnCheckpointEnd(redo_lsn);
+  pipeline.Drain();
+}
+
+TEST(CheckpointPipeline, FailedPartPutPublishesNothingAndDeletesNothing) {
+  CheckpointFixture fx;
+  SeedCheckpointState(fx);
+  auto failing = std::make_shared<NameFailingStore>(fx.store);
+  GinjaConfig config = FailFastConfig();
+  config.max_object_bytes = 1'000;  // three parts; part 1 never lands
+  auto pipeline = fx.Make(config, DbLayout::Postgres(), failing);
+
+  failing->FailPuts("_p1of");
+  Checkpoint(*pipeline, /*redo_lsn=*/250);
+  EXPECT_EQ(pipeline->stats().checkpoints_uploaded.Get(), 0u);
+  ASSERT_EQ(fx.view->DbObjects().size(), 1u);  // the seed alone
+  EXPECT_EQ(fx.view->WalCount(), 2u);
+  EXPECT_EQ(failing->deletes(), 0);
+  EXPECT_EQ(pipeline->stats().wal_objects_deleted.Get(), 0u);
+
+  failing->FailPuts("");
+  Checkpoint(*pipeline, /*redo_lsn=*/250);
+  pipeline->Stop();
+  EXPECT_EQ(pipeline->stats().checkpoints_uploaded.Get(), 1u);
+  const auto objects = fx.view->DbObjects();
+  ASSERT_EQ(objects.size(), 4u);  // seed + three parts
+  EXPECT_EQ(objects[1].total_parts, 3u);
+  EXPECT_EQ(pipeline->stats().wal_objects_deleted.Get(), 2u);
+  EXPECT_EQ(fx.view->WalCount(), 0u);
+}
+
+TEST(CheckpointPipeline, FailedGcDeleteKeepsVictimForNextPass) {
+  CheckpointFixture fx;
+  SeedCheckpointState(fx);
+  auto failing = std::make_shared<NameFailingStore>(fx.store);
+  auto pipeline = fx.Make(FailFastConfig(), DbLayout::Postgres(), failing);
+  WalObjectId stuck;
+  stuck.ts = 0;
+  stuck.filename = "pg_xlog/0001";
+  stuck.max_lsn = 100;
+
+  failing->FailDeletes(stuck.Encode());
+  Checkpoint(*pipeline, /*redo_lsn=*/250);
+  EXPECT_EQ(pipeline->stats().checkpoints_uploaded.Get(), 1u);
+  EXPECT_EQ(pipeline->stats().wal_objects_deleted.Get(), 1u);
+  auto remaining = fx.view->WalObjects();
+  ASSERT_EQ(remaining.size(), 1u);
+  EXPECT_EQ(remaining[0].ts, 0u);
+  EXPECT_TRUE(fx.store->Get(stuck.Encode()).ok());
+
+  failing->FailDeletes("");
+  Checkpoint(*pipeline, /*redo_lsn=*/250);
+  pipeline->Stop();
+  EXPECT_EQ(pipeline->stats().wal_objects_deleted.Get(), 2u);
+  EXPECT_EQ(fx.view->WalCount(), 0u);
+  EXPECT_FALSE(fx.store->Get(stuck.Encode()).ok());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "ginja/ginja.h"
 #include "ginja/object_id.h"
 #include "ginja/standby.h"
+#include "ginja/tail_apply.h"
 
 namespace ginja {
 namespace {
@@ -508,7 +509,6 @@ TEST(Standby, BootstrapAppliesAckedTailSegmentsOfAKilledStream) {
   config.streaming_commit = true;  // ...while its segments upload early
   config.early_ack = true;
   config.stream_segment_writes = 4;
-  config.tail_replicas = 2;
 
   {
     Primary primary(store, config, clock, layout);
@@ -536,6 +536,26 @@ TEST(Standby, BootstrapAppliesAckedTailSegmentsOfAKilledStream) {
   EXPECT_GT(cold_report.tail_segments_applied, 0u);
   EXPECT_GT(standby.report().tail_segments_applied, 0u);
   ExpectSameFiles(Files(*cold), Files(*standby.image()));
+}
+
+TEST(Standby, ResumedTailRunStopsAtAHole) {
+  // Segment 2 of ts 7 never landed but segment 3 did (its PUT raced a
+  // kill). Cold recovery applies 0..1 and stops at the hole, so a standby
+  // resuming at segment 2 must apply nothing rather than jump to 3 — the
+  // divergence that made BootstrapAppliesAckedTailSegmentsOfAKilledStream
+  // flaky under load.
+  std::map<std::uint32_t, std::vector<TailObjectId>> segs;
+  for (std::uint32_t seg : {0u, 1u, 3u}) {
+    segs[seg] = {TailObjectId{7, seg, 0, 100u * (seg + 1)}};
+  }
+  EXPECT_EQ(BuildTailSegmentItems(segs, 7, /*from_seg=*/0).size(), 2u);
+  EXPECT_TRUE(BuildTailSegmentItems(segs, 7, /*from_seg=*/2).empty());
+  // A fresh run still starts past a GC'd seg-prefix.
+  segs.erase(0);
+  segs.erase(1);
+  const auto run = BuildTailSegmentItems(segs, 7, /*from_seg=*/0);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0].name, (TailObjectId{7, 3, 0, 400}).Encode());
 }
 
 TEST(Standby, ExportsLagGaugesAndTailStages) {
