@@ -8,11 +8,11 @@
 //
 // Two additions beyond the paper's figure:
 //   * a client-thread sweep (1/4/16 TPC-C terminals) with per-commit
-//     latency percentiles, showing how the sharded Submit path scales;
+//     latency percentiles, showing how commit latency behaves as more
+//     terminals share the engine's serialised WAL writer;
 //   * an ingestion microbench that strips away SQL and interception and
-//     hammers CommitPipeline::Submit directly against an instant store
-//     (raw MemoryStore, real clock), comparing one submit ring with eight
-//     (submit_shards = 1 vs 8) on the same lock-free path.
+//     hammers CommitPipeline::Submit directly from 1/4/16 threads against
+//     an instant store (raw MemoryStore, real clock).
 //
 // Pass --smoke for the reduced CI matrix. Every row also emits a
 // machine-readable `BENCH_fig5* {...}` JSON line.
@@ -106,7 +106,8 @@ void RunFlavor(DbFlavor flavor) {
 }
 
 // Client-thread scaling through the whole stack: same Ginja config, more
-// concurrent TPC-C terminals pushing intercepted WAL writes into Submit.
+// concurrent TPC-C terminals. Their commits serialise on the engine's WAL
+// writer, so intercepted WAL writes still reach Submit one at a time.
 void RunTerminalSweep() {
   PrintHeader("Client-thread sweep — PostgreSQL, Ginja B=100 S=10000");
   std::printf("%-10s %-12s %-12s %-14s %-14s\n", "terminals", "Tpm-Total",
@@ -125,70 +126,61 @@ void RunTerminalSweep() {
 // MemoryStore on a real clock (the "Instant" latency profile).
 //
 // The headline metric is submitted-writes/s: wall time until every Submit
-// has returned, excluding Drain(). Aggregation and uploads are the same
-// machinery for every shard count; what sharding changes is how fast the
-// front end accepts writes. The total write count stays below S and below
-// one ring's capacity so no Submit ever blocks on the back end —
-// the submit phase measures the front end alone. Each configuration runs
-// several repetitions and keeps the best (least-perturbed) one.
+// has returned, excluding Drain(). The total write count stays below S so
+// no Submit ever blocks on the back end — the submit phase measures the
+// front end alone. Each configuration runs several repetitions and keeps
+// the best (least-perturbed) one.
 void RunIngestSweep() {
   PrintHeader(
       "Ingestion sweep — CommitPipeline::Submit, instant store, real clock");
-  std::printf("%-8s %-9s %-16s %-16s %-14s %-14s\n", "rings", "threads",
-              "submitted/s", "e2e writes/s", "commit p50", "commit p99");
-  // 48k total writes: under S = 100k (never safety-blocked) and under the
-  // 65536-slot capacity of a single ring (never backpressured).
+  std::printf("%-9s %-16s %-16s %-14s %-14s\n", "threads", "submitted/s",
+              "e2e writes/s", "commit p50", "commit p99");
+  // 48k total writes: under S = 100k, so never safety-blocked.
   const std::uint64_t total_writes = 48'000;
   const int reps = g_smoke ? 3 : 5;
-  for (int shards : {1, 8}) {
-    for (int threads : {1, 4, 16}) {
-      IngestResult best;
-      HistogramSnapshot commit;
-      for (int rep = 0; rep < reps; ++rep) {
-        auto store = std::make_shared<MemoryStore>();
-        auto view = std::make_shared<CloudView>();
-        auto clock = std::make_shared<RealClock>();
-        auto envelope = std::make_shared<Envelope>(EnvelopeOptions{});
-        GinjaConfig config;
-        config.submit_shards = shards;
-        config.batch = 100;
-        config.batch_timeout_us = 1'000'000;
-        config.safety = 100'000;
-        config.uploader_threads = 4;
-        auto pipeline = std::make_unique<CommitPipeline>(store, view, clock,
-                                                         config, envelope);
-        pipeline->Start();
+  for (int threads : {1, 4, 16}) {
+    IngestResult best;
+    HistogramSnapshot commit;
+    for (int rep = 0; rep < reps; ++rep) {
+      auto store = std::make_shared<MemoryStore>();
+      auto view = std::make_shared<CloudView>();
+      auto clock = std::make_shared<RealClock>();
+      auto envelope = std::make_shared<Envelope>(EnvelopeOptions{});
+      GinjaConfig config;
+      config.batch = 100;
+      config.batch_timeout_us = 1'000'000;
+      config.safety = 100'000;
+      config.uploader_threads = 4;
+      auto pipeline = std::make_unique<CommitPipeline>(store, view, clock,
+                                                       config, envelope);
+      pipeline->Start();
 
-        IngestOptions options;
-        options.threads = threads;
-        // Fixed total work across thread counts.
-        options.writes_per_thread =
-            total_writes / static_cast<std::uint64_t>(threads);
-        options.write_bytes = 256;
-        options.pages_per_thread = 8;
-        const IngestResult result = RunWalIngest(*pipeline, options);
-        if (result.SubmittedWritesPerSec() > best.SubmittedWritesPerSec()) {
-          best = result;
-          commit = pipeline->stats().commit_latency_us.Snapshot();
-        }
-        pipeline->Stop();
+      IngestOptions options;
+      options.threads = threads;
+      // Fixed total work across thread counts.
+      options.writes_per_thread =
+          total_writes / static_cast<std::uint64_t>(threads);
+      options.write_bytes = 256;
+      options.pages_per_thread = 8;
+      const IngestResult result = RunWalIngest(*pipeline, options);
+      if (result.SubmittedWritesPerSec() > best.SubmittedWritesPerSec()) {
+        best = result;
+        commit = pipeline->stats().commit_latency_us.Snapshot();
       }
-
-      const std::string rings =
-          std::to_string(shards) + (shards == 1 ? " ring" : " rings");
-      std::printf("%-8s %-9d %-16.0f %-16.0f %-14.0f %-14.0f\n",
-                  rings.c_str(), threads, best.SubmittedWritesPerSec(),
-                  best.EndToEndWritesPerSec(), commit.p50, commit.p99);
-      JsonLine line("fig5_ingest");
-      line.Field("shards", shards)
-          .Field("threads", threads)
-          .Field("writes", best.writes)
-          .Field("writes_per_sec", best.SubmittedWritesPerSec())
-          .Field("e2e_writes_per_sec", best.EndToEndWritesPerSec())
-          .Field("commit_p50_us", commit.p50)
-          .Field("commit_p99_us", commit.p99);
-      line.Emit();
+      pipeline->Stop();
     }
+
+    std::printf("%-9d %-16.0f %-16.0f %-14.0f %-14.0f\n", threads,
+                best.SubmittedWritesPerSec(), best.EndToEndWritesPerSec(),
+                commit.p50, commit.p99);
+    JsonLine line("fig5_ingest");
+    line.Field("threads", threads)
+        .Field("writes", best.writes)
+        .Field("writes_per_sec", best.SubmittedWritesPerSec())
+        .Field("e2e_writes_per_sec", best.EndToEndWritesPerSec())
+        .Field("commit_p50_us", commit.p50)
+        .Field("commit_p99_us", commit.p99);
+    line.Emit();
   }
 }
 

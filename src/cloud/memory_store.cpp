@@ -2,48 +2,6 @@
 
 namespace ginja {
 
-namespace {
-
-// Accumulates parts privately; Finish is one ordinary Put. The insert
-// moves a shared_ptr, so even multi-MB streamed objects publish with a
-// constant-time critical section.
-class MemoryStoreWriter : public ObjectWriter {
- public:
-  explicit MemoryStoreWriter(MemoryStore* store) : store_(store) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (finished_ || aborted_) {
-      return Status::InvalidArgument("writer already closed");
-    }
-    if (index < next_) return Status::Ok();
-    if (index != next_) {
-      return Status::InvalidArgument("stream part out of order");
-    }
-    Append(buffer_, part);
-    ++next_;
-    return Status::Ok();
-  }
-
-  Status Finish(std::string_view name) override {
-    if (aborted_) return Status::InvalidArgument("writer aborted");
-    if (finished_) return Status::Ok();  // idempotent: already published
-    Status st = store_->Put(name, View(buffer_));
-    if (st.ok()) finished_ = true;  // a failed Finish may be retried
-    return st;
-  }
-
-  void Abort() override { aborted_ = true; }
-
- private:
-  MemoryStore* store_;
-  Bytes buffer_;
-  std::uint32_t next_ = 0;
-  bool finished_ = false;
-  bool aborted_ = false;
-};
-
-}  // namespace
-
 Status MemoryStore::Put(std::string_view name, ByteView data) {
   // Copy the payload (the expensive part for multi-MB objects) before
   // taking the map lock, so K concurrent PUTs — latency benches with the
@@ -74,37 +32,24 @@ Result<Bytes> MemoryStore::Get(std::string_view name) {
 }
 
 Result<std::vector<ObjectMeta>> MemoryStore::List(std::string_view prefix) {
-  // Collect the matching range as shared_ptrs under the lock; build the
-  // ObjectMeta name strings (one allocation + copy per object — the
-  // expensive part of a fleet-wide recovery or GC LIST) after releasing
-  // it. Each StoredObject carries its own name, so this stays correct even
-  // if entries are concurrently deleted or overwritten.
-  std::vector<std::shared_ptr<const StoredObject>> matched;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = objects_.lower_bound(prefix); it != objects_.end(); ++it) {
-      if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-      matched.push_back(it->second);
-    }
-  }
-  std::vector<ObjectMeta> out;
-  out.reserve(matched.size());
-  for (const auto& object : matched) {
-    out.push_back({object->name, object->data.size()});
-  }
-  return out;
+  return List(prefix, {});
 }
 
 Result<std::vector<ObjectMeta>> MemoryStore::List(std::string_view prefix,
                                                   std::string_view start_after) {
-  // Same off-lock name building as the full List, but the scan starts at
-  // upper_bound(start_after) — past every key the caller already consumed —
-  // when the cursor is ahead of the prefix start.
+  // Collect the matching range as shared_ptrs under the lock; build the
+  // ObjectMeta name strings (one allocation + copy per object — the
+  // expensive part of a fleet-wide recovery or GC LIST) after releasing
+  // it. Each StoredObject carries its own name, so this stays correct even
+  // if entries are concurrently deleted or overwritten. The scan starts at
+  // upper_bound(start_after) — past every key the caller already consumed
+  // — when a cursor is given and is ahead of the prefix start.
   std::vector<std::shared_ptr<const StoredObject>> matched;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = start_after.compare(prefix) >= 0 ? objects_.upper_bound(start_after)
-                                               : objects_.lower_bound(prefix);
+    auto it = !start_after.empty() && start_after.compare(prefix) >= 0
+                  ? objects_.upper_bound(start_after)
+                  : objects_.lower_bound(prefix);
     for (; it != objects_.end(); ++it) {
       if (it->first.compare(0, prefix.size(), prefix) != 0) break;
       if (!start_after.empty() && it->first <= start_after) continue;
@@ -123,11 +68,6 @@ Status MemoryStore::Delete(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   objects_.erase(std::string(name));
   return Status::Ok();
-}
-
-Result<ObjectWriterPtr> MemoryStore::BeginStreaming(
-    std::string_view /*staging_hint*/) {
-  return ObjectWriterPtr(new MemoryStoreWriter(this));
 }
 
 std::size_t MemoryStore::ObjectCount() const {

@@ -21,10 +21,6 @@ class MemoryStore : public ObjectStore {
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
 
-  // Streamed upload staged outside the map: parts accumulate in the
-  // writer's private buffer and land with one locked insert at Finish.
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
-
   std::size_t ObjectCount() const;
   std::uint64_t TotalBytes() const;
 

@@ -54,23 +54,16 @@ Result<Bytes> TenantNamespace::Get(std::string_view name) {
 }
 
 Result<std::vector<ObjectMeta>> TenantNamespace::List(std::string_view prefix) {
-  auto inner = inner_->List(Scoped(prefix));
-  if (!inner.ok()) return inner.status();
-  std::vector<ObjectMeta> out;
-  out.reserve(inner->size());
-  for (auto& meta : *inner) {
-    // Defensive: a backend could return keys outside the asked prefix;
-    // never leak another tenant's (or an unscoped) name upward.
-    if (meta.name.compare(0, prefix_.size(), prefix_) != 0) continue;
-    out.push_back({meta.name.substr(prefix_.size()), meta.size});
-  }
-  return out;
+  return List(prefix, {});
 }
 
 Result<std::vector<ObjectMeta>> TenantNamespace::List(
     std::string_view prefix, std::string_view start_after) {
-  if (start_after.empty()) return List(prefix);
-  auto inner = inner_->List(Scoped(prefix), Scoped(start_after));
+  // An empty cursor stays empty: scoped, it would become "t/<id>/" and
+  // skip the tenant's object with the empty name.
+  const std::string cursor =
+      start_after.empty() ? std::string() : Scoped(start_after);
+  auto inner = inner_->List(Scoped(prefix), cursor);
   if (!inner.ok()) return inner.status();
   std::vector<ObjectMeta> out;
   out.reserve(inner->size());

@@ -31,7 +31,7 @@ class TenantNamespace : public ObjectStore {
   // stripped from every returned name. Objects of other tenants are
   // invisible by construction.
   Result<std::vector<ObjectMeta>> List(std::string_view prefix) override;
-  // Cursor form: both the prefix and the cursor are scoped, so a tenant's
+  // Cursor form: the prefix and a non-empty cursor are scoped, so a tenant's
   // incremental tail poll seeks within its own namespace only.
   Result<std::vector<ObjectMeta>> List(std::string_view prefix,
                                        std::string_view start_after) override;

@@ -28,6 +28,17 @@ std::uint64_t RetryPolicy::NextBackoffUs(int attempt) {
   return static_cast<std::uint64_t>(backoff);
 }
 
+bool SleepUnlessCancelled(Clock& clock, std::uint64_t micros,
+                          const std::function<bool()>& cancelled) {
+  while (micros > 0) {
+    if (cancelled()) return false;
+    const std::uint64_t slice = std::min(micros, kSleepSliceUs);
+    clock.SleepMicros(slice);
+    micros -= slice;
+  }
+  return !cancelled();
+}
+
 TransferManager::TransferManager(ObjectStorePtr store, TransferOptions options,
                                  std::shared_ptr<Clock> clock)
     : store_(std::move(store)),
@@ -234,19 +245,6 @@ void TransferManager::Cancel() {
   for (auto& op : orphans) Fail(op, Status::Aborted("transfer manager cancelled"));
 }
 
-bool TransferManager::BackoffSleep(std::uint64_t micros,
-                                   const TransferAccount* account) {
-  while (micros > 0) {
-    if (cancelled_.load(std::memory_order_acquire)) return false;
-    if (account && account->cancelled()) return false;
-    const std::uint64_t slice = std::min(micros, kSleepSliceUs);
-    clock_->SleepMicros(slice);
-    micros -= slice;
-  }
-  return !cancelled_.load(std::memory_order_acquire) &&
-         !(account && account->cancelled());
-}
-
 void TransferManager::WorkerLoop() {
   while (true) {
     Op op;
@@ -286,6 +284,10 @@ void TransferManager::Execute(Op& op) {
   // window stay shared either way.
   ObjectStore* store = op.store ? op.store.get() : store_.get();
   Status last(ErrorCode::kUnavailable, "not attempted");
+  const auto cancelled = [&] {
+    return cancelled_.load(std::memory_order_acquire) ||
+           (op.account && op.account->cancelled());
+  };
   for (int attempt = 1;; ++attempt) {
     switch (op.kind) {
       case Op::Kind::kGet: {
@@ -345,12 +347,11 @@ void TransferManager::Execute(Op& op) {
       }
     }
     if (!RetryPolicy::Retryable(last.code()) ||
-        attempt >= options_.max_attempts ||
-        cancelled_.load(std::memory_order_acquire) ||
-        (op.account && op.account->cancelled())) {
+        attempt >= options_.max_attempts || cancelled()) {
       break;
     }
-    if (!BackoffSleep(retry_.NextBackoffUs(attempt), op.account.get())) {
+    if (!SleepUnlessCancelled(*clock_, retry_.NextBackoffUs(attempt),
+                              cancelled)) {
       last = Status::Aborted("transfer cancelled");
       break;
     }

@@ -90,6 +90,13 @@ class RetryPolicy {
   Counter* retries_;
 };
 
+// The backoff sleep of every retry loop: sleeps `micros` of model time in
+// 20 ms slices and returns false as soon as `cancelled()` holds (checked
+// before each slice and at the end), so a Cancel or Kill interrupts it
+// within one slice.
+bool SleepUnlessCancelled(Clock& clock, std::uint64_t micros,
+                          const std::function<bool()>& cancelled);
+
 // Per-tenant scope for operations submitted to a *shared* TransferManager.
 // A fleet runs one manager (one worker pool, one global in-flight window)
 // for all tenants; each tenant tags its operations with an account so that
@@ -360,9 +367,6 @@ class TransferManager {
   // Fails the op and settles its account (exactly one of Fail/Execute
   // completes each enqueued op).
   static void Fail(Op& op, const Status& status);
-  // Sleeps `micros` of model time in small slices; false when the manager
-  // (or the op's account) is cancelled.
-  bool BackoffSleep(std::uint64_t micros, const TransferAccount* account);
   bool Enqueue(Op op);  // false (op already failed) when cancelled
 
   ObjectStorePtr store_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "obs/log.h"
@@ -14,8 +13,6 @@ namespace {
 // Poll interval for time-based predicates (TB/TS); wall time, so it works
 // with any Clock scale.
 constexpr auto kPollInterval = std::chrono::milliseconds(1);
-// Slice length for kill-interruptible backoff sleeps (model time).
-constexpr std::uint64_t kSleepSliceUs = 20'000;
 // Stream-segment nonces live in their own subspace, disjoint from WAL
 // object nonces (the raw ts) and DB part nonces (bit 63 | seq | part):
 // tag | ts << 16 | seg. A tail object reuses its segment's envelope bytes
@@ -48,18 +45,6 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
   if (!config_.runtime) {
     config_.runtime = MakeStandaloneRuntime(store_, clock_, config_);
   }
-  const int shard_count = std::max(1, config_.submit_shards);
-  // Each ring must absorb a full S backlog plus a batch in flight; beyond
-  // that Submit backpressures by spinning, which S-blocking normally
-  // prevents from ever happening.
-  const std::size_t ring_capacity = std::min<std::size_t>(
-      std::max<std::size_t>(config_.safety + config_.batch + 64, 64), 65536);
-  shards_.reserve(static_cast<std::size_t>(shard_count));
-  for (int i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<MpscRing<Slot>>(ring_capacity));
-  }
-  reorder_.resize(1024);
-  reorder_filled_.assign(1024, 0);
   last_agg_time_us_ = clock_->NowMicros();
   coarse_now_us_.store(last_agg_time_us_, std::memory_order_release);
   if (config_.obs) {
@@ -240,22 +225,6 @@ bool CommitPipeline::ShouldBlock(std::uint64_t now_us) const {
   return oldest != kNoOldest && now_us - oldest >= config_.safety_timeout_us;
 }
 
-std::size_t CommitPipeline::ShardOf(const WalWrite& write) const {
-  // Same (file, page) always lands on the same shard, so per-page rewrite
-  // streams stay FIFO within a shard; the sequencer provides the global
-  // order anyway, this only spreads contention. Any mapping is correct, so
-  // instead of hashing the whole file name we sample the bytes that vary
-  // between WAL segments (length, tail, middle) — a handful of loads on
-  // the submit hot path instead of a full string hash.
-  std::size_t h = write.file.size();
-  if (!write.file.empty()) {
-    h = h * 131 + static_cast<unsigned char>(write.file.back());
-    h = h * 131 + static_cast<unsigned char>(write.file[write.file.size() / 2]);
-  }
-  h ^= (write.offset >> 12) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h % shards_.size();
-}
-
 void CommitPipeline::Submit(WalWrite write) {
   if (killed_.load(std::memory_order_acquire)) return;
   Slot slot;
@@ -263,35 +232,28 @@ void CommitPipeline::Submit(WalWrite write) {
   // Coarse enqueue stamp: see coarse_now_us_. Saves a clock read per
   // Submit; the error is bounded by one aggregator poll and biased old,
   // which only over-ages writes against the seconds-scale TS bound.
-  slot.enqueue_us = coarse_now_us_.load(std::memory_order_relaxed);
-  const std::size_t shard = ShardOf(slot.write);
-  const std::uint64_t seq = submit_seq_.fetch_add(1, std::memory_order_acq_rel);
-  slot.seq = seq;
-  // Ring full = S-sized backlog on this shard; spin as backpressure. The
-  // aggregator cannot stage past this seq until the push lands, so the
-  // write is never lost, only delayed.
-  while (!shards_[shard]->TryPush(slot)) {
-    if (killed_.load(std::memory_order_acquire)) return;
-    std::this_thread::yield();
+  const std::uint64_t enqueue_us =
+      coarse_now_us_.load(std::memory_order_relaxed);
+  slot.enqueue_us = enqueue_us;
+  // Stamping and appending under one lock makes inbox order seq order, so
+  // the aggregator stages writes exactly as submitted. Wake it only when a
+  // full batch is pending AND it is parked; partial batches are picked up
+  // by its TB poll.
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lock(agg_mu_);
+    slot.seq = submit_seq_.load(std::memory_order_relaxed);
+    submit_seq_.store(slot.seq + 1, std::memory_order_release);
+    wake = agg_parked_ &&
+           slot.seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
+               config_.batch;
+    inbox_.push_back(std::move(slot));
   }
   stats_.writes_submitted.Add();
-
-  // Wake the Aggregator only when a full batch is pending AND it is
-  // parked; partial batches are picked up by its TB poll.
-  // Skipping the notify while it is awake keeps agg_mu_ off the submit
-  // hot path — under a burst every thread would otherwise serialize on
-  // it here.
-  if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
-          config_.batch &&
-      agg_idle_.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard<std::mutex> lock(agg_mu_);
-    }
-    agg_cv_.notify_one();
-  }
+  if (wake) agg_cv_.notify_one();
 
   // Block while S/TS would be violated. The fast path is lock-free and
-  // reuses the enqueue timestamp (TS is seconds-scale, the push is
+  // reuses the enqueue timestamp (TS is seconds-scale, the append is
   // microseconds). The slow path is event-driven (no
   // polling): while blocked, ShouldBlock can only flip to false through an
   // Unlocker completion, and every completion updates the counters *before*
@@ -299,7 +261,7 @@ void CommitPipeline::Submit(WalWrite write) {
   // ordering the two), so waiting without a timeout is safe. Time passing
   // alone never unblocks — it only ages the oldest write toward the TS
   // limit.
-  if (ShouldBlock(slot.enqueue_us)) {
+  if (ShouldBlock(enqueue_us)) {
     std::unique_lock<std::mutex> lock(block_mu_);
     bool blocked = false;
     while (!killed_.load(std::memory_order_acquire) &&
@@ -327,95 +289,61 @@ std::size_t CommitPipeline::PendingWrites() const {
   return static_cast<std::size_t>(Unconfirmed());
 }
 
-void CommitPipeline::PlaceInReorder(Slot slot) {
-  if (slot.seq - reorder_base_ >= reorder_.size()) GrowReorder(slot.seq);
-  const std::size_t idx = slot.seq & (reorder_.size() - 1);
-  reorder_[idx] = std::move(slot);
-  reorder_filled_[idx] = 1;
-}
-
-void CommitPipeline::GrowReorder(std::uint64_t seq) {
-  std::size_t want = reorder_.size() * 2;
-  while (want < seq - reorder_base_ + 1) want <<= 1;
-  std::vector<Slot> old = std::move(reorder_);
-  std::vector<char> old_filled = std::move(reorder_filled_);
-  reorder_ = std::vector<Slot>(want);
-  reorder_filled_.assign(want, 0);
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    if (!old_filled[i]) continue;
-    const std::size_t idx = old[i].seq & (want - 1);
-    reorder_[idx] = std::move(old[i]);
-    reorder_filled_[idx] = 1;
+void CommitPipeline::DrainInbox() {
+  {
+    std::lock_guard<std::mutex> lock(agg_mu_);
+    inbox_.swap(drained_);
   }
-}
-
-void CommitPipeline::DrainShards() {
-  Slot slot;
-  for (auto& shard : shards_) {
-    while (shard->TryPop(slot)) PlaceInReorder(std::move(slot));
-  }
-  // Stage the dense seq prefix: batch formation must see writes in global
-  // submit order (byte-for-byte batch equivalence with the single queue),
-  // so a write drained out of order parks in the window until the gap
-  // before it fills.
-  std::size_t newly = 0;
-  while (true) {
-    const std::size_t idx = reorder_base_ & (reorder_.size() - 1);
-    if (!reorder_filled_[idx]) break;
-    staged_.push_back(std::move(reorder_[idx]));
-    reorder_filled_[idx] = 0;
-    ++reorder_base_;
-    ++newly;
-  }
-  if (newly > 0) {
-    if (Tracing()) {
-      // One clock read per drain, and only with the tracer on: the submit
-      // hot path carries zero tracing cost, sampled writes get stamped here.
-      const std::uint64_t now = clock_->NowMicros();
-      for (std::size_t i = staged_.size() - newly; i < staged_.size(); ++i) {
-        Slot& slot = staged_[i];
-        if (!tracer_->Sampled(slot.seq)) continue;
-        slot.traced = true;
-        slot.staged_us = now;
-        tracer_->Record(TraceStage::kSubmit, slot.seq, slot.enqueue_us, 0);
-        tracer_->Record(TraceStage::kStaged, slot.seq, slot.enqueue_us,
-                        now >= slot.enqueue_us ? now - slot.enqueue_us : 0);
-      }
+  if (drained_.empty()) return;
+  const std::size_t first = staged_.size();
+  for (Slot& slot : drained_) staged_.push_back(std::move(slot));
+  drained_.clear();
+  if (Tracing()) {
+    // One clock read per drain, and only with the tracer on: the submit
+    // hot path carries zero tracing cost, sampled writes get stamped here.
+    const std::uint64_t now = clock_->NowMicros();
+    for (std::size_t i = first; i < staged_.size(); ++i) {
+      Slot& slot = staged_[i];
+      if (!tracer_->Sampled(slot.seq)) continue;
+      slot.traced = true;
+      slot.staged_us = now;
+      tracer_->Record(TraceStage::kSubmit, slot.seq, slot.enqueue_us, 0);
+      tracer_->Record(TraceStage::kStaged, slot.seq, slot.enqueue_us,
+                      now >= slot.enqueue_us ? now - slot.enqueue_us : 0);
     }
-    // Newly staged writes become TS-visible: publish the oldest pending
-    // enqueue time. Writes still inside the rings are invisible to TS for
-    // at most ~one poll interval, negligible against TS >= milliseconds.
-    std::lock_guard<std::mutex> lock(window_mu_);
-    for (std::size_t i = staged_.size() - newly; i < staged_.size(); ++i) {
-      pending_times_.push_back(staged_[i].enqueue_us);
-    }
-    oldest_pending_us_.store(pending_times_.front(),
-                             std::memory_order_release);
   }
+  // Newly staged writes become TS-visible: publish the oldest pending
+  // enqueue time. Writes still in the inbox are invisible to TS for at
+  // most ~one poll interval, negligible against TS >= milliseconds.
+  std::lock_guard<std::mutex> lock(window_mu_);
+  for (std::size_t i = first; i < staged_.size(); ++i) {
+    pending_times_.push_back(staged_[i].enqueue_us);
+  }
+  oldest_pending_us_.store(pending_times_.front(), std::memory_order_release);
 }
 
 void CommitPipeline::AggregatorLoop() {
   while (true) {
     {
       std::unique_lock<std::mutex> lock(agg_mu_);
-      agg_idle_.store(true, std::memory_order_release);
+      agg_parked_ = true;
       agg_cv_.wait_for(lock, kPollInterval, [&] {
         return stopping_.load(std::memory_order_acquire) ||
                submit_seq_.load(std::memory_order_acquire) -
                        batched_count_.load(std::memory_order_relaxed) >=
                    config_.batch;
       });
-      agg_idle_.store(false, std::memory_order_release);
+      agg_parked_ = false;
     }
     if (killed_.load(std::memory_order_acquire)) return;
-    DrainShards();
+    DrainInbox();
     const std::uint64_t now = clock_->NowMicros();
     coarse_now_us_.store(now, std::memory_order_release);
     if (config_.streaming_commit) {
       const bool stop_flush = stopping_.load(std::memory_order_acquire);
       // As in the buffered stop path: pick up writes that raced the stop
       // so the final flush sees everything submitted before it.
-      if (stop_flush) DrainShards();
+      if (stop_flush) DrainInbox();
       StreamPass(now, stop_flush);
       if (stop_flush && staged_.empty() && !open_stream_) return;
       continue;
@@ -431,11 +359,10 @@ void CommitPipeline::AggregatorLoop() {
       const bool stop_flush = stopping_.load(std::memory_order_acquire);
       if (stop_flush) {
         // Stop() can land mid-pass: writes submitted before the stop but
-        // after this pass's DrainShards are still in the shard queues.
-        // Pick them up before the final flush so shutdown forms the same
-        // full batches a quiescent stop would — batch formation stays
-        // identical across shard counts even when Stop races this loop.
-        DrainShards();
+        // after this pass's DrainInbox are still in the inbox. Pick them
+        // up before the final flush so shutdown forms the same full
+        // batches a quiescent stop would, even when Stop races this loop.
+        DrainInbox();
         while (staged_.size() >= config_.batch) {
           FormBatch(config_.batch, now, /*closed_full=*/true);
         }
@@ -732,16 +659,6 @@ void CommitPipeline::CloseStream(std::uint64_t now_us, bool closed_full) {
   last_agg_time_us_ = now_us;
 }
 
-bool CommitPipeline::SleepInterruptible(std::uint64_t micros) {
-  while (micros > 0) {
-    if (killed_.load(std::memory_order_acquire)) return false;
-    const std::uint64_t slice = std::min(micros, kSleepSliceUs);
-    clock_->SleepMicros(slice);
-    micros -= slice;
-  }
-  return !killed_.load(std::memory_order_acquire);
-}
-
 void CommitPipeline::EnqueueUpload(UploadJob job) {
   // The DRR cost is the job's logical payload bytes — what the PUT path
   // actually pays for. Stream-finish jobs carry no payload and weigh the
@@ -778,7 +695,11 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, Bytes& framing,
         !RetryPolicy::Retryable(st.code())) {
       break;
     }
-    if (!SleepInterruptible(retry_.NextBackoffUs(attempt))) break;
+    if (!SleepUnlessCancelled(*clock_, retry_.NextBackoffUs(attempt), [&] {
+          return killed_.load(std::memory_order_acquire);
+        })) {
+      break;
+    }
   }
   if (st.ok()) stats_.bytes_uploaded.Add(enveloped.size());
   PublishObject(job, first_attempt_us, st);

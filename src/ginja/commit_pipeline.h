@@ -13,12 +13,12 @@
 // write has been pending longer than TS.
 //
 // Ingestion front end (DESIGN.md "Low-latency commit ingestion"): Submit
-// is lock-free — a global sequencer (one fetch_add) stamps the submit
-// order, the write lands in a per-shard MPSC ring chosen by (file, page),
-// and the S/TS predicate reads three atomics. The Aggregator drains the
-// rings and restores sequencer order through a dense reorder window, so
-// batches are formed from exactly the global write order — byte-for-byte
-// the same objects for any shard count, one ring included.
+// stamps the write's seq and appends it to one inbox under agg_mu_, so
+// inbox order is submit order; the S/TS predicate reads three atomics. The
+// Aggregator swaps the whole inbox out under the same lock and forms
+// batches off it. The DBMS's WAL writer serialises its page writes, so
+// writes arrive one at a time and the inbox lock is uncontended; Submit
+// stays safe from any number of threads all the same.
 //
 // Execution resources are never owned here: upload jobs go to a
 // FleetRuntime's DRR scheduler and streamed parts, tails and tail deletes
@@ -42,7 +42,6 @@
 #include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/codec/envelope.h"
-#include "common/mpsc_queue.h"
 #include "common/stats.h"
 #include "db/layout.h"
 #include "ginja/cloud_view.h"
@@ -227,13 +226,10 @@ class CommitPipeline {
   // Alg. 2's blocking predicate over the sequencer counters (lock-free).
   bool ShouldBlock(std::uint64_t now_us) const;
   std::uint64_t Unconfirmed() const;
-  std::size_t ShardOf(const WalWrite& write) const;
 
-  // Aggregator internals. DrainShards stages the newly drained writes in
-  // submit order.
-  void DrainShards();
-  void PlaceInReorder(Slot slot);
-  void GrowReorder(std::uint64_t seq);
+  // Aggregator internals. DrainInbox stages the writes submitted since the
+  // last drain, in submit order.
+  void DrainInbox();
   // The staging step shared by both upload shapes: coalesces the first
   // `take` staged writes into survivors_ in (file, offset) order, records
   // their kBatchClose spans, and returns the first sampled write's seq
@@ -259,8 +255,6 @@ class CommitPipeline {
   // Deletes a tail object that its published WAL object supersedes, in the
   // background; a failed delete is re-swept by checkpoint GC.
   void DeleteFoldedTail(const TailObjectId& tail);
-  // Sleeps model-time micros in slices, aborting on Kill(); false if killed.
-  bool SleepInterruptible(std::uint64_t micros);
 
   // Registers stats + DR-exposure gauges into config_.obs (no-op when the
   // config carries no observability bundle).
@@ -285,6 +279,8 @@ class CommitPipeline {
 
   // -- submit path (DBMS threads) --------------------------------------------
   // Sequencer: seq of the next Submit == count of writes ever submitted.
+  // Written only under agg_mu_ (a plain load and store suffice); atomic
+  // because the S/TS predicate and the gauges read it without the lock.
   std::atomic<std::uint64_t> submit_seq_{0};
   // Submit calls that have *returned* to the DBMS. The RPO-exposure gauge
   // is returned - completed: writes the database believes are committed but
@@ -295,8 +291,8 @@ class CommitPipeline {
   // Writes whose batch has been fully acknowledged (consecutive prefix).
   std::atomic<std::uint64_t> completed_count_{0};
   // Enqueue time of the oldest drained-but-unacknowledged write, or
-  // kNoOldest. Writes still inside the shard rings are invisible here for
-  // at most ~one aggregator poll (1 ms) — negligible against TS.
+  // kNoOldest. Writes still in the inbox are invisible here for at most
+  // ~one aggregator poll (1 ms) — negligible against TS.
   std::atomic<std::uint64_t> oldest_pending_us_{kNoOldest};
   // Writes consumed into batches; published so Submit can cheaply decide
   // whether a full batch is pending and the aggregator needs a wakeup.
@@ -308,8 +304,6 @@ class CommitPipeline {
   // earlier.
   std::atomic<std::uint64_t> coarse_now_us_{0};
 
-  std::vector<std::unique_ptr<MpscRing<Slot>>> shards_;
-
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
   // Set when Stop() ran to completion: the destructor then lets queued
@@ -319,21 +313,19 @@ class CommitPipeline {
   std::mutex block_mu_;                 // protects nothing: CV discipline only
   std::condition_variable unblock_cv_;  // woken on batch completion / kill
 
+  // Guards the inbox and agg_parked_; held by Submit only to stamp and
+  // append, and by the aggregator only to swap the inbox out.
   std::mutex agg_mu_;
   std::condition_variable agg_cv_;      // woken when a full batch is pending
-  // True only while the aggregator is parked in wait_for. Submitters check
-  // it before touching agg_mu_, so a sustained burst (backlog >= B the whole
-  // time) pays at most one notify per aggregator sleep instead of taking a
-  // global mutex on every Submit — which would re-serialize the sharded
-  // path. A missed wake (flag read just before the store) costs at most one
-  // poll interval.
-  std::atomic<bool> agg_idle_{false};
+  std::vector<Slot> inbox_;             // submitted writes, in seq order
+  // True only while the aggregator is parked in wait_for: a Submit that
+  // completes a batch notifies only then, so a sustained burst (backlog
+  // >= B the whole time) pays at most one notify per aggregator sleep.
+  bool agg_parked_ = false;
 
   // -- aggregator-private (no locks) -----------------------------------------
-  std::vector<Slot> reorder_;           // dense window indexed by seq
-  std::vector<char> reorder_filled_;
-  std::uint64_t reorder_base_ = 0;      // seq of the next write to stage
-  std::deque<Slot> staged_;             // dense prefix awaiting batch formation
+  std::vector<Slot> drained_;           // the swapped-out inbox, reused
+  std::deque<Slot> staged_;             // writes awaiting batch formation
   CoalesceTable coalesce_;
   NameInterner names_;
   struct SurvivorRef {

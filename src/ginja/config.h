@@ -44,11 +44,6 @@ struct GinjaConfig {
   // -- pipeline ----------------------------------------------------------------
   // Parallel Uploader threads; the paper's evaluation fixes 5 (§8).
   int uploader_threads = 5;
-  // Per-shard MPSC submit rings feeding the commit pipeline's aggregator.
-  // Concurrent DBMS threads contend only within a shard (writes hash by
-  // (file, page)); a global sequencer keeps batch formation identical
-  // across shard counts. 1 is a single ring on the same lock-free path.
-  int submit_shards = 4;
   // Objects are split at this size to optimise upload latency (§5.2 fn. 3).
   std::size_t max_object_bytes = 20 * 1024 * 1024;
   // Streaming commit path: WAL objects leave the machine part by part
@@ -147,10 +142,9 @@ struct GinjaConfig {
 };
 
 // Sanity-checks the knobs whose zero values would make the pipelines hang
-// rather than fail: no uploader ever drains the queue, no shard ever
-// accepts a write, the aggregator forms empty batches forever, the
-// streaming aggregator never seals a segment, or the checkpointer's part
-// split never advances.
+// rather than fail: no uploader ever drains the queue, the aggregator
+// forms empty batches forever, the streaming aggregator never seals a
+// segment, or the checkpointer's part split never advances.
 // Called by Ginja::Boot/Reboot before any thread starts, so a bad config
 // is a clear error instead of a stuck database.
 inline Status ValidateGinjaConfig(const GinjaConfig& config) {
@@ -158,10 +152,6 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
     return Status::InvalidArgument(
         "uploader_threads must be >= 1 (0 uploads nothing and blocks every "
         "write at the S bound)");
-  }
-  if (config.submit_shards <= 0) {
-    return Status::InvalidArgument(
-        "submit_shards must be >= 1 (there would be no queue to submit to)");
   }
   if (config.batch == 0) {
     return Status::InvalidArgument(

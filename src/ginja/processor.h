@@ -55,8 +55,10 @@ class DbIoProcessor : public FileEventListener {
   CheckpointPipeline* checkpoints_;
 
   // Only the circular-log wrap-epoch bookkeeping needs a mutex; the
-  // Postgres WAL path never takes it, so concurrent client threads reach
-  // the commit pipeline's sharded Submit without serializing here.
+  // Postgres WAL path never takes it. Wrap detection relies on WAL writes
+  // arriving one at a time in log order, which the engine's WAL writer
+  // guarantees by serialising its page writes; the EngineStress test
+  // WalWritesReachTheListenerOneAtATimeInLogOrder pins this.
   std::mutex wrap_mu_;
   std::uint64_t last_slot_ = 0;
   std::uint64_t epoch_ = 0;

@@ -61,10 +61,9 @@ struct IngestOptions {
 struct IngestResult {
   std::uint64_t writes = 0;
   // Submit phase only: all client threads joined (every Submit returned).
-  // This is the ingestion front end's throughput — what sharding targets.
+  // This is the ingestion front end's throughput.
   double submit_seconds = 0;
-  // Submit phase plus Drain(): includes aggregation and uploads, which are
-  // shared machinery across shard configurations.
+  // Submit phase plus Drain(): includes aggregation and uploads.
   double total_seconds = 0;
 
   double SubmittedWritesPerSec() const {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "db/database.h"
+#include "fs/intercept_fs.h"
 #include "fs/mem_fs.h"
 
 namespace ginja {
@@ -107,6 +110,104 @@ TEST_P(EngineStress, ReadersRunConcurrentlyWithWriters) {
   stop.store(true);
   reader.join();
   EXPECT_GT(reads.load(), 0u);
+}
+
+// Records, for intercepted WAL-segment writes, the peak number of listener
+// callbacks running at once and whether the page header's logical page
+// number (bytes 6-13) ever went backwards.
+class WalOrderListener : public FileEventListener {
+ public:
+  explicit WalOrderListener(DbLayout layout) : layout_(layout) {}
+
+  void OnFileEvent(const FileEvent& event) override {
+    if (event.kind != FileEvent::Kind::kWrite ||
+        layout_.Classify(event.path, event.offset) != FileKind::kWalSegment ||
+        event.data.size() < DbLayout::kWalPageHeaderSize) {
+      return;
+    }
+    const int inside = inside_.fetch_add(1) + 1;
+    int peak = peak_.load();
+    while (inside > peak && !peak_.compare_exchange_weak(peak, inside)) {
+    }
+    // Widens the window a concurrent WAL write would have to hit.
+    std::this_thread::yield();
+    const std::uint64_t page = GetU64(event.data.data() + 6);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (wal_writes_ > 0 && page < last_page_) decreased_ = true;
+      last_page_ = page;
+      ++wal_writes_;
+    }
+    inside_.fetch_sub(1);
+  }
+
+  int peak() const { return peak_.load(); }
+  bool decreased() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return decreased_;
+  }
+  std::uint64_t wal_writes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return wal_writes_;
+  }
+
+ private:
+  DbLayout layout_;
+  std::atomic<int> inside_{0};
+  std::atomic<int> peak_{0};
+  mutable std::mutex mu_;
+  std::uint64_t last_page_ = 0;
+  std::uint64_t wal_writes_ = 0;
+  bool decreased_ = false;
+};
+
+// Ginja's single commit inbox and the MySQL processor's wrap-epoch
+// detection both assume the engine hands WAL writes to the interception
+// layer one at a time and in log order, as PostgreSQL's WALWriteLock does:
+// concurrent committers serialise inside the engine, never in the listener.
+TEST_P(EngineStress, WalWritesReachTheListenerOneAtATimeInLogOrder) {
+  auto intercept = std::make_shared<InterceptFs>(std::make_shared<MemFs>(),
+                                                 std::make_shared<RealClock>());
+  WalOrderListener listener(Layout());
+  intercept->SetListener(&listener);
+  Database db(intercept, Layout());
+  ASSERT_TRUE(db.Create().ok());
+  ASSERT_TRUE(db.CreateTable("t").ok());
+
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 150;
+  std::atomic<bool> stop_checkpoints{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        auto txn = db.Begin();
+        const std::string key = "w" + std::to_string(w) + "-" + std::to_string(i);
+        ASSERT_TRUE(db.Put(txn, "t", key, Bytes(64, 'x')).ok());
+        ASSERT_TRUE(db.Commit(txn).ok());
+      }
+    });
+  }
+  std::thread checkpointer([&] {
+    while (!stop_checkpoints.load()) {
+      if (Layout().flavor == DbFlavor::kMySql) {
+        (void)db.FuzzyFlush();
+      } else {
+        (void)db.Checkpoint();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  for (auto& t : writers) t.join();
+  stop_checkpoints.store(true);
+  checkpointer.join();
+  intercept->SetListener(nullptr);
+
+  EXPECT_EQ(db.CommittedTxns(), kWriters * kPerWriter);
+  EXPECT_GE(listener.wal_writes(),
+            static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  EXPECT_EQ(listener.peak(), 1);
+  EXPECT_FALSE(listener.decreased());
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, EngineStress,

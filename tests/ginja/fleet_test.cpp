@@ -715,14 +715,6 @@ TEST_F(FleetConfigValidation, BootRejectsZeroUploaderThreads) {
   EXPECT_NE(st.ToString().find("uploader_threads"), std::string::npos);
 }
 
-TEST_F(FleetConfigValidation, BootRejectsZeroSubmitShards) {
-  GinjaConfig config;
-  config.submit_shards = 0;
-  Status st = BootWith(config);
-  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(st.ToString().find("submit_shards"), std::string::npos);
-}
-
 TEST_F(FleetConfigValidation, BootRejectsZeroBatch) {
   GinjaConfig config;
   config.batch = 0;

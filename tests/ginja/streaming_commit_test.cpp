@@ -87,7 +87,6 @@ TraceRun RunTrace(GinjaConfig config, int files = 1) {
   config.safety = 10'000;
   config.uploader_threads = 1;
   config.transfer_concurrency = 1;
-  config.submit_shards = 1;  // one aggregator: batches group identically
   auto pipeline = std::make_unique<CommitPipeline>(store, view, clock, config,
                                                    envelope);
   TraceRun out;
