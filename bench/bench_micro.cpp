@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): the hot primitives on Ginja's commit
 // path — LZSS, AES-128-CTR, HMAC-SHA1, CRC-32, the full envelope encode
-// (with latency percentiles), WAL appends, and page aggregation. Codec throughput
-// runs at 8 KiB / 256 KiB / 4 MiB; bytes_per_second and the p50/p95/p99
-// counters land in the JSON output (--benchmark_format=json).
+// (with latency percentiles), WAL appends, and page aggregation — plus cold
+// redo (Database::Open). Codec throughput runs at 8 KiB / 256 KiB / 4 MiB;
+// bytes_per_second and the p50/p95/p99 counters land in the JSON output
+// (--benchmark_format=json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,11 +22,13 @@
 #include "common/codec/sha1.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "db/database.h"
 #include "db/wal.h"
 #include "fs/mem_fs.h"
 #include "ginja/coalesce.h"
 #include "ginja/commit_pipeline.h"
 #include "obs/obs.h"
+#include "workload/tpcc.h"
 
 namespace ginja {
 namespace {
@@ -210,6 +213,47 @@ void BM_WalAppend(benchmark::State& state) {
   state.SetLabel(layout.Name());
 }
 BENCHMARK(BM_WalAppend)->Arg(0)->Arg(1);
+
+// Cold redo: Database::Open of a fixed image — a TPC-C population and a
+// checkpoint (the table pages to load), then 3000 committed transactions
+// (the WAL to replay). rows/s counts the rows the opened tables hold.
+void BM_DatabaseOpen(benchmark::State& state) {
+  const DbLayout layout = DbLayout::Postgres();
+  auto fs = std::make_shared<MemFs>();
+  {
+    Database db(fs, layout);
+    if (!db.Create().ok()) state.SkipWithError("create failed");
+    TpccConfig config;
+    config.scale = 20;
+    TpccWorkload tpcc(&db, config);
+    if (!tpcc.Populate().ok() || !db.Checkpoint().ok()) {
+      state.SkipWithError("populate failed");
+    }
+    SplitMix64 rng(7);
+    for (int i = 0; i < 3000; ++i) {
+      const Status st = tpcc.Execute(tpcc.PickType(rng), rng);
+      if (!st.ok() && st.code() != ErrorCode::kAborted) {  // 1% rollbacks
+        state.SkipWithError("transaction failed");
+        break;
+      }
+    }
+  }
+  std::uint64_t rows = 0;
+  for (auto _ : state) {
+    Database db(fs, layout);
+    if (!db.Open().ok()) {
+      state.SkipWithError("open failed");
+      break;
+    }
+    rows = 0;
+    for (const auto& table : db.TableNames()) rows += db.RowCount(table);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(rows) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DatabaseOpen)->Unit(benchmark::kMillisecond);
 
 // Batch coalescing (Alg. 2 lines 12-13): the reusable open-addressed
 // CoalesceTable vs the std::map it replaced. range(0) = writes per batch,

@@ -84,7 +84,10 @@ Result<ControlBlock> Database::ReadControl() {
     auto bytes = vfs_->Read(layout_.ControlFileName(),
                             layout_.ControlOffset(slot),
                             ControlBlock::kEncodedSize);
-    if (!bytes.ok()) continue;
+    if (!bytes.ok()) {
+      if (bytes.status().code() == ErrorCode::kNotFound) continue;
+      return bytes.status();
+    }
     ControlBlock block;
     if (!ControlBlock::Decode(bytes->data(), bytes->size(), &block)) continue;
     if (!found || block.counter > best.counter) {
@@ -112,11 +115,13 @@ Status Database::Open() {
 
   for (const auto& [name, buckets] : *catalog) {
     Table table(name, buckets, layout_.data_page_size);
+    // A table never checkpointed has no file yet; any other read failure
+    // must fail the open rather than load the table empty.
     auto file = vfs_->ReadAll(layout_.TableFileName(name));
     if (file.ok()) {
-      auto rows = Table::ParseFile(View(*file), layout_.data_page_size);
-      if (!rows.ok()) return rows.status();
-      for (auto& row : *rows) table.InstallLoaded(row.key, std::move(row.value));
+      GINJA_RETURN_IF_ERROR(table.LoadFile(View(*file)));
+    } else if (file.status().code() != ErrorCode::kNotFound) {
+      return file.status();
     }
     tables_.emplace(name, std::move(table));
   }
@@ -124,11 +129,11 @@ Status Database::Open() {
   // Redo: replay committed transactions past the checkpoint. Logical,
   // ordered, idempotent row operations need no per-page LSN gate.
   WalReader reader(vfs_, layout_);
-  auto end = reader.Replay(checkpoint_lsn_, [this](const WalRecord& r) {
+  auto end = reader.Replay(checkpoint_lsn_, [this](WalRecord& r) {
     auto it = tables_.find(r.table);
     if (it == tables_.end()) return;  // table dropped/unknown: skip
     if (r.type == WalRecordType::kPut) {
-      it->second.Put(r.key, r.value, r.lsn);
+      it->second.Put(r.key, std::move(r.value), r.lsn);
     } else {
       it->second.Delete(r.key, r.lsn);
     }

@@ -1,7 +1,7 @@
 #include "db/table.h"
 
+#include <algorithm>
 #include <cassert>
-#include <functional>
 
 #include "common/codec/crc32.h"
 
@@ -12,7 +12,7 @@ namespace {
 // Page header: crc32 over the rest, used bytes, flush LSN.
 constexpr std::size_t kPageHeaderSize = 4 + 4 + 8;
 
-std::uint64_t HashKey(const std::string& key) {
+std::uint64_t HashKey(std::string_view key) {
   // FNV-1a: stable across platforms (std::hash is not guaranteed stable).
   std::uint64_t h = 1469598103934665603ull;
   for (char c : key) {
@@ -30,7 +30,7 @@ Table::Table(std::string name, std::uint32_t buckets, std::size_t page_size)
   buckets_.resize(buckets);
 }
 
-std::uint32_t Table::BucketOf(const std::string& key) const {
+std::uint32_t Table::BucketOf(std::string_view key) const {
   return static_cast<std::uint32_t>(HashKey(key) % buckets_.size());
 }
 
@@ -139,66 +139,65 @@ void Table::MaybeSplit() {
   for (std::uint32_t b = 0; b < buckets_.size(); ++b) dirty_.emplace(b, 0);
 }
 
-Result<std::vector<Table::LoadedRow>> Table::ParseFile(ByteView file_bytes,
-                                                       std::size_t page_size) {
-  std::vector<LoadedRow> rows;
-  std::map<std::string, std::size_t> best;  // key -> index in rows
-  for (std::size_t off = 0; off + page_size <= file_bytes.size();
-       off += page_size) {
-    const std::uint8_t* page = file_bytes.data() + off;
+Status Table::LoadFile(ByteView file) {
+  assert(row_count_ == 0 && "LoadFile fills an empty table");
+  // Pass 1: validate every page in file order and note where the written
+  // ones are.
+  struct PageRef {
+    Lsn flush_lsn;
+    std::size_t offset;
+  };
+  std::vector<PageRef> pages;
+  pages.reserve(file.size() / page_size_);
+  for (std::size_t off = 0; off + page_size_ <= file.size(); off += page_size_) {
+    const std::uint8_t* page = file.data() + off;
     const std::uint32_t stored_crc = GetU32(page);
     const std::uint32_t used = GetU32(page + 4);
-    const Lsn flush_lsn = GetU64(page + 8);
     if (used == 0 && stored_crc == 0) continue;  // never-written page
-    if (used > page_size - kPageHeaderSize) {
+    if (used > page_size_ - kPageHeaderSize) {
       return Status::Corruption("table page used-count overflow");
     }
-    if (Crc32(ByteView(page + 4, page_size - 4)) != stored_crc) {
+    if (Crc32(ByteView(page + 4, page_size_ - 4)) != stored_crc) {
       return Status::Corruption("table page crc mismatch");
     }
-    const ByteView payload(page + kPageHeaderSize, used);
+    pages.push_back({GetU64(page + 8), off});
+  }
+
+  // Pass 2: newest page first (stable, so equal LSNs keep file order); the
+  // first copy of a key to reach its bucket is the one that stays.
+  std::stable_sort(pages.begin(), pages.end(),
+                   [](const PageRef& a, const PageRef& b) {
+                     return a.flush_lsn > b.flush_lsn;
+                   });
+  for (const PageRef& ref : pages) {
+    const std::uint8_t* page = file.data() + ref.offset;
+    const ByteView payload(page + kPageHeaderSize, GetU32(page + 4));
     std::size_t pos = 0;
     while (pos < payload.size()) {
       auto klen = GetVarint(payload, pos);
       if (!klen || pos + *klen > payload.size()) {
         return Status::Corruption("table row key truncated");
       }
-      std::string key(reinterpret_cast<const char*>(payload.data() + pos), *klen);
+      const std::string_view key(reinterpret_cast<const char*>(payload.data() + pos),
+                                 *klen);
       pos += *klen;
       auto vlen = GetVarint(payload, pos);
       if (!vlen || pos + *vlen > payload.size()) {
         return Status::Corruption("table row value truncated");
       }
-      Bytes value(payload.begin() + static_cast<long>(pos),
-                  payload.begin() + static_cast<long>(pos + *vlen));
+      const std::uint8_t* value = payload.data() + pos;
       pos += *vlen;
 
-      auto it = best.find(key);
-      if (it == best.end()) {
-        best.emplace(key, rows.size());
-        rows.push_back({std::move(key), std::move(value), flush_lsn});
-      } else if (rows[it->second].src_lsn < flush_lsn) {
-        rows[it->second].value = std::move(value);
-        rows[it->second].src_lsn = flush_lsn;
-      }
+      const bool inserted = buckets_[BucketOf(key)]
+                                .try_emplace(std::string(key), value, value + *vlen)
+                                .second;
+      if (!inserted) continue;  // a newer copy of this row is already loaded
+      ++row_count_;
+      approx_bytes_ += key.size() + *vlen;
+      MaybeSplit();
     }
   }
-  return rows;
-}
-
-void Table::InstallLoaded(const std::string& key, Bytes value) {
-  auto& bucket = buckets_[BucketOf(key)];
-  auto existing = bucket.find(key);
-  if (existing == bucket.end()) {
-    ++row_count_;
-    approx_bytes_ += key.size() + value.size();
-    bucket.emplace(key, std::move(value));
-  } else {
-    approx_bytes_ += value.size();
-    approx_bytes_ -= existing->second.size();
-    existing->second = std::move(value);
-  }
-  MaybeSplit();
+  return Status::Ok();
 }
 
 }  // namespace ginja

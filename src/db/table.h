@@ -5,14 +5,16 @@
 // of the table's file. When a bucket outgrows its page the table doubles
 // its bucket count and redistributes (marking everything dirty — the next
 // checkpoint rewrites the file). Every page header carries the flush LSN so
-// a loader can resolve the duplicates a crash mid-redistribution can leave
-// behind, and so redo can skip records already reflected in a page.
+// the loader can resolve the duplicates a crash mid-redistribution can leave
+// behind: LoadFile visits pages newest first and lets the buckets keep the
+// first copy of each key, so no side map or row copy is needed.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -58,23 +60,16 @@ class Table {
 
   // -- load path ------------------------------------------------------------
 
-  // A row parsed from a page, with the flush LSN of the page it came from.
-  struct LoadedRow {
-    std::string key;
-    Bytes value;
-    Lsn src_lsn;
-  };
-  // Parses every row of every valid page in `file_bytes`. Duplicate keys
-  // (possible after a crash mid-redistribution) are resolved by keeping the
-  // row from the page with the larger flush LSN.
-  static Result<std::vector<LoadedRow>> ParseFile(ByteView file_bytes,
-                                                  std::size_t page_size);
-
-  // Installs a loaded row without dirtying anything.
-  void InstallLoaded(const std::string& key, Bytes value);
+  // Fills this empty table from a table file image, touching each row once:
+  // rows go straight from the page bytes into their buckets without
+  // dirtying anything. Never-written (all-zero header) pages are skipped; a
+  // bad used-count, CRC or row framing is Corruption. A crash mid-
+  // redistribution can leave a key in two pages; the row from the page with
+  // the larger flush LSN wins, and on equal LSNs the lower file offset.
+  Status LoadFile(ByteView file);
 
  private:
-  std::uint32_t BucketOf(const std::string& key) const;
+  std::uint32_t BucketOf(std::string_view key) const;
   void MaybeSplit();
 
   std::string name_;

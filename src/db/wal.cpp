@@ -231,30 +231,35 @@ std::vector<std::string> WalWriter::RemoveSegmentsBelow(Lsn checkpoint_lsn) {
 WalReader::WalReader(VfsPtr vfs, DbLayout layout)
     : vfs_(std::move(vfs)), layout_(layout) {}
 
-std::optional<Bytes> WalReader::ReadPagePayload(std::uint64_t logical_page) {
+Result<std::optional<Bytes>> WalReader::ReadPagePayload(
+    std::uint64_t logical_page) {
+  const std::optional<Bytes> end_of_log;
   const auto loc = layout_.LocateWalPage(logical_page);
   auto page = vfs_->Read(loc.file, loc.offset, layout_.wal_page_size);
-  if (!page.ok() || page->size() < DbLayout::kWalPageHeaderSize) {
-    return std::nullopt;
+  if (!page.ok()) {
+    if (page.status().code() == ErrorCode::kNotFound) return end_of_log;
+    return page.status();
   }
+  if (page->size() < DbLayout::kWalPageHeaderSize) return end_of_log;
   // Short page (recovered tail): pad to full size for uniform handling.
   if (page->size() < layout_.wal_page_size) {
     page->resize(layout_.wal_page_size, 0);
   }
   const std::uint32_t stored_crc = GetU32(page->data());
   if (Crc32(ByteView(page->data() + 4, page->size() - 4)) != stored_crc) {
-    return std::nullopt;
+    return end_of_log;
   }
   const std::uint16_t used = GetU16(page->data() + 4);
   const std::uint64_t page_number = GetU64(page->data() + 6);
-  if (page_number != logical_page) return std::nullopt;  // older wrap cycle
-  if (used > layout_.WalPayloadSize()) return std::nullopt;
-  return Bytes(page->begin() + DbLayout::kWalPageHeaderSize,
-               page->begin() + DbLayout::kWalPageHeaderSize + used);
+  if (page_number != logical_page) return end_of_log;  // older wrap cycle
+  if (used > layout_.WalPayloadSize()) return end_of_log;
+  return std::optional<Bytes>(std::in_place,
+                              page->begin() + DbLayout::kWalPageHeaderSize,
+                              page->begin() + DbLayout::kWalPageHeaderSize + used);
 }
 
 Result<Lsn> WalReader::Replay(
-    Lsn from_lsn, const std::function<void(const WalRecord&)>& on_record) {
+    Lsn from_lsn, const std::function<void(WalRecord&)>& on_record) {
   const std::size_t payload_size = layout_.WalPayloadSize();
   std::uint64_t page = from_lsn / payload_size;
   const std::size_t skip = from_lsn % payload_size;
@@ -262,6 +267,7 @@ Result<Lsn> WalReader::Replay(
   // Transactions buffer until their commit record proves atomicity.
   std::map<std::uint64_t, std::vector<WalRecord>> pending;
 
+  // buf[consumed..] is the unparsed stream; buf[0] sits at buf_start_lsn.
   Bytes buf;
   Lsn buf_start_lsn = from_lsn;
   std::size_t consumed = 0;
@@ -269,10 +275,11 @@ Result<Lsn> WalReader::Replay(
 
   {
     auto payload = ReadPagePayload(page);
-    if (!payload) return from_lsn;  // nothing beyond the checkpoint
-    if (payload->size() < skip) return from_lsn;
-    buf.assign(payload->begin() + static_cast<long>(skip), payload->end());
-    last_page_full = payload->size() == payload_size;
+    if (!payload.ok()) return payload.status();
+    if (!*payload) return from_lsn;  // nothing beyond the checkpoint
+    if ((*payload)->size() < skip) return from_lsn;
+    buf.assign((*payload)->begin() + static_cast<long>(skip), (*payload)->end());
+    last_page_full = (*payload)->size() == payload_size;
   }
 
   while (true) {
@@ -285,11 +292,11 @@ Result<Lsn> WalReader::Replay(
       if (record.type == WalRecordType::kCommit) {
         auto it = pending.find(record.txn_id);
         if (it != pending.end()) {
-          for (const auto& r : it->second) on_record(r);
+          for (auto& r : it->second) on_record(r);
           pending.erase(it);
         }
       } else {
-        pending[record.txn_id].push_back(record);
+        pending[record.txn_id].push_back(std::move(record));
       }
       continue;
     }
@@ -299,9 +306,15 @@ Result<Lsn> WalReader::Replay(
     if (!last_page_full) break;
     ++page;
     auto payload = ReadPagePayload(page);
-    if (!payload) break;
-    last_page_full = payload->size() == payload_size;
-    Append(buf, View(*payload));
+    if (!payload.ok()) return payload.status();
+    if (!*payload) break;
+    last_page_full = (*payload)->size() == payload_size;
+    // Drop the parsed prefix so the window stays one page plus the record
+    // that spans into it.
+    buf.erase(buf.begin(), buf.begin() + static_cast<long>(consumed));
+    buf_start_lsn += consumed;
+    consumed = 0;
+    Append(buf, View(**payload));
   }
 
   return buf_start_lsn + consumed;

@@ -93,15 +93,19 @@ class WalReader {
 
   // Scans committed transactions starting at `from_lsn`, invoking
   // `on_record` for each kPut/kDelete of a *committed* transaction, in
-  // commit order. Records of transactions whose kCommit never made it to
-  // disk are discarded (atomicity). Returns the end of the valid stream.
+  // commit order; the callee may move out of the record. Records of
+  // transactions whose kCommit never made it to disk are discarded
+  // (atomicity). The parse window holds one page plus any record that
+  // spans into it, not the whole log. Returns the end of the valid stream,
+  // or the error of a failed page read.
   Result<Lsn> Replay(Lsn from_lsn,
-                     const std::function<void(const WalRecord&)>& on_record);
+                     const std::function<void(WalRecord&)>& on_record);
 
  private:
-  // Reads the payload of a logical page; nullopt when the page is missing,
-  // corrupt, or belongs to an older wrap cycle.
-  std::optional<Bytes> ReadPagePayload(std::uint64_t logical_page);
+  // Reads the payload of a logical page. Ok(nullopt) ends the log: the
+  // page's file is missing, or the page is short, corrupt, or belongs to an
+  // older wrap cycle. Any other read failure is returned as an error.
+  Result<std::optional<Bytes>> ReadPagePayload(std::uint64_t logical_page);
 
   VfsPtr vfs_;
   DbLayout layout_;

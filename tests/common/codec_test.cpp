@@ -100,7 +100,7 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(before, Crc32(View(data)));
 }
 
-// The byte-at-a-time definition the slicing-by-8 implementation must match.
+// The byte-at-a-time definition both CRC paths must match.
 std::uint32_t ReferenceCrc32(ByteView data, std::uint32_t seed = 0) {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (std::uint8_t b : data) {
@@ -118,13 +118,33 @@ Bytes SeededBytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0..64 cover the 8-byte body loop, the byte tail and every mix
-  // of the two; offsets 0..7 start the body loop at every alignment.
-  const Bytes buf = SeededBytes(64 + 8, 1);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
+  // Lengths 0..320 cover the 64-byte fold loop, the 16-byte fold loop, the
+  // 8-byte slicing loop, the byte tail and every mix of them; offsets
+  // 0..15 start each loop at every alignment. A seed exercises chaining.
+  const Bytes buf = SeededBytes(320 + 16, 1);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 320; ++len) {
       const ByteView v(buf.data() + offset, len);
       EXPECT_EQ(Crc32(v), ReferenceCrc32(v)) << "offset=" << offset << " len=" << len;
+      EXPECT_EQ(Crc32(v, 0x12345678u), ReferenceCrc32(v, 0x12345678u))
+          << "seeded offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32, PortableMatchesReferenceOnFoldSizedBuffers) {
+  // Buffers of 64 bytes and more take the folded path in Crc32 where the
+  // host has PCLMULQDQ; Crc32Portable keeps the slicing-by-8 fallback
+  // covered there.
+  const Bytes buf = SeededBytes(8192 + 16, 5);
+  for (std::size_t len : {64u, 65u, 79u, 80u, 127u, 128u, 300u, 4096u, 8188u, 8192u}) {
+    for (std::size_t offset : {0u, 3u, 8u, 15u}) {
+      const ByteView v(buf.data() + offset, len);
+      EXPECT_EQ(Crc32Portable(v), ReferenceCrc32(v))
+          << "offset=" << offset << " len=" << len;
+      EXPECT_EQ(Crc32Portable(v, 0xCAFEF00Du), ReferenceCrc32(v, 0xCAFEF00Du))
+          << "seeded offset=" << offset << " len=" << len;
+      EXPECT_EQ(Crc32Portable(v), Crc32(v)) << "offset=" << offset << " len=" << len;
     }
   }
 }
@@ -142,14 +162,16 @@ TEST(Crc32, MatchesReferenceOnWalPageAndRandomBuffers) {
 }
 
 TEST(Crc32, ChainedSeedsEqualOneShot) {
-  // Crc32(b, Crc32(a)) == Crc32(a ++ b) at every split point.
+  // Crc32(b, Crc32(a)) == Crc32(a ++ b) at every split point, so each side
+  // crosses the 64-byte fold threshold in both directions.
   const Bytes data = SeededBytes(300, 4);
   const std::uint32_t whole = Crc32(View(data));
-  for (std::size_t cut = 0; cut <= data.size(); cut += 7) {
+  EXPECT_EQ(whole, ReferenceCrc32(View(data)));
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
     const ByteView a(data.data(), cut);
     const ByteView b(data.data() + cut, data.size() - cut);
     EXPECT_EQ(Crc32(b, Crc32(a)), whole) << "cut=" << cut;
-    EXPECT_EQ(Crc32(b, ReferenceCrc32(a)), ReferenceCrc32(b, ReferenceCrc32(a)));
+    EXPECT_EQ(Crc32Portable(b, Crc32Portable(a)), whole) << "cut=" << cut;
   }
 }
 

@@ -6,6 +6,41 @@
 namespace ginja {
 namespace {
 
+// Fails reads that reach byte `from_offset` of `path` with IoError, as a
+// LocalFs pread failure would; every other call goes to the MemFs.
+class FailingReadFs : public Vfs {
+ public:
+  FailingReadFs(std::shared_ptr<MemFs> inner, std::string path,
+                std::uint64_t from_offset)
+      : inner_(std::move(inner)), path_(std::move(path)), from_offset_(from_offset) {}
+
+  Status Write(std::string_view p, std::uint64_t o, ByteView d, bool sync) override {
+    return inner_->Write(p, o, d, sync);
+  }
+  Result<Bytes> Read(std::string_view p, std::uint64_t o, std::uint64_t s) override {
+    if (p == path_ && o + s > from_offset_) return Status::IoError("injected pread");
+    return inner_->Read(p, o, s);
+  }
+  Result<Bytes> ReadAll(std::string_view p) override {
+    if (p == path_) return Status::IoError("injected pread");
+    return inner_->ReadAll(p);
+  }
+  Result<std::uint64_t> FileSize(std::string_view p) override { return inner_->FileSize(p); }
+  bool Exists(std::string_view p) override { return inner_->Exists(p); }
+  Status Truncate(std::string_view p, std::uint64_t size) override {
+    return inner_->Truncate(p, size);
+  }
+  Status Remove(std::string_view p) override { return inner_->Remove(p); }
+  Result<std::vector<std::string>> ListFiles(std::string_view prefix) override {
+    return inner_->ListFiles(prefix);
+  }
+
+ private:
+  std::shared_ptr<MemFs> inner_;
+  std::string path_;
+  std::uint64_t from_offset_;
+};
+
 class DatabaseTest : public ::testing::TestWithParam<DbFlavor> {
  protected:
   DbLayout Layout() const {
@@ -195,6 +230,60 @@ TEST_P(DatabaseTest, OpenWithoutCreateFails) {
   auto fs = std::make_shared<MemFs>();
   Database db(fs, Layout());
   EXPECT_FALSE(db.Open().ok());
+}
+
+TEST_P(DatabaseTest, TableFileReadErrorFailsOpen) {
+  // Only a missing table file means "nothing checkpointed yet"; a failed
+  // read must not open the table empty.
+  auto fs = std::make_shared<MemFs>();
+  {
+    auto db = Fresh(fs);
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(PutOne(*db, "a" + std::to_string(i), "1").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    ASSERT_TRUE(PutOne(*db, "after", "2").ok());
+  }
+  auto failing = std::make_shared<FailingReadFs>(fs, Layout().TableFileName("t"), 0);
+  Database db(failing, Layout());
+  EXPECT_EQ(db.Open().code(), ErrorCode::kIoError);
+}
+
+TEST_P(DatabaseTest, WalPageReadErrorFailsOpen) {
+  // Redo must not stop early at an unreadable WAL page as if the log ended
+  // there: the rows committed past it would silently vanish.
+  auto fs = std::make_shared<MemFs>();
+  {
+    auto db = Fresh(fs);
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(PutOne(*db, "k" + std::to_string(i), std::string(200, 'v')).ok());
+    }
+  }
+  const auto second_page = Layout().LocateWalPage(1);
+  {
+    Database intact(fs, Layout());
+    ASSERT_TRUE(intact.Open().ok());
+    ASSERT_EQ(intact.RowCount("t"), 50u);
+    ASSERT_GT(intact.WalEndLsn(), Layout().WalPayloadSize());  // spans pages
+  }
+  auto failing =
+      std::make_shared<FailingReadFs>(fs, second_page.file, second_page.offset);
+  Database db(failing, Layout());
+  EXPECT_EQ(db.Open().code(), ErrorCode::kIoError);
+}
+
+TEST_P(DatabaseTest, ControlReadErrorFailsOpen) {
+  // A control slot that cannot be read must not fall back to another slot's
+  // (possibly older) checkpoint or be reported as a torn block.
+  auto fs = std::make_shared<MemFs>();
+  {
+    auto db = Fresh(fs);
+    ASSERT_TRUE(PutOne(*db, "k", "v").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  const DbLayout layout = Layout();
+  auto failing = std::make_shared<FailingReadFs>(
+      fs, layout.ControlFileName(), layout.ControlOffset(layout.ControlSlotCount() - 1));
+  Database db(failing, layout);
+  EXPECT_EQ(db.Open().code(), ErrorCode::kIoError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, DatabaseTest,

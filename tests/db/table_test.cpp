@@ -49,6 +49,13 @@ TEST(Table, MarkCleanClearsDirty) {
   EXPECT_FALSE(t.OldestDirtyLsn().has_value());
 }
 
+// Lays `pages` out back to back as one table file image.
+Bytes FileOf(const std::vector<Bytes>& pages) {
+  Bytes file;
+  for (const Bytes& page : pages) Append(file, View(page));
+  return file;
+}
+
 TEST(Table, SerializeAndParseRoundTrip) {
   const std::size_t page_size = 8192;
   Table t("t", 2, page_size);
@@ -62,14 +69,15 @@ TEST(Table, SerializeAndParseRoundTrip) {
     std::copy(page.begin(), page.end(),
               file.begin() + static_cast<long>(t.PageOffset(b)));
   }
-  auto rows = Table::ParseFile(View(file), page_size);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 50u);
-  for (const auto& row : *rows) {
-    EXPECT_EQ(row.src_lsn, 42u);
-    Table fresh("t2", 2, page_size);
-    fresh.InstallLoaded(row.key, row.value);
-    EXPECT_TRUE(fresh.Get(row.key).has_value());
+  Table loaded("t", 2, page_size);
+  ASSERT_TRUE(loaded.LoadFile(View(file)).ok());
+  EXPECT_EQ(loaded.row_count(), 50u);
+  EXPECT_EQ(loaded.ApproxDataBytes(), t.ApproxDataBytes());
+  EXPECT_FALSE(loaded.IsDirty());  // loading dirties nothing
+  for (int i = 0; i < 50; ++i) {
+    auto v = loaded.Get("key" + std::to_string(i));
+    ASSERT_TRUE(v.has_value()) << i;
+    EXPECT_EQ(ToString(View(*v)), "value" + std::to_string(i));
   }
 }
 
@@ -83,9 +91,10 @@ TEST(Table, ParseSkipsNeverWrittenPages) {
   const Bytes page = t.SerializeBucket(dirty[0].bucket, 7);
   std::copy(page.begin(), page.end(),
             file.begin() + static_cast<long>(t.PageOffset(dirty[0].bucket)));
-  auto rows = Table::ParseFile(View(file), page_size);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 1u);
+  Table loaded("t", 4, page_size);
+  ASSERT_TRUE(loaded.LoadFile(View(file)).ok());
+  EXPECT_EQ(loaded.row_count(), 1u);
+  EXPECT_EQ(ToString(View(*loaded.Get("only"))), "row");
 }
 
 TEST(Table, ParseRejectsCorruptPage) {
@@ -94,7 +103,25 @@ TEST(Table, ParseRejectsCorruptPage) {
   t.Put("k", ToBytes("v"), 1);
   Bytes file = t.SerializeBucket(0, 1);
   file[100] ^= 0xFF;
-  EXPECT_FALSE(Table::ParseFile(View(file), page_size).ok());
+  Table loaded("t", 1, page_size);
+  const Status st = loaded.LoadFile(View(file));
+  EXPECT_EQ(st.code(), ErrorCode::kCorruption);
+}
+
+TEST(Table, LoadFileRejectsCorruptPageAfterValidOnes) {
+  // Every page is checked before any row is trusted: a bad CRC on the last
+  // page fails the load even though the pages before it are valid.
+  const std::size_t page_size = 8192;
+  Table t("t", 4, page_size);
+  for (int i = 0; i < 40; ++i) t.Put("k" + std::to_string(i), ToBytes("v"), 1);
+  std::vector<Bytes> pages;
+  for (std::uint32_t b = 0; b < t.bucket_count(); ++b) {
+    pages.push_back(t.SerializeBucket(b, 9));
+  }
+  pages.back()[page_size - 1] ^= 0x01;
+  Table loaded("t", 4, page_size);
+  const Status st = loaded.LoadFile(View(FileOf(pages)));
+  EXPECT_EQ(st.code(), ErrorCode::kCorruption);
 }
 
 TEST(Table, DuplicateKeysResolvedByFlushLsn) {
@@ -105,29 +132,37 @@ TEST(Table, DuplicateKeysResolvedByFlushLsn) {
   old_location.Put("k", ToBytes("stale"), 1);
   Table new_location("t", 1, page_size);
   new_location.Put("k", ToBytes("fresh"), 2);
-
-  Bytes file(2 * page_size, 0);
   const Bytes stale_page = old_location.SerializeBucket(0, /*flush_lsn=*/10);
   const Bytes fresh_page = new_location.SerializeBucket(0, /*flush_lsn=*/20);
-  std::copy(stale_page.begin(), stale_page.end(), file.begin());
-  std::copy(fresh_page.begin(), fresh_page.end(),
-            file.begin() + static_cast<long>(page_size));
 
-  auto rows = Table::ParseFile(View(file), page_size);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ(ToString(View((*rows)[0].value)), "fresh");
-  EXPECT_EQ((*rows)[0].src_lsn, 20u);
+  // In both page orders.
+  for (const Bytes& file : {FileOf({stale_page, fresh_page}),
+                            FileOf({fresh_page, stale_page})}) {
+    Table loaded("t", 1, page_size);
+    ASSERT_TRUE(loaded.LoadFile(View(file)).ok());
+    EXPECT_EQ(loaded.row_count(), 1u);
+    EXPECT_EQ(loaded.ApproxDataBytes(), 1u + 5u);
+    EXPECT_EQ(ToString(View(*loaded.Get("k"))), "fresh");
+  }
+}
 
-  // And in the reverse page order too.
-  Bytes reversed(2 * page_size, 0);
-  std::copy(fresh_page.begin(), fresh_page.end(), reversed.begin());
-  std::copy(stale_page.begin(), stale_page.end(),
-            reversed.begin() + static_cast<long>(page_size));
-  rows = Table::ParseFile(View(reversed), page_size);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ(ToString(View((*rows)[0].value)), "fresh");
+TEST(Table, LoadFileTieGoesToLowestOffset) {
+  // Equal flush LSNs: the copy in the page at the lower file offset wins.
+  const std::size_t page_size = 8192;
+  Table first("t", 1, page_size);
+  first.Put("k", ToBytes("first"), 1);
+  first.Put("only-first", ToBytes("a"), 1);
+  Table second("t", 1, page_size);
+  second.Put("k", ToBytes("second"), 1);
+  second.Put("only-second", ToBytes("b"), 1);
+  const Bytes file = FileOf({first.SerializeBucket(0, 30), second.SerializeBucket(0, 30)});
+
+  Table loaded("t", 1, page_size);
+  ASSERT_TRUE(loaded.LoadFile(View(file)).ok());
+  EXPECT_EQ(loaded.row_count(), 3u);
+  EXPECT_EQ(ToString(View(*loaded.Get("k"))), "first");
+  EXPECT_TRUE(loaded.Get("only-first").has_value());
+  EXPECT_TRUE(loaded.Get("only-second").has_value());
 }
 
 TEST(Table, SplitsWhenBucketsFill) {
