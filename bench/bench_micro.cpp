@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark): the hot primitives on Ginja's commit
 // path — LZSS, AES-128-CTR, HMAC-SHA1, CRC-32, the full envelope encode
-// (with latency percentiles), WAL appends, and page aggregation — plus cold
-// redo (Database::Open). Codec throughput runs at 8 KiB / 256 KiB / 4 MiB;
-// bytes_per_second and the p50/p95/p99 counters land in the JSON output
-// (--benchmark_format=json).
+// (with latency percentiles), WAL appends, and page aggregation — plus both
+// halves of a cold restore (Ginja::Recover of a bucket, Database::Open).
+// Codec throughput runs at 8 KiB / 256 KiB / 4 MiB; bytes_per_second and
+// the p50/p95/p99 counters land in the JSON output (--benchmark_format=json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,9 +24,11 @@
 #include "common/stats.h"
 #include "db/database.h"
 #include "db/wal.h"
+#include "fs/intercept_fs.h"
 #include "fs/mem_fs.h"
 #include "ginja/coalesce.h"
 #include "ginja/commit_pipeline.h"
+#include "ginja/ginja.h"
 #include "obs/obs.h"
 #include "workload/tpcc.h"
 
@@ -254,6 +256,72 @@ void BM_DatabaseOpen(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DatabaseOpen)->Unit(benchmark::kMillisecond);
+
+// Cold restore, Ginja's half: Ginja::Recover of a fixed TPC-C bucket (a
+// dump, then 3000 transactions of WAL objects; compressed and encrypted)
+// from a zero-latency MemoryStore into a fresh MemFs, at K = range(0)
+// GETs in flight. bytes_per_second counts decoded payload bytes.
+void BM_ApplyTailPlan(benchmark::State& state) {
+  const DbLayout layout = DbLayout::Postgres();
+  auto store = std::make_shared<MemoryStore>();
+  GinjaConfig config;
+  config.envelope.compress = true;
+  config.envelope.encrypt = true;
+  {
+    auto clock = std::make_shared<RealClock>();
+    auto local = std::make_shared<MemFs>();
+    auto intercept = std::make_shared<InterceptFs>(local, clock);
+    Database db(intercept, layout);
+    if (!db.Create().ok()) state.SkipWithError("create failed");
+    Ginja ginja(local, store, clock, layout, config);
+    if (!ginja.Boot().ok()) state.SkipWithError("boot failed");
+    intercept->SetListener(&ginja);
+    TpccConfig tpcc_config;
+    tpcc_config.scale = 20;
+    TpccWorkload tpcc(&db, tpcc_config);
+    if (!tpcc.Populate().ok() || !db.Checkpoint().ok()) {
+      state.SkipWithError("populate failed");
+    }
+    SplitMix64 rng(7);
+    for (int i = 0; i < 3000; ++i) {
+      const Status st = tpcc.Execute(tpcc.PickType(rng), rng);
+      if (!st.ok() && st.code() != ErrorCode::kAborted) {  // 1% rollbacks
+        state.SkipWithError("transaction failed");
+        break;
+      }
+    }
+    ginja.Stop();
+    intercept->SetListener(nullptr);
+  }
+  Envelope envelope(config.envelope);
+  std::uint64_t decoded = 0;
+  auto objects = store->List("");
+  if (objects.ok()) {
+    for (const auto& meta : *objects) {
+      auto payload = envelope.Decode(View(*store->Get(meta.name)));
+      if (payload.ok()) decoded += payload->size();
+    }
+  }
+  config.recovery_prefetch = static_cast<int>(state.range(0));
+  std::uint64_t objects_applied = 0;
+  for (auto _ : state) {
+    auto target = std::make_shared<MemFs>();
+    RecoveryReport report;
+    if (!Ginja::Recover(store, config, layout, target, &report).ok()) {
+      state.SkipWithError("recover failed");
+      break;
+    }
+    objects_applied = report.objects_downloaded;
+  }
+  state.counters["objects"] = static_cast<double>(objects_applied);
+  state.SetBytesProcessed(static_cast<std::int64_t>(decoded) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ApplyTailPlan)
+    ->Arg(1)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Batch coalescing (Alg. 2 lines 12-13): the reusable open-addressed
 // CoalesceTable vs the std::map it replaced. range(0) = writes per batch,

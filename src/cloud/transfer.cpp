@@ -141,11 +141,12 @@ bool TransferManager::Enqueue(Op op) {
   return false;
 }
 
-std::future<Result<Bytes>> TransferManager::GetAsync(TransferRoute route,
-                                                     std::string name) {
+std::future<Result<Bytes>> TransferManager::GetAsync(
+    TransferRoute route, std::string name, std::function<void(Bytes)> then) {
   Op op;
   op.kind = Op::Kind::kGet;
   op.name = std::move(name);
+  op.then = std::move(then);
   op.store = std::move(route.store);
   op.account = std::move(route.account);
   auto future = op.get_result.get_future();
@@ -297,6 +298,10 @@ void TransferManager::Execute(Op& op) {
           stats_.bytes_downloaded.Add(blob->size());
           stats_.get_latency_us.Record(
               static_cast<double>(clock_->NowMicros() - started));
+          if (op.then) {
+            op.then(std::move(*blob));
+            blob = Bytes{};
+          }
           op.get_result.set_value(std::move(blob));
           if (op.done) op.done(Status::Ok());
           if (op.account) op.account->OnDone(Status::Ok(), 0);

@@ -10,7 +10,9 @@
 //
 // Consumers in this repo:
 //   * recovery's K-deep GET prefetch and the checkpointer's part/chunk
-//     PUTs keep their windows through RunInOrderWindow() below;
+//     PUTs keep their windows through RunInOrderWindow() below; recovery
+//     takes each blob as it lands (GetAsync's `then`) and decodes it in
+//     SubmitFn tasks on the same workers;
 //   * garbage collection fans DELETEs out through DeleteAll();
 //   * CommitPipeline streams WAL objects part-by-part via BeginStream().
 //
@@ -301,7 +303,14 @@ class TransferManager {
   // (the manager's own store when null) and is attributed to
   // `route.account`. This is how N namespaced tenants share one pool and
   // one in-flight window; `{}` is the plain single-tenant route.
-  std::future<Result<Bytes>> GetAsync(TransferRoute route, std::string name);
+  //
+  // `then` (optional) takes the fetched blob on the worker once the GET
+  // succeeded, and the future resolves (with an empty blob) only after it
+  // returned — so work on each object can start the moment it lands, not
+  // when the caller gets to its future. It must never wait on the caller:
+  // on a shared manager it holds a worker every tenant needs.
+  std::future<Result<Bytes>> GetAsync(TransferRoute route, std::string name,
+                                      std::function<void(Bytes)> then = nullptr);
   std::future<Status> PutAsync(TransferRoute route, std::string name,
                                Bytes data);
   std::future<Status> DeleteAsync(TransferRoute route, std::string name);
@@ -353,6 +362,7 @@ class TransferManager {
     std::string name;
     Bytes data;                               // PUT payload, owned by the op
     std::function<Status()> fn;               // body for kFn
+    std::function<void(Bytes)> then;          // kGet: takes the fetched blob
     std::promise<Result<Bytes>> get_result;   // fulfilled for kGet
     std::promise<Status> status_result;       // fulfilled otherwise
     // Optional completion hook, any kind; invoked after the promise.

@@ -47,6 +47,27 @@ ByteView DecryptToScratch(const Aes128& aes, ByteView cipher,
   aes.CtrInPlace(scratch.data(), scratch.size(), nonce, counter);
   return View(scratch);
 }
+// Calls fn(segment) for each segment of a v3 container, in order, and
+// stops at the first non-OK status; a frame or segment cut short is
+// Corruption.
+template <typename Fn>
+Status ForEachSegment(ByteView enveloped, Fn&& fn) {
+  std::size_t pos = Envelope::kStreamPrologueSize;
+  while (pos < enveloped.size()) {
+    if (pos + 4 > enveloped.size()) {
+      return Status::Corruption("v3 segment frame truncated");
+    }
+    const std::uint32_t seg_len = GetU32(enveloped.data() + pos);
+    pos += 4;
+    if (seg_len == 0 || seg_len > enveloped.size() - pos) {
+      return Status::Corruption("v3 segment truncated");
+    }
+    GINJA_RETURN_IF_ERROR(fn(enveloped.subspan(pos, seg_len)));
+    pos += seg_len;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Envelope::Envelope(EnvelopeOptions options)
@@ -299,6 +320,42 @@ Status Envelope::DecodeInto(ByteView enveloped, Bytes& out) const {
   return Status::Ok();
 }
 
+Result<std::size_t> Envelope::PayloadSize(ByteView enveloped) const {
+  if (IsStream(enveloped)) {
+    std::size_t total = 0;
+    GINJA_RETURN_IF_ERROR(ForEachSegment(enveloped, [&](ByteView seg) {
+      auto size = PayloadSize(seg);
+      if (!size.ok()) return size.status();
+      total += *size;
+      return Status::Ok();
+    }));
+    return total;
+  }
+  if (enveloped.size() < kHeaderSize) {
+    return Status::Corruption("envelope shorter than header");
+  }
+  const std::uint32_t magic = GetU32(enveloped.data());
+  const std::uint8_t flags = enveloped[4];
+  ByteView body = enveloped.subspan(kHeaderSize);
+  std::size_t pos = 0;
+  if (magic == kMagicV2) {
+    const auto total = GetVarint(body, pos);
+    if (!total) return Status::Corruption("v2 envelope header truncated");
+    return static_cast<std::size_t>(*total);
+  }
+  if (magic != kMagicV1) return Status::Corruption("bad envelope magic");
+  if (!(flags & kFlagCompressed)) return body.size();
+  // A compressed v1 body opens with the LZSS stream's size varint, under
+  // the keystream's first bytes when encrypted.
+  body = body.first(std::min<std::size_t>(body.size(), 10));
+  if (flags & kFlagEncrypted) {
+    body = DecryptToScratch(enc_aes_, body, GetU64(enveloped.data() + 5), 0);
+  }
+  const auto size = GetVarint(body, pos);
+  if (!size) return Status::Corruption("LZSS stream corrupt");
+  return static_cast<std::size_t>(*size);
+}
+
 Result<std::size_t> Envelope::DecodeAt(ByteView enveloped, const Aes128& aes,
                                        Bytes& out, std::size_t at) const {
   if (enveloped.size() < kHeaderSize) {
@@ -332,22 +389,13 @@ Result<std::size_t> Envelope::DecodeV3At(ByteView enveloped, Bytes& out) const {
   // tail (truncate there). Every complete segment still MAC-verifies on
   // its own, so corruption inside an earlier segment is caught too. Each
   // segment decodes straight after the previous one's payload.
-  std::size_t pos = kStreamPrologueSize;
   std::size_t end = 0;
-  while (pos < enveloped.size()) {
-    if (pos + 4 > enveloped.size()) {
-      return Status::Corruption("v3 segment frame truncated");
-    }
-    const std::uint32_t seg_len = GetU32(enveloped.data() + pos);
-    pos += 4;
-    if (seg_len == 0 || seg_len > enveloped.size() - pos) {
-      return Status::Corruption("v3 segment truncated");
-    }
-    auto seg_end = DecodeAt(enveloped.subspan(pos, seg_len), enc_aes_, out, end);
+  GINJA_RETURN_IF_ERROR(ForEachSegment(enveloped, [&](ByteView seg) {
+    auto seg_end = DecodeAt(seg, enc_aes_, out, end);
     if (!seg_end.ok()) return seg_end.status();
     end = *seg_end;
-    pos += seg_len;
-  }
+    return Status::Ok();
+  }));
   return end;
 }
 

@@ -137,6 +137,12 @@ class Envelope {
   // faults. On error `out` holds unspecified bytes.
   Status DecodeInto(ByteView enveloped, Bytes& out) const;
 
+  // The payload size Decode would produce, read from the headers alone
+  // (no MAC check, no decompression): a figure to size buffers by before
+  // decoding. A damaged object may state a wrong size; DecodeInto still
+  // verifies everything and fails it.
+  Result<std::size_t> PayloadSize(ByteView enveloped) const;
+
   // -- v3 streamed container helpers ----------------------------------------
   // The producer builds a stream as: StreamPrologue() once, then one
   // AppendStreamSegment per enveloped segment. Any byte-concatenation of

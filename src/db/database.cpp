@@ -116,13 +116,12 @@ Status Database::Open() {
   for (const auto& [name, buckets] : *catalog) {
     Table table(name, buckets, layout_.data_page_size);
     // A table never checkpointed has no file yet; any other read failure
-    // must fail the open rather than load the table empty.
-    auto file = vfs_->ReadAll(layout_.TableFileName(name));
-    if (file.ok()) {
-      GINJA_RETURN_IF_ERROR(table.LoadFile(View(*file)));
-    } else if (file.status().code() != ErrorCode::kNotFound) {
-      return file.status();
-    }
+    // must fail the open rather than load the table empty. The table loads
+    // straight from the file's bytes, without a copy where the Vfs allows.
+    Status loaded = vfs_->ReadAllView(
+        layout_.TableFileName(name),
+        [&table](ByteView file) { return table.LoadFile(file); });
+    if (!loaded.ok() && loaded.code() != ErrorCode::kNotFound) return loaded;
     tables_.emplace(name, std::move(table));
   }
 

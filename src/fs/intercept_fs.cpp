@@ -41,6 +41,12 @@ Result<Bytes> InterceptFs::ReadAll(std::string_view path) {
   return inner_->ReadAll(path);
 }
 
+Status InterceptFs::ReadAllView(std::string_view path,
+                                const std::function<Status(ByteView)>& fn) {
+  Overhead();
+  return inner_->ReadAllView(path, fn);
+}
+
 Result<std::uint64_t> InterceptFs::FileSize(std::string_view path) {
   return inner_->FileSize(path);
 }

@@ -53,6 +53,8 @@ class InterceptFs : public Vfs {
   Result<Bytes> Read(std::string_view path, std::uint64_t offset,
                      std::uint64_t size) override;
   Result<Bytes> ReadAll(std::string_view path) override;
+  Status ReadAllView(std::string_view path,
+                     const std::function<Status(ByteView)>& fn) override;
   Result<std::uint64_t> FileSize(std::string_view path) override;
   bool Exists(std::string_view path) override;
   Status Truncate(std::string_view path, std::uint64_t size) override;

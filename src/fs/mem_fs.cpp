@@ -42,6 +42,15 @@ Result<Bytes> MemFs::ReadAll(std::string_view path) {
   return it->second;
 }
 
+Status MemFs::ReadAllView(std::string_view path,
+                          const std::function<Status(ByteView)>& fn) {
+  // Under the lock: no writer can move the bytes while `fn` reads them.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::NotFound(std::string(path));
+  return fn(View(it->second));
+}
+
 Result<std::uint64_t> MemFs::FileSize(std::string_view path) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,6 +34,18 @@ class Vfs {
                              std::uint64_t size) = 0;
 
   virtual Result<Bytes> ReadAll(std::string_view path) = 0;
+
+  // Hands `fn` a view of the whole file and returns its status, or the
+  // read error (NotFound for a missing file) without calling it. The view
+  // lives only for the call, and `fn` must not call back into this Vfs.
+  // The default reads a copy through ReadAll; a backend that holds its
+  // files in memory passes its own bytes instead.
+  virtual Status ReadAllView(std::string_view path,
+                             const std::function<Status(ByteView)>& fn) {
+    auto bytes = ReadAll(path);
+    if (!bytes.ok()) return bytes.status();
+    return fn(View(*bytes));
+  }
 
   virtual Result<std::uint64_t> FileSize(std::string_view path) = 0;
 

@@ -57,8 +57,13 @@ StandbyReplica::StandbyReplica(ObjectStorePtr store, GinjaConfig config,
         config_.tenant_id.empty() ? options_.component : config_.tenant_id);
     transfers_ = config_.runtime->transfers().get();
   } else {
+    // K workers keep the GET window full; the rest run the decode tasks
+    // ApplyTailPlan hands out (fewer than codec_threads at once), so a decode
+    // never holds a GET back.
     owned_transfers_ = std::make_shared<TransferManager>(
-        store_, MakeTransferOptions(config_, config_.recovery_prefetch),
+        store_,
+        MakeTransferOptions(config_, config_.recovery_prefetch +
+                                         std::max(1, config_.codec_threads)),
         clock_);
     owned_transfers_->RegisterMetrics(&obs_->registry, options_.component);
     transfers_ = owned_transfers_.get();
@@ -120,6 +125,9 @@ TailApplyContext StandbyReplica::MakeContext(VfsPtr target,
   ctx.tracer = &obs_->tracer;
   ctx.window =
       static_cast<std::size_t>(std::max(1, config_.recovery_prefetch));
+  // Room for two of the largest objects to decode ahead of the apply, or
+  // many small WAL objects.
+  ctx.decode_budget = 2 * config_.max_object_bytes;
   ctx.trace_id_base = trace_seq_;
   trace_seq_ += items;
   return ctx;
@@ -197,6 +205,7 @@ Status StandbyReplica::ApplyItems(const std::vector<TailPlanItem>& items,
   }
   TailApplyContext ctx = MakeContext(target, items.size());
   ctx.fetch_stage = TraceStage::kTailFetch;
+  ctx.decode_stage = TraceStage::kTailDecode;
   ctx.apply_stage = TraceStage::kTailApply;
   RecoveryReport r;
   TailApplyResult applied = ApplyTailPlan(items, ctx, &r);

@@ -22,8 +22,8 @@
 //     an optional local FenceToken mirroring S3 conditional writes), drain
 //     the residual tail, serve. RTO is O(lag), independent of DB size.
 //
-// Full passes trace into the recovery_fetch/recovery_apply stages, tail
-// polls into tail_fetch/tail_apply.
+// Full passes trace into the recovery_fetch/recovery_decode/recovery_apply
+// stages, tail polls into tail_fetch/tail_decode/tail_apply.
 //
 // Cursor caveat: WAL timestamps are encoded unpadded, so lexicographic
 // order diverges from numeric order across digit-length changes

@@ -1,8 +1,11 @@
 #include "ginja/tail_apply.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 
+#include "common/codec/codec_pool.h"
 #include "common/codec/sha1.h"
 #include "ginja/dedup.h"
 #include "ginja/payload.h"
@@ -211,28 +214,322 @@ std::vector<TailPlanItem> BuildTailSegmentItems(
   return items;
 }
 
+namespace {
+
+// Decode-ahead for one ApplyTailPlan call: the per-item slots and the byte
+// budget that bounds the decoded payloads held ahead of the apply.
+//
+// Item i uses slot i % window: RunInOrderWindow issues item i + window only
+// after item i was reaped. Landed blobs get budgeted buffers strictly in
+// plan order: a blob that lands before an earlier one waits for it, so
+// later objects never take the room the apply needs first. A blob with a
+// buffer is decoded by a decode task on the transfer workers; fewer tasks
+// run at once than the codec has threads, which leaves a core to the
+// apply. Every state change (a blob landing, a decode finishing, the apply
+// taking an item or returning its buffer) starts what has become
+// admissible. The caller takes each slot when the apply reaches its item.
+// If the item's decode has not begun — no room yet, or its task still
+// queued — the caller decodes it itself; it only waits for a decode
+// already running. No worker ever waits on the apply.
+//
+// Small objects (ones the envelope did not chunk) go ahead only while no
+// GET is in flight, that is when the apply is bound by decoding rather than
+// by the store. While GETs are outstanding the caller waits on the store
+// anyway and decodes a small object in about a millisecond, and handing
+// those decodes to workers measurably slowed a latency-bound restore
+// (EXPERIMENTS.md, "Pipelined cold restore"). Chunked objects always go
+// ahead: they are what a serial apply stalls on.
+//
+// The budget counts buffer capacities: the buffers held by slots the apply
+// has not taken yet, plus emptied buffers kept for reuse. The buffer the
+// caller is applying is outside it — the one payload buffer a serial apply
+// needs. Only the calling thread allocates buffers; workers only reuse
+// kept ones. (A buffer malloc'd on a transfer worker lands in that thread's
+// arena, and glibc keeps freed arena memory resident: repeated restores
+// grew peak RSS by hundreds of MB that way; same section.)
+class DecodeAhead {
+ public:
+  struct Taken {
+    Bytes payload;                // decoded, or the buffer to decode into
+    Bytes blob;                   // the fetched blob when not decoded yet
+    std::size_t blob_size = 0;
+    bool decoded = false;
+    Status status = Status::Ok(); // the decode's, when decoded
+    std::optional<std::uint64_t> fetched_us;
+    std::uint64_t decoded_us = 0;
+  };
+
+  DecodeAhead(const TailApplyContext& ctx, std::size_t window,
+              std::size_t items, bool tracing)
+      : ctx_(ctx), window_(window), limit_(ctx.decode_budget),
+        max_decoders_(ctx.envelope->codec_pool()
+                          ? std::max(1, ctx.envelope->codec_pool()->threads() - 1)
+                          : 1),
+        chunked_above_(ctx.envelope->options().parallel_encode_threshold),
+        clock_(tracing ? ctx.clock.get() : nullptr),
+        slots_(std::clamp<std::size_t>(items, 1, window)) {}
+
+  // Waits out every decode task, so none outlives the plan.
+  ~DecodeAhead() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return tasks_ == 0; });
+  }
+
+  // Worker side, as item i's GET continuation: parks the blob.
+  void OnFetched(std::size_t i, Bytes blob) {
+    const std::uint64_t now = clock_ ? clock_->NowMicros() : 0;
+    auto size = ctx_.envelope->PayloadSize(View(blob));
+    Slot& s = slot(i);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --in_flight_;
+      s.item = i;
+      s.blob_size = blob.size();
+      s.blob = std::move(blob);
+      if (clock_) s.fetched_us = now;
+      // Unreadable headers: left to the caller, whose decode reports them.
+      s.state = size.ok() ? State::kWaiting : State::kCallerDecodes;
+      if (size.ok()) s.payload_size = *size;
+    }
+    Admit(/*may_allocate=*/false);
+  }
+
+  // Caller side, once item i's GET resolved: waits for a running decode,
+  // then hands over the slot's payload (or blob). The taken buffer leaves
+  // the budget; the caller pumps once its payload is decoded, so the
+  // decodes the room admits never compete with its own.
+  Taken Take(std::size_t i) {
+    Taken out;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      Slot& s = slot(i);
+      cv_.wait(lock, [&] { return s.state != State::kDecoding; });
+      if (s.state == State::kFetching) --in_flight_;  // its GET failed
+      out.blob_size = s.blob_size;
+      out.fetched_us = s.fetched_us;
+      out.decoded_us = s.decoded_us;
+      if (s.state == State::kDecoded) {
+        out.decoded = true;
+        out.status = s.status;
+      } else {
+        out.blob = std::move(s.blob);
+      }
+      if (s.state == State::kQueued) --decoders_;  // its task will find it taken
+      if (s.charged > 0 || s.state == State::kDecoded) {
+        ahead_ -= s.charged;
+        out.payload = std::move(s.payload);
+      } else {
+        out.payload = SpareLocked();
+      }
+      s = Slot{};
+      next_ = i + 1;
+    }
+    return out;
+  }
+
+  // Caller side: keeps an applied buffer for reuse if it fits.
+  void Recycle(Bytes buf) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (buf.capacity() > 0 &&
+          ahead_ + kept_bytes_ + buf.capacity() <= limit_) {
+        kept_bytes_ += buf.capacity();
+        auto at = std::upper_bound(kept_.begin(), kept_.end(), buf.capacity(),
+                                   [](std::size_t cap, const Bytes& b) {
+                                     return cap < b.capacity();
+                                   });
+        kept_.insert(at, std::move(buf));
+      }
+    }
+    Pump();
+  }
+
+  // Caller side: item i's GET was issued.
+  void OnIssued() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++in_flight_;
+  }
+
+  // Caller side: starts the decodes that have become admissible.
+  void Pump() { Admit(/*may_allocate=*/true); }
+
+  std::size_t decoded_ahead() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return decoded_ahead_;
+  }
+  std::size_t peak_ahead() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_ahead_;
+  }
+
+ private:
+  // A slot goes kFetching → kWaiting → kCharged (it holds a buffer) →
+  // kQueued → kDecoding → kDecoded. kCallerDecodes: headers too damaged to
+  // size a buffer by.
+  enum class State {
+    kFetching, kWaiting, kCallerDecodes, kCharged, kQueued, kDecoding, kDecoded
+  };
+
+  struct Slot {
+    State state = State::kFetching;
+    std::size_t item = 0;
+    Bytes blob;
+    std::size_t blob_size = 0;
+    std::size_t payload_size = 0;
+    Bytes payload;                 // charged to the budget while held here
+    std::size_t charged = 0;       // its capacity when charged
+    Status status = Status::Ok();
+    std::optional<std::uint64_t> fetched_us;
+    std::uint64_t decoded_us = 0;
+  };
+
+  Slot& slot(std::size_t i) { return slots_[i % slots_.size()]; }
+
+  // Charges a buffer for `s`'s payload to the budget; false when there is
+  // none. Reuses the smallest kept buffer large enough but at most twice
+  // the payload (a larger one would hold budget it does not use); else, if
+  // `may_allocate`, allocates one, dropping kept buffers (largest first)
+  // when only that makes room.
+  bool ChargeLocked(Slot& s, bool may_allocate) {
+    const std::size_t size = s.payload_size;
+    auto fit = std::find_if(kept_.begin(), kept_.end(),
+                            [&](const Bytes& b) { return b.capacity() >= size; });
+    if (fit != kept_.end() && fit->capacity() / 2 <= size) {
+      s.payload = std::move(*fit);
+      kept_.erase(fit);
+      kept_bytes_ -= s.payload.capacity();
+    } else if (!may_allocate && size > 0) {
+      return false;
+    } else {
+      while (ahead_ + kept_bytes_ + size > limit_ && !kept_.empty()) {
+        kept_bytes_ -= kept_.back().capacity();
+        kept_.pop_back();
+      }
+      if (ahead_ + kept_bytes_ + size > limit_) return false;
+      s.payload.reserve(size);
+    }
+    s.charged = s.payload.capacity();
+    ahead_ += s.charged;
+    peak_ahead_ = std::max(peak_ahead_, ahead_);
+    return true;
+  }
+
+  Bytes SpareLocked() {
+    if (kept_.empty()) return {};
+    Bytes buf = std::move(kept_.back());
+    kept_.pop_back();
+    kept_bytes_ -= buf.capacity();
+    return buf;
+  }
+
+  // Decodes a kDecoding slot's blob into its charged buffer.
+  void Decode(Slot& s) {
+    Status st = ctx_.envelope->DecodeInto(View(s.blob), s.payload);
+    const std::uint64_t now = clock_ ? clock_->NowMicros() : 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    --decoders_;
+    s.status = std::move(st);
+    s.blob = Bytes{};  // spent
+    s.decoded_us = now;
+    s.state = State::kDecoded;
+    ++decoded_ahead_;
+    cv_.notify_all();
+  }
+
+  // Starts what has become admissible: charges the landed items from the
+  // apply's next one on, in plan order, until one has not landed or gets
+  // no buffer, and queues a decode task for each charged one that may go
+  // ahead while fewer than max_decoders_ run.
+  void Admit(bool may_allocate) {
+    std::vector<std::pair<Slot*, std::size_t>> queued;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (std::size_t j = next_; j < next_ + window_; ++j) {
+        Slot& s = slot(j);
+        if (s.item != j || s.state == State::kFetching) break;
+        if (s.state == State::kWaiting) {
+          if (!ChargeLocked(s, may_allocate)) break;
+          s.state = State::kCharged;
+        }
+        if (s.state != State::kCharged || decoders_ >= max_decoders_) continue;
+        if (in_flight_ > 0 && s.payload_size <= chunked_above_) continue;
+        ++decoders_;
+        ++tasks_;
+        s.state = State::kQueued;
+        queued.emplace_back(&s, j);
+      }
+    }
+    for (const auto& [s, item] : queued) {
+      ctx_.transfers->SubmitFn(
+          ctx_.route,
+          [this, s = s, item = item] {
+            {
+              std::lock_guard<std::mutex> lock(mu_);
+              if (s->item != item || s->state != State::kQueued) {
+                return Status::Ok();  // the caller took it first
+              }
+              s->state = State::kDecoding;
+            }
+            Decode(*s);
+            Admit(/*may_allocate=*/false);
+            return Status::Ok();
+          },
+          [this, s = s, item = item](const Status& st) {
+            // Fires once per task, after it ran or instead of it (the
+            // manager or the account was cancelled): the caller then
+            // decodes the item with the buffer it holds.
+            std::lock_guard<std::mutex> lock(mu_);
+            if (!st.ok() && s->item == item && s->state == State::kQueued) {
+              s->state = State::kCharged;
+              --decoders_;
+            }
+            --tasks_;
+            cv_.notify_all();
+          });
+    }
+  }
+
+  const TailApplyContext& ctx_;
+  const std::size_t window_;
+  const std::size_t limit_;
+  const std::size_t max_decoders_;
+  const std::size_t chunked_above_;  // payloads above this are chunked (v2)
+  Clock* const clock_;  // null => untraced
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;  // a decode finished, or a task ended
+  std::vector<Slot> slots_;
+  std::size_t next_ = 0;        // the apply's next item
+  std::size_t in_flight_ = 0;   // GETs issued, not landed
+  std::size_t tasks_ = 0;       // submitted tasks whose `done` has not fired
+  std::size_t decoders_ = 0;    // tasks that will decode: queued, not taken
+                                // by the caller first, or running
+  std::vector<Bytes> kept_;     // ascending capacity
+  std::size_t kept_bytes_ = 0;
+  std::size_t ahead_ = 0;       // capacity of slot buffers not yet taken
+  std::size_t peak_ahead_ = 0;
+  std::size_t decoded_ahead_ = 0;
+};
+
+}  // namespace
+
 TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
                               const TailApplyContext& ctx, RecoveryReport* r) {
   TailApplyResult result;
   TransferManager& transfers = *ctx.transfers;
+  const Envelope& envelope = *ctx.envelope;
   const bool tracing =
       ctx.tracer != nullptr && ctx.tracer->enabled() && ctx.clock != nullptr;
-  // One decode buffer for the whole plan: every object decodes in place
-  // into it (DecodeInto only grows it), its entries are written to the
-  // target straight from views into it, and only then does the next object
-  // overwrite it. It dies with this call, so it never outlives the plan.
-  Bytes payload;
-  // Counts a fetched object and decodes it into `payload`.
-  auto decode = [&](const Result<Bytes>& blob) -> Status {
-    if (!blob.ok()) return blob.status();
+  const std::size_t window = std::max<std::size_t>(1, ctx.window);
+  DecodeAhead ahead(ctx, window, plan.size(), tracing);
+
+  auto count = [&](std::size_t blob_size) {
     ++r->objects_downloaded;
-    r->bytes_downloaded += blob->size();
-    return ctx.envelope->DecodeInto(View(*blob), payload);
+    r->bytes_downloaded += blob_size;
   };
 
-  auto apply_blob = [&](Result<Bytes> blob) -> Status {
-    GINJA_RETURN_IF_ERROR(decode(blob));
-    auto entries = DecodeEntries(View(payload));
+  auto apply_entries = [&](ByteView payload) -> Status {
+    auto entries = DecodeEntries(payload);
     if (!entries.ok()) return entries.status();
     for (const FileEntryRef& e : *entries) {
       GINJA_RETURN_IF_ERROR(
@@ -247,9 +544,8 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
   // standby's previous image), and the rest GET with the same K-deep
   // window, verified against their content digest before being written.
   // Any chunk failure fails the manifest, exactly like a missing dump part.
-  auto apply_manifest = [&](Result<Bytes> blob) -> Status {
-    GINJA_RETURN_IF_ERROR(decode(blob));
-    auto refs = DecodeManifest(View(payload));
+  auto apply_manifest = [&](ByteView payload) -> Status {
+    auto refs = DecodeManifest(payload);
     if (!refs.ok()) return refs.status();
 
     std::vector<std::size_t> to_fetch;
@@ -279,12 +575,11 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       const ChunkRef& ref = (*refs)[to_fetch[k]];
       Result<Bytes> fetched_chunk = f.get();
       if (!fetched_chunk.ok()) return fetched_chunk.status();
-      ++r->objects_downloaded;
-      r->bytes_downloaded += fetched_chunk->size();
+      count(fetched_chunk->size());
       // Chunks are enveloped under a per-chunk derived key (tweak = the
       // manifest's content digest); the digest check below catches a
       // wrong-key decode along with every other mismatch.
-      auto chunk = ctx.envelope->DecodeDerived(
+      auto chunk = envelope.DecodeDerived(
           View(*fetched_chunk), ByteView(ref.digest.data(), ref.digest.size()));
       if (!chunk.ok()) return chunk.status();
       if (chunk->size() != ref.length ||
@@ -297,40 +592,70 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       ++r->chunks_downloaded;
       return Status::Ok();
     };
-    return RunInOrderWindow(to_fetch.size(), ctx.window, issue, reap);
+    return RunInOrderWindow(to_fetch.size(), window, issue, reap);
   };
 
   std::vector<std::uint64_t> issue_times(tracing ? plan.size() : 0);
   auto issue = [&](std::size_t i) {
     if (tracing) issue_times[i] = ctx.clock->NowMicros();
-    return transfers.GetAsync(ctx.route, plan[i].name);
+    ahead.OnIssued();
+    return transfers.GetAsync(
+        ctx.route, plan[i].name,
+        [&ahead, i](Bytes blob) { ahead.OnFetched(i, std::move(blob)); });
   };
   // A non-OK return ends the plan: the result already says why.
-  auto reap = [&](std::size_t i, std::future<Result<Bytes>> blob) -> Status {
-    Result<Bytes> fetched = blob.get();
-    Status fetch_status = fetched.ok() ? Status::Ok() : fetched.status();
-    std::uint64_t t_fetched = 0;
+  auto reap = [&](std::size_t i, std::future<Result<Bytes>> fetched) -> Status {
+    const Result<Bytes> got = fetched.get();
+    Status fetch_status = got.ok() ? Status::Ok() : got.status();
+    Status st = fetch_status;
+    // Taken even when the GET failed: the apply moves past the item.
+    DecodeAhead::Taken taken = ahead.Take(i);
+    std::uint64_t t_fetched = tracing ? ctx.clock->NowMicros() : 0;
+    std::uint64_t t_decoded = t_fetched;
+    if (got.ok()) {
+      count(taken.blob_size);
+      if (taken.decoded) {
+        st = taken.status;
+        if (tracing) t_decoded = taken.decoded_us;
+      } else {
+        st = envelope.DecodeInto(View(taken.blob), taken.payload);
+        taken.blob = Bytes{};  // spent; free it before the writes
+        if (tracing) t_decoded = ctx.clock->NowMicros();
+      }
+      if (tracing && taken.fetched_us) t_fetched = *taken.fetched_us;
+    }
+    ahead.Pump();  // the next items decode while this one is applied
     if (tracing) {
       const std::uint64_t issued = issue_times[i];
-      t_fetched = ctx.clock->NowMicros();
       // GET issued → blob in hand; overlap with other in-flight GETs means
       // the sum across objects can exceed the recovery wall time.
       ctx.tracer->Record(ctx.fetch_stage, ctx.trace_id_base + i, issued,
                          t_fetched >= issued ? t_fetched - issued : 0);
+      ctx.tracer->Record(ctx.decode_stage, ctx.trace_id_base + i, t_fetched,
+                         t_decoded >= t_fetched ? t_decoded - t_fetched : 0);
     }
-    Status st = plan[i].is_manifest ? apply_manifest(std::move(fetched))
-                                    : apply_blob(std::move(fetched));
+    const std::uint64_t t_apply = tracing ? ctx.clock->NowMicros() : 0;
+    if (st.ok()) {
+      st = plan[i].is_manifest ? apply_manifest(View(taken.payload))
+                               : apply_entries(View(taken.payload));
+    }
     // Replica tails hold byte-identical segments; any one of them will do.
     for (const auto& alt : plan[i].fallbacks) {
       if (st.ok()) break;
       Result<Bytes> alt_blob = transfers.GetAsync(ctx.route, alt).get();
-      if (!alt_blob.ok()) fetch_status = alt_blob.status();
-      st = apply_blob(std::move(alt_blob));
+      if (!alt_blob.ok()) {
+        st = fetch_status = alt_blob.status();
+        continue;
+      }
+      count(alt_blob->size());
+      st = envelope.DecodeInto(View(*alt_blob), taken.payload);
+      if (st.ok()) st = apply_entries(View(taken.payload));
     }
+    ahead.Recycle(std::move(taken.payload));
     if (tracing) {
       const std::uint64_t t_applied = ctx.clock->NowMicros();
-      ctx.tracer->Record(ctx.apply_stage, ctx.trace_id_base + i, t_fetched,
-                         t_applied - t_fetched);
+      ctx.tracer->Record(ctx.apply_stage, ctx.trace_id_base + i, t_apply,
+                         t_applied - t_apply);
     }
     if (!plan[i].is_wal) {
       // A failed dump/checkpoint part fails the whole recovery (the DB
@@ -360,7 +685,9 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
     ++result.items_applied;
     return Status::Ok();
   };
-  RunInOrderWindow(plan.size(), ctx.window, issue, reap);
+  RunInOrderWindow(plan.size(), window, issue, reap);
+  result.items_decoded_ahead = ahead.decoded_ahead();
+  result.peak_ahead_bytes = ahead.peak_ahead();
   return result;
 }
 

@@ -129,7 +129,11 @@ struct TailApplyContext {
   std::shared_ptr<Clock> clock;         // null => untraced
   WriteTracer* tracer = nullptr;        // null => untraced
   std::size_t window = 1;               // K GETs kept in flight
+  // Bytes of decoded payload the workers may hold ahead of the apply
+  // (buffers kept for reuse included); 0 decodes everything on the caller.
+  std::size_t decode_budget = 0;
   TraceStage fetch_stage = TraceStage::kRecoveryFetch;
+  TraceStage decode_stage = TraceStage::kRecoveryDecode;
   TraceStage apply_stage = TraceStage::kRecoveryApply;
   std::uint64_t trace_id_base = 0;      // plan index offset for span ids
   // Optional local chunk donor for delta-dump manifests: a ref whose
@@ -148,12 +152,23 @@ struct TailApplyResult {
   bool wal_truncated = false;
   Status wal_failure = Status::Ok();    // the status that truncated it
   std::size_t items_applied = 0;        // plan items consumed successfully
+  // Decode-ahead: plan items a transfer worker decoded (applied or not —
+  // a stopped apply leaves the ones after the stop unapplied), and the
+  // most decoded bytes held ahead at once (never above ctx.decode_budget).
+  std::size_t items_decoded_ahead = 0;
+  std::size_t peak_ahead_bytes = 0;
 };
 
-// Windowed ordered apply: up to `window` GETs in flight, decode on the
-// calling thread (fanning chunks across the envelope's codec pool),
-// applies strictly in plan order. Counters in `r` advance only as objects
-// are consumed, so the report is identical for every window size.
+// Windowed, pipelined, ordered apply. Up to `window` GETs are in flight;
+// the transfer workers decode landed objects into buffers of their own
+// (fanning v2 chunks across the envelope's codec pool) while the calling
+// thread applies earlier objects strictly in plan order. The decoded bytes
+// held ahead are bounded by ctx.decode_budget, and an object whose decode
+// has not begun when the apply reaches it is decoded by the caller (see
+// DecodeAhead in tail_apply.cpp for when workers decode). Counters in `r`
+// advance only as objects are applied, and a failed item stops the apply
+// at the same place whatever was decoded after it, so the report and the
+// image are identical for every window size.
 TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
                               const TailApplyContext& ctx, RecoveryReport* r);
 

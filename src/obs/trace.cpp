@@ -46,6 +46,8 @@ const char* TraceStageName(TraceStage stage) {
     case TraceStage::kTailFetch: return "tail_fetch";
     case TraceStage::kTailApply: return "tail_apply";
     case TraceStage::kChunkHash: return "chunk_hash";
+    case TraceStage::kRecoveryDecode: return "recovery_decode";
+    case TraceStage::kTailDecode: return "tail_decode";
   }
   return "?";
 }

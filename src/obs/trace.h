@@ -2,11 +2,11 @@
 //
 // A sampled write is followed through the commit pipeline — submit →
 // staged → batch-close → encode-queue → encode → PUT → ack — plus the
-// checkpoint part-upload and recovery fetch/apply paths. Each stage
-// records a fixed-size SpanEvent into a bounded ring (no allocation after
-// construction) and feeds a per-stage lock-free Histogram, which is what
-// the latency-decomposition report ("where did my commit's 9 ms go") is
-// built from.
+// checkpoint part-upload and recovery fetch → decode → apply paths. Each
+// stage records a fixed-size SpanEvent into a bounded ring (no allocation
+// after construction) and feeds a per-stage lock-free Histogram, which is
+// what the latency-decomposition report ("where did my commit's 9 ms go")
+// is built from.
 //
 // Sampling is deterministic in (seed, id): SplitMix64-style finalizer of
 // seed^id modulo the sample period. The same seed and id stream always
@@ -46,16 +46,18 @@ enum class TraceStage : std::uint8_t {
   kAck,              // PUT done → unlocker retired the ack
   kFrontier,         // recoverable WAL frontier advanced (duration 0)
   kCheckpointPart,   // checkpoint/dump part: PUT issued → reaped
-  kRecoveryFetch,    // recovery object: GET issued → blob consumed
-  kRecoveryApply,    // recovery object: decode + apply to the target VFS
+  kRecoveryFetch,    // recovery object: GET issued → blob in hand
+  kRecoveryApply,    // recovery object: entries written to the target VFS
   kPutFirstByte,     // stream open → first data segment durable
   kPartPut,          // segment sealed → its part durable (streaming)
   kTailPut,          // segment sealed → replica-0 tail object durable
-  kTailFetch,        // standby tail object: GET issued → blob consumed
-  kTailApply,        // standby tail object: decode + apply into the image
+  kTailFetch,        // standby tail object: GET issued → blob in hand
+  kTailApply,        // standby tail object: entries written into the image
   kChunkHash,        // delta dump: image chunked + SHA-1 hashed (per dump)
+  kRecoveryDecode,   // recovery object: blob in hand → payload decoded
+  kTailDecode,       // standby tail object: blob in hand → payload decoded
 };
-inline constexpr int kTraceStageCount = 17;
+inline constexpr int kTraceStageCount = 19;
 
 const char* TraceStageName(TraceStage stage);
 

@@ -146,6 +146,41 @@ TEST(EnvelopeV2, PlaintextAndEncryptOnlyAndCompressOnlyModes) {
   }
 }
 
+TEST(EnvelopeV2, PayloadSizeMatchesDecodeInEveryMode) {
+  for (int mode = 0; mode < 4; ++mode) {
+    EnvelopeOptions o = AllOn(/*threshold=*/4096, /*chunk=*/4096);
+    o.compress = (mode & 1) != 0;
+    o.encrypt = (mode & 2) != 0;
+    Envelope env(o);
+    Bytes stream = Envelope::StreamPrologue();
+    std::size_t stream_payload = 0;
+    // v1 (small, one LZSS varint byte and several), v2 (chunked), empty.
+    for (const std::size_t size : {std::size_t{0}, std::size_t{100},
+                                   std::size_t{3000}, std::size_t{40000}}) {
+      SCOPED_TRACE("mode=" + std::to_string(mode) + " size=" + std::to_string(size));
+      const Bytes payload = CompressiblePayload(size, 11 + mode);
+      const Bytes object = env.Encode(View(payload), 7 + size);
+      auto stated = env.PayloadSize(View(object));
+      ASSERT_TRUE(stated.ok()) << stated.status().ToString();
+      EXPECT_EQ(*stated, size);
+      if (size > 0) {
+        Envelope::AppendStreamSegment(stream, View(object));
+        stream_payload += size;
+      }
+    }
+    // v3: the segments' sum.
+    auto stated = env.PayloadSize(View(stream));
+    ASSERT_TRUE(stated.ok());
+    EXPECT_EQ(*stated, stream_payload);
+    auto decoded = env.Decode(View(stream));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->size(), stream_payload);
+  }
+  Envelope env(AllOn());
+  EXPECT_FALSE(env.PayloadSize(View(Bytes(10, 0))).ok());  // shorter than header
+  EXPECT_FALSE(env.PayloadSize(View(Bytes(64, 0))).ok());  // bad magic
+}
+
 TEST(EnvelopeV2, IncompressibleChunksStoreRaw) {
   Envelope env(AllOn(/*threshold=*/1024, /*chunk=*/1024));
   const Bytes payload = RandomPayload(10 * 1024, 6);

@@ -17,6 +17,9 @@ class VfsConformance : public ::testing::TestWithParam<const char*> {
   void SetUp() override {
     if (std::string(GetParam()) == "mem") {
       vfs_ = std::make_shared<MemFs>();
+    } else if (std::string(GetParam()) == "intercept") {
+      vfs_ = std::make_shared<InterceptFs>(std::make_shared<MemFs>(),
+                                           std::make_shared<RealClock>());
     } else {
       dir_ = std::filesystem::temp_directory_path() /
              ("ginja_vfs_test_" + std::to_string(::getpid()));
@@ -91,8 +94,34 @@ TEST_P(VfsConformance, Truncate) {
   EXPECT_EQ(ToString(View(*all)), "abc");
 }
 
+TEST_P(VfsConformance, ReadAllViewSeesCurrentBytes) {
+  ASSERT_TRUE(vfs_->Write("f", 0, View(B("abcdef")), false).ok());
+  ASSERT_TRUE(vfs_->Write("f", 2, View(B("XY")), false).ok());
+  std::string seen;
+  ASSERT_TRUE(vfs_->ReadAllView("f", [&](ByteView file) {
+                    seen = ToString(file);
+                    return Status::Ok();
+                  }).ok());
+  EXPECT_EQ(seen, "abXYef");
+  // The callback's status is the call's status.
+  EXPECT_EQ(vfs_->ReadAllView("f", [](ByteView) {
+                  return Status::Corruption("bad file");
+                }).code(),
+            ErrorCode::kCorruption);
+}
+
+TEST_P(VfsConformance, ReadAllViewOfMissingFileIsNotFound) {
+  bool called = false;
+  const Status st = vfs_->ReadAllView("missing", [&](ByteView) {
+    called = true;
+    return Status::Ok();
+  });
+  EXPECT_EQ(st.code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(called);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, VfsConformance,
-                         ::testing::Values("mem", "local"));
+                         ::testing::Values("mem", "local", "intercept"));
 
 TEST(MemFs, CloneIsDeepCopy) {
   auto fs = std::make_shared<MemFs>();
@@ -198,6 +227,43 @@ TEST(InterceptFs, ListenerBlockStallsWriter) {
   listener.Release();
   writer.join();
   EXPECT_TRUE(write_returned.load());
+}
+
+// A MemFs that records the views its ReadAllView hands out and fails any
+// ReadAll, so a caller that falls back to the copying default shows.
+class ViewSpyFs : public MemFs {
+ public:
+  Result<Bytes> ReadAll(std::string_view) override {
+    return Status::IoError("ReadAll called");
+  }
+  Status ReadAllView(std::string_view path,
+                     const std::function<Status(ByteView)>& fn) override {
+    ++views;
+    return MemFs::ReadAllView(path, [&](ByteView file) {
+      handed_out = file.data();
+      return fn(file);
+    });
+  }
+  int views = 0;
+  const std::uint8_t* handed_out = nullptr;
+};
+
+TEST(InterceptFs, ForwardsReadAllViewToInner) {
+  auto inner = std::make_shared<ViewSpyFs>();
+  InterceptFs fs(inner, std::make_shared<RealClock>());
+  ASSERT_TRUE(fs.Write("f", 0, View(B("payload")), false).ok());
+  const std::uint8_t* seen = nullptr;
+  std::string bytes;
+  ASSERT_TRUE(fs.ReadAllView("f", [&](ByteView file) {
+                  seen = file.data();
+                  bytes = ToString(file);
+                  return Status::Ok();
+                }).ok());
+  EXPECT_EQ(inner->views, 1);
+  EXPECT_EQ(bytes, "payload");
+  // The very bytes the inner Vfs handed out: no copy on the way.
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen, inner->handed_out);
 }
 
 TEST(InterceptFs, PerOpOverheadSleeps) {

@@ -5,15 +5,23 @@
 // *when* bytes arrive, never *what* is applied or reported.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <set>
+#include <thread>
 
 #include "cloud/memory_store.h"
+#include "cloud/transfer.h"
+#include "common/codec/codec_pool.h"
+#include "common/codec/sha1.h"
 #include "common/rng.h"
 #include "db/database.h"
 #include "fs/intercept_fs.h"
 #include "fs/mem_fs.h"
 #include "ginja/ginja.h"
 #include "ginja/object_id.h"
+#include "ginja/tail_apply.h"
 
 namespace ginja {
 namespace {
@@ -25,12 +33,21 @@ struct Backup {
 };
 
 // A healthy backup with a dump, several checkpoints, and a WAL tail.
-Backup BuildBackup() {
+// `value_bytes` pads every row. `codec` compresses and encrypts, and
+// lowers the chunking threshold so the DB parts become chunked (v2)
+// objects.
+Backup BuildBackup(std::size_t value_bytes = 0, bool codec = false) {
   Backup backup;
   backup.store = std::make_shared<MemoryStore>();
   backup.config.batch = 4;
   backup.config.safety = 64;
   backup.config.batch_timeout_us = 10'000;
+  backup.config.envelope.compress = codec;
+  backup.config.envelope.encrypt = codec;
+  if (codec) {
+    backup.config.envelope.parallel_encode_threshold = 16 * 1024;
+    backup.config.envelope.encode_chunk_bytes = 16 * 1024;
+  }
 
   auto clock = std::make_shared<RealClock>();
   auto local = std::make_shared<MemFs>();
@@ -44,7 +61,8 @@ Backup BuildBackup() {
   for (int i = 0; i < 60; ++i) {
     auto txn = db.Begin();
     EXPECT_TRUE(db.Put(txn, "t", "k" + std::to_string(i),
-                       ToBytes("v" + std::to_string(i)))
+                       ToBytes("v" + std::to_string(i) +
+                               std::string(value_bytes, 'a' + i % 26)))
                     .ok());
     EXPECT_TRUE(db.Commit(txn).ok());
     // Checkpoints only mid-stream: txns 40–59 stay WAL-only, so the store
@@ -198,6 +216,176 @@ TEST(RecoveryParallelTest, SweepManyWindowSizes) {
   for (int k : {2, 3, 5, 8, 32}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     ExpectIdentical(serial, RecoverWithK(backup, k));
+  }
+}
+
+TEST(RecoveryParallelTest, ImageBytesAreKInvariant) {
+  // Compressed, encrypted, and with chunked DB parts: every decode path
+  // runs on the transfer workers.
+  const Backup backup = BuildBackup(/*value_bytes=*/1024, /*codec=*/true);
+  std::map<std::string, Sha1::Digest> serial_digests;
+  for (int k : {1, 2, 8, 32}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    const Outcome outcome = RecoverWithK(backup, k);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    std::map<std::string, Sha1::Digest> digests;
+    for (const auto& [path, content] : outcome.files) {
+      digests[path] = Sha1::Hash(View(content));
+    }
+    if (k == 1) {
+      ASSERT_FALSE(digests.empty());
+      serial_digests = digests;
+    } else {
+      EXPECT_EQ(digests, serial_digests);
+    }
+  }
+}
+
+// A MemFs whose first write stalls, so the apply sits on the plan's first
+// item while every later item lands and the decodes run ahead of it.
+class SlowFirstWriteFs : public MemFs {
+ public:
+  Status Write(std::string_view path, std::uint64_t offset, ByteView data,
+               bool sync) override {
+    if (!stalled_.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return MemFs::Write(path, offset, data, sync);
+  }
+
+ private:
+  std::atomic<bool> stalled_{false};
+};
+
+struct DirectOutcome {
+  TailApplyResult result;
+  RecoveryReport report;
+  std::map<std::string, Bytes> files;
+};
+
+// One ApplyTailPlan over the whole bucket with window `k` and the given
+// decode budget, the codec pool attached as recovery attaches it.
+DirectOutcome ApplyWhole(
+    const Backup& backup, std::size_t k, std::size_t budget,
+    std::shared_ptr<MemFs> target = std::make_shared<MemFs>()) {
+  auto objects = backup.store->List("");
+  EXPECT_TRUE(objects.ok());
+  const TailPlan plan = BuildTailPlan(*objects, std::nullopt);
+  TransferOptions options;
+  options.concurrency = static_cast<int>(k);
+  TransferManager transfers(backup.store, options);
+  Envelope envelope(backup.config.envelope);
+  envelope.SetCodecPool(std::make_shared<CodecPool>(backup.config.codec_threads));
+  TailApplyContext ctx;
+  ctx.transfers = &transfers;
+  ctx.envelope = &envelope;
+  ctx.target = target;
+  ctx.window = k;
+  ctx.decode_budget = budget;
+  DirectOutcome out;
+  out.result = ApplyTailPlan(plan.items, ctx, &out.report);
+  auto files = target->ListFiles("");
+  EXPECT_TRUE(files.ok());
+  for (const auto& path : *files) out.files[path] = *target->ReadAll(path);
+  return out;
+}
+
+TEST(RecoveryParallelTest, CorruptItemStopsApplyDespiteDecodedAheadSuccessors) {
+  const Backup backup = BuildBackup();
+  auto objects = backup.store->List("");
+  ASSERT_TRUE(objects.ok());
+  const TailPlan plan = BuildTailPlan(*objects, std::nullopt);
+  // The victim: a mid-plan WAL object with at least two items after it.
+  std::vector<std::size_t> candidates;
+  for (std::size_t i = 1; i + 2 < plan.items.size(); ++i) {
+    if (plan.items[i].is_wal) candidates.push_back(i);
+  }
+  ASSERT_FALSE(candidates.empty());
+  const std::size_t victim = candidates[candidates.size() / 2];
+  const std::string& name = plan.items[victim].name;
+  auto blob = backup.store->Get(name);
+  ASSERT_TRUE(blob.ok());
+  (*blob)[blob->size() / 2] ^= 0x40;
+  ASSERT_TRUE(backup.store->Put(name, View(*blob)).ok());
+
+  const std::size_t budget = 2 * backup.config.max_object_bytes;
+  const DirectOutcome serial = ApplyWhole(backup, 1, budget);
+  ASSERT_LT(plan.items.size(), 32u);  // one window holds the whole plan
+  const DirectOutcome ahead =
+      ApplyWhole(backup, 32, budget, std::make_shared<SlowFirstWriteFs>());
+  EXPECT_EQ(serial.result.items_applied, victim);
+  EXPECT_TRUE(serial.result.wal_truncated);
+  EXPECT_EQ(ahead.result.items_applied, victim);
+  EXPECT_TRUE(ahead.result.wal_truncated);
+  EXPECT_EQ(ahead.result.wal_failure.code(), serial.result.wal_failure.code());
+  // Items after the victim were decoded ahead of the apply, and none of
+  // them reached the image.
+  EXPECT_GT(ahead.result.items_decoded_ahead, victim + 1);
+  EXPECT_EQ(ahead.report.objects_downloaded, serial.report.objects_downloaded);
+  EXPECT_EQ(ahead.report.files_written, serial.report.files_written);
+  EXPECT_EQ(ahead.report.wal_objects_applied, serial.report.wal_objects_applied);
+  EXPECT_EQ(ahead.report.recovered_to_ts, serial.report.recovered_to_ts);
+  EXPECT_EQ(ahead.files, serial.files);
+}
+
+TEST(RecoveryParallelTest, DecodedAheadBytesStayWithinBudget) {
+  const Backup backup = BuildBackup(/*value_bytes=*/1024, /*codec=*/true);
+  const DirectOutcome serial = ApplyWhole(backup, 1, 0);
+  ASSERT_GT(serial.result.items_applied, 4u);
+  EXPECT_EQ(serial.result.items_decoded_ahead, 0u);  // no budget, no ahead
+  EXPECT_EQ(serial.result.peak_ahead_bytes, 0u);
+  // The largest payload in the bucket: a budget below it must leave that
+  // object to the caller.
+  Envelope envelope(backup.config.envelope);
+  std::size_t largest = 0;
+  auto objects = backup.store->List("");
+  ASSERT_TRUE(objects.ok());
+  for (const auto& meta : *objects) {
+    auto size = envelope.PayloadSize(View(*backup.store->Get(meta.name)));
+    ASSERT_TRUE(size.ok()) << meta.name;
+    largest = std::max(largest, *size);
+  }
+  for (std::size_t budget : {largest / 2, largest, 4 * largest}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    const DirectOutcome ahead = ApplyWhole(backup, 8, budget);
+    EXPECT_EQ(ahead.result.items_applied, serial.result.items_applied);
+    EXPECT_LE(ahead.result.peak_ahead_bytes, budget);
+    EXPECT_GT(ahead.result.items_decoded_ahead, 0u);
+    if (budget < largest) {
+      EXPECT_LT(ahead.result.items_decoded_ahead, serial.result.items_applied);
+    }
+    EXPECT_EQ(ahead.files, serial.files);
+  }
+}
+
+TEST(RecoveryParallelTest, TracedRecoverSplitsFetchDecodeApply) {
+  const Backup backup = BuildBackup();
+  auto objects = backup.store->List("");
+  ASSERT_TRUE(objects.ok());
+  const std::size_t items = BuildTailPlan(*objects, std::nullopt).items.size();
+  ASSERT_GT(items, 0u);
+
+  TraceOptions trace;
+  trace.enabled = true;
+  trace.sample_period = 1;
+  GinjaConfig config = backup.config;
+  config.obs = std::make_shared<Observability>(trace);
+  config.recovery_prefetch = 8;
+  ASSERT_TRUE(Ginja::Recover(backup.store, config, backup.layout,
+                             std::make_shared<MemFs>(), nullptr, std::nullopt,
+                             std::make_shared<RealClock>())
+                  .ok());
+
+  std::map<TraceStage, std::multiset<std::uint64_t>> ids;
+  for (const SpanEvent& span : config.obs->tracer.RecentSpans(100'000)) {
+    ids[span.stage].insert(span.trace_id);
+  }
+  for (TraceStage stage : {TraceStage::kRecoveryFetch, TraceStage::kRecoveryDecode,
+                           TraceStage::kRecoveryApply}) {
+    SCOPED_TRACE(TraceStageName(stage));
+    std::multiset<std::uint64_t> expected;
+    for (std::uint64_t i = 0; i < items; ++i) expected.insert(i);
+    EXPECT_EQ(ids[stage], expected);  // once per plan item
   }
 }
 
