@@ -4,9 +4,10 @@
 //
 //   $ ./examples/ransomware_rewind
 //
-// With `keep_history` enabled, Ginja's garbage collector retains superseded
-// objects, so the database can be rewound to any earlier WAL timestamp —
-// even after the attacker's writes were themselves faithfully replicated.
+// With a "keep every point" retention policy, Ginja's garbage collector
+// retains superseded objects, so the database can be rewound to any
+// earlier WAL timestamp — even after the attacker's writes were themselves
+// faithfully replicated.
 #include <cstdio>
 
 #include "cloud/memory_store.h"
@@ -40,9 +41,9 @@ int main() {
   GinjaConfig config;
   config.batch = 4;
   config.safety = 50;
-  config.keep_history = true;  // the PITR switch
 
   Ginja ginja(disk, cloud, clock, layout, config);
+  ginja.retention().KeepEveryPoint();  // the PITR switch
   if (!ginja.Boot().ok()) return 1;
   intercept->SetListener(&ginja);
 

@@ -1,12 +1,11 @@
-// Bounded blocking queue used by the Ginja pipelines (Fig. 3 of the paper).
+// Blocking FIFO queue: the checkpointer's job queue, the commit
+// pipeline's upload acks and the streaming-replication baseline's link.
 //
-// The paper's CommitQueue has two unusual semantics which this template
-// supports directly:
-//   * Peek-without-remove of the next batch (the Aggregator reads B elements
-//     "without removing them"; the Unlocker removes them only after the
-//     upload is acknowledged).
-//   * A capacity bound of S elements where a full Put() blocks — that block
-//     *is* Ginja's Safety mechanism.
+// Put blocks while a bounded queue is full and ForcePut ignores the bound;
+// Take and TakeFor block until an element arrives or the queue is closed
+// and drained. Ginja's Safety bound (S, TS) is not a queue capacity: the
+// commit pipeline enforces it from its sequencer counters
+// (CommitPipeline::Unconfirmed and the oldest pending enqueue time).
 #pragma once
 
 #include <chrono>
@@ -16,7 +15,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 namespace ginja {
 
@@ -67,23 +65,6 @@ class BlockingQueue {
     items_.pop_front();
     not_full_.notify_one();
     return item;
-  }
-
-  // Copies up to `n` elements from the head without removing them, blocking
-  // until at least one is available (or closed). Paper: Aggregator semantics.
-  std::vector<T> PeekBatch(std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    std::vector<T> out;
-    for (std::size_t i = 0; i < items_.size() && i < n; ++i) out.push_back(items_[i]);
-    return out;
-  }
-
-  // Removes `n` elements from the head. Paper: Unlocker semantics.
-  void PopN(std::size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < n && !items_.empty(); ++i) items_.pop_front();
-    not_full_.notify_all();
   }
 
   std::size_t Size() const {

@@ -322,7 +322,7 @@ void CheckpointPipeline::CheckpointerLoop() {
     (job->type == DbObjectType::kDump ? stats_.dumps_uploaded
                                       : stats_.checkpoints_uploaded).Add();
 
-    if (!config_.keep_history) GarbageCollect(*job, seq);
+    GarbageCollect(*job, seq);
   }
 }
 
@@ -517,8 +517,10 @@ Status CheckpointPipeline::PutDeltaDump(const DbObjectJob& job,
 
 void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
                                         std::uint64_t uploaded_seq) {
-  // Point-in-time retention (§5.4): objects a restore to a protected
-  // snapshot reads are exempt from deletion.
+  // Point-in-time retention (§5.4): under "keep every point" nothing is
+  // deleted; otherwise objects a restore to a protected snapshot reads are
+  // exempt from deletion.
+  if (retention_ != nullptr && retention_->KeepsEveryPoint()) return;
   std::set<std::string> keep;
   if (retention_ != nullptr && !retention_->Empty()) {
     keep = retention_->KeepSet(view_->WalObjects(), view_->DbObjects(),

@@ -10,7 +10,9 @@
 //     checkpoint's redo LSN (a prefix in ts order; see object_id.h for why
 //     the LSN rule rather than the paper's ts rule);
 //   * on a dump, every older DB object.
-// With `keep_history` (point-in-time recovery, §5.4) nothing is deleted.
+// A RetentionPolicy (point-in-time recovery, §5.4) exempts what restores
+// to protected points read; in its "keep every point" mode nothing is
+// deleted.
 //
 // Part PUTs and GC DELETEs run on a FleetRuntime's shared TransferManager,
 // billed to this pipeline's account; without `config.runtime` the pipeline

@@ -1,7 +1,7 @@
 // CloudView — Ginja's in-memory index of the objects it keeps in the cloud
 // (paper Alg. 1 line 1). Rebuilt by LIST on reboot/recovery; updated by the
-// commit and checkpoint pipelines during operation. Thread-safe: the
-// Aggregator, Uploaders, Checkpointer, and processor all consult it.
+// commit and checkpoint pipelines during operation. Thread-safe: batch
+// formation, Uploaders, Checkpointer, and processor all consult it.
 #pragma once
 
 #include <cstdint>

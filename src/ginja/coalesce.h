@@ -1,4 +1,4 @@
-// Batch-formation scratch structures for the commit pipeline's aggregator.
+// Batch-formation scratch structures for the commit pipeline.
 //
 // Coalescing a batch (paper Alg. 2 lines 12-13: last write wins per
 // (file, offset)) used to build a fresh std::map per batch — one
@@ -9,8 +9,9 @@
 // are copied once into chunked storage that never moves, so every
 // FileEntryRef can borrow them for the pipeline's whole lifetime.
 //
-// Both are single-writer structures (the aggregator thread); readers of the
-// interned names synchronize through the upload queue hand-off.
+// Both are single-writer structures, used only under the pipeline's
+// staging mutex; readers of the interned names synchronize through the
+// upload queue hand-off.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +19,21 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ginja {
 
 // Interns file names into an arena of fixed chunks; returned views stay
-// valid until destruction. Lookup is a linear scan — a database has a
-// handful of live WAL segment names, so a hash index would cost more than
-// it saves.
+// valid until destruction. Lookup is a linear scan, newest name first — a
+// database writes one or two live WAL segments at a time, so the hit is
+// almost always the last name interned and a hash index would cost more
+// than it saves.
 class NameInterner {
  public:
   std::string_view Intern(std::string_view name) {
-    for (const auto& known : names_) {
-      if (known == name) return known;
+    for (auto it = names_.rbegin(); it != names_.rend(); ++it) {
+      if (*it == name) return *it;
     }
     const std::size_t need = name.size();
     if (chunks_.empty() || used_ + need > chunks_.back()->size()) {
@@ -55,11 +58,14 @@ class NameInterner {
 };
 
 // Open-addressed (file, offset) -> value map with last-write-wins upserts.
-// Begin() readies it for a batch of `expected` inserts; slots from earlier
-// batches are invalidated by the epoch bump, not by clearing memory. The
-// keyed string_views must stay alive until the next Begin().
+// Begin() readies it for a batch of `expected` inserts (it grows past
+// that as needed); slots from earlier batches are invalidated by the epoch
+// bump, not by clearing memory. The keyed string_views must stay alive
+// until the next Begin().
 class CoalesceTable {
  public:
+  static constexpr std::uint32_t kNew = ~std::uint32_t{0};
+
   void Begin(std::size_t expected) {
     std::size_t want = 16;
     while (want < expected * 2) want <<= 1;
@@ -71,8 +77,9 @@ class CoalesceTable {
     used_.clear();
   }
 
-  void Upsert(std::string_view file, std::uint64_t offset,
-              std::uint32_t value) {
+  // Returns the value the upsert replaced, or kNew for a new key.
+  std::uint32_t Upsert(std::string_view file, std::uint64_t offset,
+                       std::uint32_t value) {
     if ((used_.size() + 1) * 2 > slots_.size()) Grow();
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = Hash(file, offset) & mask;
@@ -84,11 +91,10 @@ class CoalesceTable {
         s.value = value;
         s.epoch = epoch_;
         used_.push_back(static_cast<std::uint32_t>(i));
-        return;
+        return kNew;
       }
       if (s.offset == offset && s.file == file) {
-        s.value = value;  // last write wins
-        return;
+        return std::exchange(s.value, value);  // last write wins
       }
       i = (i + 1) & mask;
     }

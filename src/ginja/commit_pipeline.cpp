@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/log.h"
@@ -10,8 +11,8 @@
 namespace ginja {
 
 namespace {
-// Poll interval for time-based predicates (TB/TS); wall time, so it works
-// with any Clock scale.
+// Poll interval of the unlocker's TB check; wall time, so TB works with
+// any Clock scale.
 constexpr auto kPollInterval = std::chrono::milliseconds(1);
 // Stream-segment nonces live in their own subspace, disjoint from WAL
 // object nonces (the raw ts) and DB part nonces (bit 63 | seq | part):
@@ -45,8 +46,7 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
   if (!config_.runtime) {
     config_.runtime = MakeStandaloneRuntime(store_, clock_, config_);
   }
-  last_agg_time_us_ = clock_->NowMicros();
-  coarse_now_us_.store(last_agg_time_us_, std::memory_order_release);
+  last_close_us_ = clock_->NowMicros();
   if (config_.obs) {
     tracer_ = &config_.obs->tracer;
     RegisterMetrics();
@@ -119,7 +119,7 @@ void CommitPipeline::RegisterMetrics() {
     const std::uint64_t oldest =
         oldest_pending_us_.load(std::memory_order_acquire);
     if (oldest == kNoOldest) return 0.0;
-    const std::uint64_t now = coarse_now_us_.load(std::memory_order_acquire);
+    const std::uint64_t now = clock_->NowMicros();
     return now > oldest ? static_cast<double>(now - oldest) : 0.0;
   });
   r.RegisterGauge(this, "ginja_wal_frontier_lsn", Labels(), [this] {
@@ -129,18 +129,19 @@ void CommitPipeline::RegisterMetrics() {
 
 void CommitPipeline::Start() {
   // Uploads run on the runtime's worker pool, DRR-scheduled across its
-  // tenants; only the control threads (aggregator, unlocker) are private.
+  // tenants; only the control thread (the unlocker) is private.
   sched_tenant_ = config_.runtime->scheduler().Register(config_.tenant_id);
-  threads_.emplace_back([this] { AggregatorLoop(); });
-  threads_.emplace_back([this] { UnlockerLoop(); });
+  unlocker_ = std::thread([this] { UnlockerLoop(); });
 }
 
 void CommitPipeline::Stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   {
-    std::lock_guard<std::mutex> lock(agg_mu_);
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+    // Flush the staged remainder. From here on Submit stages nothing, so
+    // the pending window holds every write Stop waits for.
+    CloseReady(clock_->NowMicros(), /*flush=*/true);
   }
-  agg_cv_.notify_all();
   Drain();
   // Drain() returns at the ack frontier, but an early-acked batch is
   // acknowledged from its tail objects while the WAL object's Finish (and
@@ -159,13 +160,10 @@ void CommitPipeline::Stop() {
     std::lock_guard<std::mutex> lock(block_mu_);
   }
   unblock_cv_.notify_all();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
+  if (unlocker_.joinable()) unlocker_.join();
   // Every batch retired means the scheduler queue is empty; a clean
-  // release just waits out any job still finishing on a worker. After the
-  // aggregator joined, nothing can enqueue again.
+  // release just waits out any job still finishing on a worker. stopping_
+  // was set under stage_mu_, so nothing can enqueue again.
   ReleaseUploadQueue(/*discard_queued=*/false);
   stopped_clean_.store(true, std::memory_order_release);
 }
@@ -178,10 +176,12 @@ void CommitPipeline::Kill() {
     config_.obs->DumpFlightRecorder("commit_kill");
   }
   stopping_.store(true, std::memory_order_release);
+  // Empty critical section: a Submit or TB close already past its stopping_
+  // check finishes its EnqueueUpload before this returns, and every later
+  // one sees the flag.
   {
-    std::lock_guard<std::mutex> lock(agg_mu_);
+    std::lock_guard<std::mutex> lock(stage_mu_);
   }
-  agg_cv_.notify_all();
   {
     std::lock_guard<std::mutex> lock(block_mu_);
   }
@@ -192,14 +192,12 @@ void CommitPipeline::Kill() {
   // NOT cancel — it drains. Only this pipeline's account is cancelled: the
   // runtime's manager may keep serving other tenants.
   account_->Cancel();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
+  if (unlocker_.joinable()) unlocker_.join();
   // Drop queued upload jobs unrun (the crash abandons them) and wait out
   // the ones a worker is already executing — they observe killed_ and bail
-  // at their next check. Must follow the aggregator join: a live
-  // aggregator could enqueue into a released (freed) queue handle.
+  // at their next check. Must follow the stage_mu_ section above: a
+  // staging call past its check could enqueue into a released (freed)
+  // queue handle.
   ReleaseUploadQueue(/*discard_queued=*/true);
 }
 
@@ -226,35 +224,55 @@ bool CommitPipeline::ShouldBlock(std::uint64_t now_us) const {
 }
 
 void CommitPipeline::Submit(WalWrite write) {
-  if (killed_.load(std::memory_order_acquire)) return;
-  Slot slot;
-  slot.write = std::move(write);
-  // Coarse enqueue stamp: see coarse_now_us_. Saves a clock read per
-  // Submit; the error is bounded by one aggregator poll and biased old,
-  // which only over-ages writes against the seconds-scale TS bound.
-  const std::uint64_t enqueue_us =
-      coarse_now_us_.load(std::memory_order_relaxed);
-  slot.enqueue_us = enqueue_us;
-  // Stamping and appending under one lock makes inbox order seq order, so
-  // the aggregator stages writes exactly as submitted. Wake it only when a
-  // full batch is pending AND it is parked; partial batches are picked up
-  // by its TB poll.
-  bool wake;
+  const std::uint64_t enqueue_us = clock_->NowMicros();
+  std::uint64_t seq = 0;
+  std::uint64_t staged_us = enqueue_us;
+  bool traced = false;
   {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    slot.seq = submit_seq_.load(std::memory_order_relaxed);
-    submit_seq_.store(slot.seq + 1, std::memory_order_release);
-    wake = agg_parked_ &&
-           slot.seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
-               config_.batch;
-    inbox_.push_back(std::move(slot));
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    // A write racing Stop or Kill is dropped: the staged remainder has been
+    // flushed (or abandoned) and the scheduler queue may be released.
+    if (stopping_.load(std::memory_order_acquire)) return;
+    // Stamping and staging under one lock makes staging order seq order,
+    // so batches hold exactly the writes [k·B, (k+1)·B).
+    seq = submit_seq_.load(std::memory_order_relaxed);
+    submit_seq_.store(seq + 1, std::memory_order_release);
+    if (Tracing() && tracer_->Sampled(seq)) {
+      traced = true;
+      staged_us = clock_->NowMicros();
+    }
+    // Aggregate (Alg. 2 lines 12-13) as the batch fills: a rewrite of a
+    // staged page supersedes it (last write wins), so the earlier copy is
+    // freed now, while it is hot, instead of at the close.
+    if (staged_.empty()) coalesce_.Begin(/*expected=*/0);  // grows as needed
+    const std::string_view file = names_.Intern(write.file);
+    const std::uint32_t superseded = coalesce_.Upsert(
+        file, write.offset, static_cast<std::uint32_t>(staged_.size()));
+    if (superseded != CoalesceTable::kNew) {
+      Bytes().swap(staged_[superseded].data);
+    }
+    staged_.push_back({seq, staged_us, traced, file, write.offset,
+                       write.max_lsn, std::move(write.data)});
+    {
+      std::lock_guard<std::mutex> window(window_mu_);
+      pending_times_.push_back(enqueue_us);
+      oldest_pending_us_.store(pending_times_.front(),
+                               std::memory_order_release);
+    }
+    // The B-th write closes its batch (streaming: a full segment seals)
+    // before returning; a partial batch waits for the unlocker's TB check.
+    CloseReady(staged_us, /*flush=*/false);
   }
   stats_.writes_submitted.Add();
-  if (wake) agg_cv_.notify_one();
+  if (traced) {
+    tracer_->Record(TraceStage::kSubmit, seq, enqueue_us, 0);
+    tracer_->Record(TraceStage::kStaged, seq, enqueue_us,
+                    staged_us - enqueue_us);
+  }
 
-  // Block while S/TS would be violated. The fast path is lock-free and
-  // reuses the enqueue timestamp (TS is seconds-scale, the append is
-  // microseconds). The slow path is event-driven (no
+  // Block while S/TS would be violated, off stage_mu_. The fast path is
+  // lock-free and reuses the enqueue timestamp (TS is seconds-scale,
+  // staging is microseconds). The slow path is event-driven (no
   // polling): while blocked, ShouldBlock can only flip to false through an
   // Unlocker completion, and every completion updates the counters *before*
   // signalling unblock_cv_ (with an empty block_mu_ critical section
@@ -289,104 +307,30 @@ std::size_t CommitPipeline::PendingWrites() const {
   return static_cast<std::size_t>(Unconfirmed());
 }
 
-void CommitPipeline::DrainInbox() {
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    inbox_.swap(drained_);
+void CommitPipeline::CloseReady(std::uint64_t now_us, bool flush) {
+  if (config_.streaming_commit) {
+    StreamPass(now_us, flush);
+    return;
   }
-  if (drained_.empty()) return;
-  const std::size_t first = staged_.size();
-  for (Slot& slot : drained_) staged_.push_back(std::move(slot));
-  drained_.clear();
-  if (Tracing()) {
-    // One clock read per drain, and only with the tracer on: the submit
-    // hot path carries zero tracing cost, sampled writes get stamped here.
-    const std::uint64_t now = clock_->NowMicros();
-    for (std::size_t i = first; i < staged_.size(); ++i) {
-      Slot& slot = staged_[i];
-      if (!tracer_->Sampled(slot.seq)) continue;
-      slot.traced = true;
-      slot.staged_us = now;
-      tracer_->Record(TraceStage::kSubmit, slot.seq, slot.enqueue_us, 0);
-      tracer_->Record(TraceStage::kStaged, slot.seq, slot.enqueue_us,
-                      now >= slot.enqueue_us ? now - slot.enqueue_us : 0);
-    }
-  }
-  // Newly staged writes become TS-visible: publish the oldest pending
-  // enqueue time. Writes still in the inbox are invisible to TS for at
-  // most ~one poll interval, negligible against TS >= milliseconds.
-  std::lock_guard<std::mutex> lock(window_mu_);
-  for (std::size_t i = first; i < staged_.size(); ++i) {
-    pending_times_.push_back(staged_[i].enqueue_us);
-  }
-  oldest_pending_us_.store(pending_times_.front(), std::memory_order_release);
-}
-
-void CommitPipeline::AggregatorLoop() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(agg_mu_);
-      agg_parked_ = true;
-      agg_cv_.wait_for(lock, kPollInterval, [&] {
-        return stopping_.load(std::memory_order_acquire) ||
-               submit_seq_.load(std::memory_order_acquire) -
-                       batched_count_.load(std::memory_order_relaxed) >=
-                   config_.batch;
-      });
-      agg_parked_ = false;
-    }
-    if (killed_.load(std::memory_order_acquire)) return;
-    DrainInbox();
-    const std::uint64_t now = clock_->NowMicros();
-    coarse_now_us_.store(now, std::memory_order_release);
-    if (config_.streaming_commit) {
-      const bool stop_flush = stopping_.load(std::memory_order_acquire);
-      // As in the buffered stop path: pick up writes that raced the stop
-      // so the final flush sees everything submitted before it.
-      if (stop_flush) DrainInbox();
-      StreamPass(now, stop_flush);
-      if (stop_flush && staged_.empty() && !open_stream_) return;
-      continue;
-    }
-    if (staged_.empty()) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      continue;
-    }
-    while (staged_.size() >= config_.batch) {
-      FormBatch(config_.batch, now, /*closed_full=*/true);
-    }
-    if (!staged_.empty()) {
-      const bool stop_flush = stopping_.load(std::memory_order_acquire);
-      if (stop_flush) {
-        // Stop() can land mid-pass: writes submitted before the stop but
-        // after this pass's DrainInbox are still in the inbox. Pick them
-        // up before the final flush so shutdown forms the same full
-        // batches a quiescent stop would, even when Stop races this loop.
-        DrainInbox();
-        while (staged_.size() >= config_.batch) {
-          FormBatch(config_.batch, now, /*closed_full=*/true);
-        }
-      }
-      if ((stop_flush ||
-           now - last_agg_time_us_ >= config_.batch_timeout_us) &&
-          !staged_.empty()) {
-        FormBatch(staged_.size(), now, /*closed_full=*/false);
-      }
-    }
+  if (staged_.size() >= config_.batch) {
+    FormBatch(now_us, /*closed_full=*/true);
+  } else if (flush && !staged_.empty()) {
+    FormBatch(now_us, /*closed_full=*/false);
   }
 }
 
-std::uint64_t CommitPipeline::StageWrites(std::size_t take,
-                                          std::uint64_t now_us) {
-  // Aggregate (Alg. 2 lines 12-13): coalesce rewrites of the same page —
-  // last write wins — so only surviving pages are encoded (a B=1000 batch
-  // usually collapses to a handful of pages). The reusable table replaces
-  // a per-batch std::map: zero allocation at steady state.
-  coalesce_.Begin(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    const WalWrite& w = staged_[i].write;
-    coalesce_.Upsert(w.file, w.offset, static_cast<std::uint32_t>(i));
-  }
+void CommitPipeline::CloseOnDeadline() {
+  std::lock_guard<std::mutex> lock(stage_mu_);
+  if (stopping_.load(std::memory_order_acquire)) return;
+  // Read under the lock, so no close can postdate it.
+  const std::uint64_t now = clock_->NowMicros();
+  CloseReady(now, now - last_close_us_ >= config_.batch_timeout_us);
+}
+
+std::uint64_t CommitPipeline::ListSurvivors(std::uint64_t now_us) {
+  // Only surviving pages are encoded (a B=1000 batch usually collapses to
+  // a handful of pages). The reusable table replaces a per-batch
+  // std::map: zero allocation at steady state.
   survivors_.clear();
   coalesce_.ForEach(
       [&](std::string_view file, std::uint64_t offset, std::uint32_t index) {
@@ -401,8 +345,7 @@ std::uint64_t CommitPipeline::StageWrites(std::size_t take,
             });
   std::uint64_t first_traced = kNoTrace;
   if (Tracing()) {
-    for (std::size_t k = 0; k < take; ++k) {
-      const Slot& slot = staged_[k];
+    for (const Slot& slot : staged_) {
       if (!slot.traced) continue;
       tracer_->Record(TraceStage::kBatchClose, slot.seq, slot.staged_us,
                       now_us >= slot.staged_us ? now_us - slot.staged_us : 0);
@@ -412,11 +355,10 @@ std::uint64_t CommitPipeline::StageWrites(std::size_t take,
   return first_traced;
 }
 
-void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
-                               bool closed_full) {
+void CommitPipeline::FormBatch(std::uint64_t now_us, bool closed_full) {
   // The batch's trace id is its first sampled write; every object of the
   // batch carries it, so the decomposition sees each object's PUT.
-  const std::uint64_t trace_seq = StageWrites(take, now_us);
+  const std::uint64_t trace_seq = ListSurvivors(now_us);
 
   // Per-file runs become objects, split at the object-size limit. Entry
   // refs borrow the submitted writes' own buffers (moved, never copied)
@@ -435,11 +377,10 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
     std::size_t j = i;
     std::uint64_t run_max_lsn = 0;
     while (j < survivors_.size() && survivors_[j].file == survivors_[i].file) {
-      run_max_lsn = std::max(run_max_lsn,
-                             staged_[survivors_[j].index].write.max_lsn);
+      run_max_lsn = std::max(run_max_lsn, staged_[survivors_[j].index].max_lsn);
       ++j;
     }
-    const std::string_view file = names_.Intern(survivors_[i].file);
+    const std::string_view file = survivors_[i].file;
     objects.emplace_back();
     PendingObject* current = &objects.back();
     current->file = file;
@@ -449,18 +390,17 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
     for (std::size_t k = i; k < j; ++k) {
       Slot& slot = staged_[survivors_[k].index];
       if (!current->entries.empty() &&
-          bytes + slot.write.data.size() > config_.max_object_bytes) {
+          bytes + slot.data.size() > config_.max_object_bytes) {
         objects.emplace_back();
         current = &objects.back();
         current->file = file;
-        current->first_offset = slot.write.offset;
+        current->first_offset = slot.offset;
         current->max_lsn = run_max_lsn;
         bytes = 0;
       }
-      bytes += slot.write.data.size();
-      current->entries.push_back(
-          {file, slot.write.offset, View(slot.write.data)});
-      current->data.push_back(std::move(slot.write.data));
+      bytes += slot.data.size();
+      current->entries.push_back({file, slot.offset, View(slot.data)});
+      current->data.push_back(std::move(slot.data));
     }
     i = j;
   }
@@ -473,7 +413,7 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
 
   Batch batch;
   batch.seq = next_batch_seq_++;
-  batch.item_count = take;
+  batch.item_count = staged_.size();
   batch.objects_total = objects.size();
   for (const auto& obj : objects) {
     batch.max_lsn = std::max(batch.max_lsn, obj.max_lsn);
@@ -483,7 +423,6 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
     batches_.push_back(batch);
   }
   batches_inflight_.fetch_add(1, std::memory_order_release);
-  batched_count_.fetch_add(take, std::memory_order_release);
   (closed_full ? stats_.batches_closed_full : stats_.batches_closed_deadline)
       .Add();
 
@@ -504,35 +443,29 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
     job.close_us = now_us;
     EnqueueUpload(std::move(job));
   }
-  staged_.erase(staged_.begin(),
-                staged_.begin() + static_cast<std::ptrdiff_t>(take));
-  last_agg_time_us_ = now_us;
+  staged_.clear();
+  last_close_us_ = now_us;
 }
 
-void CommitPipeline::StreamPass(std::uint64_t now_us, bool stop_flush) {
+void CommitPipeline::StreamPass(std::uint64_t now_us, bool flush) {
   // One stream == one batch == one WAL object, filled segment by segment.
   // A full stream_segment_writes' worth of staged writes seals a segment
-  // immediately (capped at the B remaining in the batch); the TB deadline
-  // or a stop flushes a partial one. The stream closes — its object gets
-  // its final name and publishes — at B writes, at the object size limit,
-  // at kMaxStreamSegments, or on deadline/stop; leftover staged writes
+  // immediately (capped at the B remaining in the batch); a flush (TB
+  // deadline or stop) seals a partial one. The stream closes — its object
+  // gets its final name and publishes — at B writes, at the object size
+  // limit, at kMaxStreamSegments, or on a flush; leftover staged writes
   // then start the next stream on the following loop iteration.
   const std::size_t seg_writes =
       std::max<std::size_t>(1, config_.stream_segment_writes);
-  const bool deadline_hit =
-      now_us - last_agg_time_us_ >= config_.batch_timeout_us;
   while (true) {
     const std::size_t batch_remaining =
         config_.batch - (open_stream_ ? open_stream_->writes : 0);
     const std::size_t seg_target = std::min(seg_writes, batch_remaining);
-    if (staged_.size() >= seg_target) {
+    if (staged_.size() >= seg_target || (!staged_.empty() && flush)) {
       if (!open_stream_) OpenStream(now_us);
-      SealSegment(seg_target, now_us);
-    } else if (!staged_.empty() && (stop_flush || deadline_hit)) {
-      if (!open_stream_) OpenStream(now_us);
-      SealSegment(std::min(staged_.size(), batch_remaining), now_us);
+      SealSegment(now_us);
     } else {
-      if (open_stream_ && (stop_flush || deadline_hit)) {
+      if (open_stream_ && flush) {
         CloseStream(now_us, /*closed_full=*/false);
       }
       return;
@@ -568,13 +501,15 @@ void CommitPipeline::OpenStream(std::uint64_t now_us) {
   stats_.streams_opened.Add();
 }
 
-void CommitPipeline::SealSegment(std::size_t take, std::uint64_t now_us) {
+void CommitPipeline::SealSegment(std::uint64_t now_us) {
   // Coalesce within the segment only (last write to a page wins, as in
   // FormBatch); a page rewritten in a *later* segment of the same stream
   // survives twice, and recovery's in-order apply makes the later copy
   // win — same end state, slightly more bytes. The stream's trace id is
   // its first sampled write.
-  const std::uint64_t first_traced = StageWrites(take, now_us);
+  const std::uint64_t first_traced = ListSurvivors(now_us);
+  const std::size_t take = staged_.size();
+  assert(open_stream_->writes + take <= config_.batch);
   if (open_stream_->trace_seq == kNoTrace) {
     open_stream_->trace_seq = first_traced;
   }
@@ -593,11 +528,10 @@ void CommitPipeline::SealSegment(std::size_t take, std::uint64_t now_us) {
   Lsn seg_lsn = 0;
   for (const SurvivorRef& s : survivors_) {
     Slot& slot = staged_[s.index];
-    const std::string_view file = names_.Intern(s.file);
-    seg_lsn = std::max(seg_lsn, slot.write.max_lsn);
-    open_stream_->logical_bytes += slot.write.data.size();
-    job.entries.push_back({file, slot.write.offset, View(slot.write.data)});
-    job.data.push_back(std::move(slot.write.data));
+    seg_lsn = std::max(seg_lsn, slot.max_lsn);
+    open_stream_->logical_bytes += slot.data.size();
+    job.entries.push_back({s.file, slot.offset, View(slot.data)});
+    job.data.push_back(std::move(slot.data));
   }
   if (open_stream_->next_seg == 0) {
     open_stream_->first_file = std::string(survivors_.front().file);
@@ -618,12 +552,10 @@ void CommitPipeline::SealSegment(std::size_t take, std::uint64_t now_us) {
       break;
     }
   }
-  batched_count_.fetch_add(take, std::memory_order_release);
   open_stream_->writes += take;
   ++open_stream_->next_seg;
   EnqueueUpload(std::move(job));
-  staged_.erase(staged_.begin(),
-                staged_.begin() + static_cast<std::ptrdiff_t>(take));
+  staged_.clear();
 }
 
 void CommitPipeline::CloseStream(std::uint64_t now_us, bool closed_full) {
@@ -656,7 +588,7 @@ void CommitPipeline::CloseStream(std::uint64_t now_us, bool closed_full) {
       .Add();
   EnqueueUpload(std::move(job));
   open_stream_.reset();
-  last_agg_time_us_ = now_us;
+  last_close_us_ = now_us;
 }
 
 void CommitPipeline::EnqueueUpload(UploadJob job) {
@@ -868,9 +800,15 @@ void CommitPipeline::UnlockerLoop() {
   // the frontier's only writer, so `frontier` mirrors frontier_lsn_).
   std::vector<Lsn> advances;
   Lsn frontier = frontier_lsn_.load(std::memory_order_acquire);
-  while (auto ack = ack_queue_.Take()) {
+  while (true) {
+    std::optional<Ack> ack = ack_queue_.TakeFor(
+        std::chrono::microseconds(kPollInterval).count());
+    CloseOnDeadline();
+    if (!ack) {
+      if (ack_queue_.Closed() && ack_queue_.Empty()) return;
+      continue;
+    }
     const std::uint64_t now = clock_->NowMicros();
-    coarse_now_us_.store(now, std::memory_order_release);
     advances.clear();
     std::uint64_t completed = 0;
     // Retires the n oldest pending writes, recording their commit latency.

@@ -1,24 +1,26 @@
 // The commit pipeline — paper Algorithm 2 / Figure 3.
 //
-// Intercepted WAL writes enter through Submit; the Aggregator coalesces
-// batches of up to B writes into WAL objects (page rewrites to the same
-// offset collapse — the key cost optimisation); upload jobs run in parallel
-// on the FleetRuntime's uploader pool; the Unlocker removes batches from
-// the pending window *in timestamp order* as their uploads are
-// acknowledged, which is what bounds data loss to S even with out-of-order
-// parallel uploads.
+// Intercepted WAL writes enter through Submit, which stages each one into
+// the open batch. The write that makes B coalesces the batch into WAL
+// objects (page rewrites to the same offset collapse — the key cost
+// optimisation) and hands them to the uploaders before it returns; upload
+// jobs run in parallel on the FleetRuntime's uploader pool. The Unlocker,
+// the pipeline's only control thread, removes batches from the pending
+// window *in timestamp order* as their uploads are acknowledged, which is
+// what bounds data loss to S even with out-of-order parallel uploads, and
+// closes a partial batch once TB has passed.
 //
 // A write blocks (stalling the DBMS inside its intercepted syscall) while
 // more than S writes are unconfirmed, or while the oldest unconfirmed
 // write has been pending longer than TS.
 //
 // Ingestion front end (DESIGN.md "Low-latency commit ingestion"): Submit
-// stamps the write's seq and appends it to one inbox under agg_mu_, so
-// inbox order is submit order; the S/TS predicate reads three atomics. The
-// Aggregator swaps the whole inbox out under the same lock and forms
-// batches off it. The DBMS's WAL writer serialises its page writes, so
-// writes arrive one at a time and the inbox lock is uncontended; Submit
-// stays safe from any number of threads all the same.
+// reads the clock, then stamps the write's seq and stages it under
+// stage_mu_, so staging order is submit order; the S/TS predicate reads
+// three atomics after the lock is released. The DBMS's WAL writer
+// serialises its page writes, so writes arrive one at a time and the
+// staging lock is uncontended; Submit stays safe from any number of
+// threads all the same. Lock order: stage_mu_, then window_mu_.
 //
 // Execution resources are never owned here: upload jobs go to a
 // FleetRuntime's DRR scheduler and streamed parts, tails and tail deletes
@@ -98,14 +100,17 @@ class CommitPipeline {
   CommitPipeline& operator=(const CommitPipeline&) = delete;
 
   void Start();
-  // Blocks until every pending write is uploaded, then joins the threads.
+  // Closes the staged remainder, blocks until every pending write is
+  // uploaded, then joins the unlocker. Writes submitted once Stop (or
+  // Kill) has begun are dropped.
   void Stop();
   // Abandons pending writes (simulates a primary-site crash).
   void Kill();
 
   // Called from the DBMS thread (via the processor). Implements Alg. 2
-  // lines 4–7: enqueue, then block while S/TS would be violated. Safe to
-  // call from any number of threads concurrently.
+  // lines 4–7: stage the write (closing the batch if it is the B-th), then
+  // block while S/TS would be violated. Safe to call from any number of
+  // threads concurrently.
   void Submit(WalWrite write);
 
   // Blocks until the queue is empty (all writes confirmed).
@@ -135,15 +140,19 @@ class CommitPipeline {
  private:
   static constexpr std::uint64_t kNoTrace = ~std::uint64_t{0};
 
-  // A submitted write plus its sequencer stamp and enqueue time.
+  // A staged write plus its sequencer stamp. `data` is emptied as soon as
+  // a later write to the same page supersedes it.
   struct Slot {
     std::uint64_t seq = 0;
-    std::uint64_t enqueue_us = 0;
-    // When the write was staged by the aggregator; set (with traced) only
-    // for writes the tracer sampled, so the submit hot path never pays.
+    // When the write was staged: read under stage_mu_ for a write the
+    // tracer sampled (traced), else the enqueue time, so an untraced
+    // Submit reads the clock once.
     std::uint64_t staged_us = 0;
     bool traced = false;
-    WalWrite write;
+    std::string_view file;  // interned in names_
+    std::uint64_t offset = 0;
+    Lsn max_lsn = 0;
+    Bytes data;
   };
   struct Batch {
     std::uint64_t seq = 0;
@@ -206,7 +215,6 @@ class CommitPipeline {
     std::uint64_t put_end_us = 0;  // kAck span start
   };
 
-  void AggregatorLoop();
   void UnlockerLoop();
 
   // Hands a formed job to the runtime's DRR scheduler, under this
@@ -227,20 +235,26 @@ class CommitPipeline {
   bool ShouldBlock(std::uint64_t now_us) const;
   std::uint64_t Unconfirmed() const;
 
-  // Aggregator internals. DrainInbox stages the writes submitted since the
-  // last drain, in submit order.
-  void DrainInbox();
-  // The staging step shared by both upload shapes: coalesces the first
-  // `take` staged writes into survivors_ in (file, offset) order, records
-  // their kBatchClose spans, and returns the first sampled write's seq
+  // Batch formation, all under stage_mu_. Each close takes every staged
+  // write: the B-th write (streaming: a segment's worth) closes at once,
+  // so staged_ never holds more than one batch or segment. CloseReady
+  // closes a full batch (streaming: seals a full segment and closes a
+  // stream at B) and, with `flush` (TB passed, or Stop), a partial one
+  // too. Callers check stopping_ under the same lock first.
+  void CloseReady(std::uint64_t now_us, bool flush);
+  // The unlocker's TB check: closes an overdue partial batch.
+  void CloseOnDeadline();
+  // The close step shared by both upload shapes: lists the staged writes'
+  // coalesced survivors in (file, offset) order into survivors_, records
+  // the kBatchClose spans, and returns the first sampled write's seq
   // (kNoTrace when none).
-  std::uint64_t StageWrites(std::size_t take, std::uint64_t now_us);
-  void FormBatch(std::size_t take, std::uint64_t now_us, bool closed_full);
-  // Streaming aggregator: seals ready segments into upload jobs, opening
-  // and closing streams as the B / size / deadline rules dictate.
-  void StreamPass(std::uint64_t now_us, bool stop_flush);
+  std::uint64_t ListSurvivors(std::uint64_t now_us);
+  void FormBatch(std::uint64_t now_us, bool closed_full);
+  // Streaming: seals ready segments into upload jobs, opening and closing
+  // streams as the B / size / deadline rules dictate.
+  void StreamPass(std::uint64_t now_us, bool flush);
   void OpenStream(std::uint64_t now_us);
-  void SealSegment(std::size_t take, std::uint64_t now_us);
+  void SealSegment(std::uint64_t now_us);
   void CloseStream(std::uint64_t now_us, bool closed_full);
   // Uploader-side steps. EncodeJob frames and envelopes a kObject or
   // kStreamSegment job's entries (kEncodeQueue/kEncode spans). PublishObject
@@ -279,7 +293,7 @@ class CommitPipeline {
 
   // -- submit path (DBMS threads) --------------------------------------------
   // Sequencer: seq of the next Submit == count of writes ever submitted.
-  // Written only under agg_mu_ (a plain load and store suffice); atomic
+  // Written only under stage_mu_ (a plain load and store suffice); atomic
   // because the S/TS predicate and the gauges read it without the lock.
   std::atomic<std::uint64_t> submit_seq_{0};
   // Submit calls that have *returned* to the DBMS. The RPO-exposure gauge
@@ -290,20 +304,13 @@ class CommitPipeline {
   std::atomic<std::uint64_t> returned_count_{0};
   // Writes whose batch has been fully acknowledged (consecutive prefix).
   std::atomic<std::uint64_t> completed_count_{0};
-  // Enqueue time of the oldest drained-but-unacknowledged write, or
-  // kNoOldest. Writes still in the inbox are invisible here for at most
-  // ~one aggregator poll (1 ms) — negligible against TS.
+  // Enqueue time of the oldest staged-but-unacknowledged write, or
+  // kNoOldest.
   std::atomic<std::uint64_t> oldest_pending_us_{kNoOldest};
-  // Writes consumed into batches; published so Submit can cheaply decide
-  // whether a full batch is pending and the aggregator needs a wakeup.
-  std::atomic<std::uint64_t> batched_count_{0};
-  // Clock sampled by the background threads (aggregator each pass, unlocker
-  // each ack), used for enqueue stamps instead of a per-Submit clock read.
-  // At most ~one poll interval stale, and never ahead of the real clock, so
-  // commit latencies stay non-negative and TS ages err toward blocking
-  // earlier.
-  std::atomic<std::uint64_t> coarse_now_us_{0};
 
+  // Set under stage_mu_ (Kill sets them just before taking it), so a
+  // Submit or TB close that saw them clear under the lock has finished its
+  // EnqueueUpload before either releases the scheduler queue.
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
   // Set when Stop() ran to completion: the destructor then lets queued
@@ -313,19 +320,14 @@ class CommitPipeline {
   std::mutex block_mu_;                 // protects nothing: CV discipline only
   std::condition_variable unblock_cv_;  // woken on batch completion / kill
 
-  // Guards the inbox and agg_parked_; held by Submit only to stamp and
-  // append, and by the aggregator only to swap the inbox out.
-  std::mutex agg_mu_;
-  std::condition_variable agg_cv_;      // woken when a full batch is pending
-  std::vector<Slot> inbox_;             // submitted writes, in seq order
-  // True only while the aggregator is parked in wait_for: a Submit that
-  // completes a batch notifies only then, so a sustained burst (backlog
-  // >= B the whole time) pays at most one notify per aggregator sleep.
-  bool agg_parked_ = false;
-
-  // -- aggregator-private (no locks) -----------------------------------------
-  std::vector<Slot> drained_;           // the swapped-out inbox, reused
-  std::deque<Slot> staged_;             // writes awaiting batch formation
+  // -- staging (stage_mu_: Submit, the unlocker's TB close, Stop) ------------
+  // Held by Submit to stage a write and, for the B-th, to close the batch;
+  // released before the S/TS wait, so a blocked writer never keeps the
+  // unlocker from closing a partial batch on TB.
+  std::mutex stage_mu_;
+  std::vector<Slot> staged_;            // the open batch (or segment)
+  // Coalesces staged_ as it fills: (interned file, offset) -> index of the
+  // page's latest write.
   CoalesceTable coalesce_;
   NameInterner names_;
   struct SurvivorRef {
@@ -334,12 +336,12 @@ class CommitPipeline {
     std::uint32_t index = 0;  // into staged_
   };
   std::vector<SurvivorRef> survivors_;  // reused across batches
-  std::uint64_t last_agg_time_us_ = 0;
+  std::uint64_t last_close_us_ = 0;     // TB runs from the last close
   std::uint64_t next_batch_seq_ = 0;
 
-  // The stream currently filling (streaming_commit only; aggregator-private).
-  // One stream == one batch == one WAL object; closed streams keep uploading
-  // through their session while the next stream fills.
+  // The stream currently filling (streaming_commit only). One stream ==
+  // one batch == one WAL object; closed streams keep uploading through
+  // their session while the next stream fills.
   struct OpenStreamState {
     StreamSessionPtr session;
     std::uint64_t ts = 0;
@@ -355,7 +357,7 @@ class CommitPipeline {
   };
   std::unique_ptr<OpenStreamState> open_stream_;
 
-  // -- pending window (aggregator registers, unlocker retires) ---------------
+  // -- pending window (staged by Submit, retired by the unlocker) ------------
   mutable std::mutex window_mu_;
   std::deque<Batch> batches_;                 // in seq order
   std::deque<std::uint64_t> pending_times_;   // enqueue times, seq order
@@ -366,7 +368,7 @@ class CommitPipeline {
 
   BlockingQueue<Ack> ack_queue_;
 
-  std::vector<std::thread> threads_;
+  std::thread unlocker_;
   std::atomic<Lsn> frontier_lsn_{0};
   // Set once an upload permanently fails (only possible at shutdown/kill):
   // the frontier must never advance past the resulting gap.

@@ -53,9 +53,9 @@ struct GinjaConfig {
   // object PUT. Off by default; the buffered path is byte-identical to
   // previous releases.
   bool streaming_commit = false;
-  // Writes per streamed segment: the aggregator seals and uploads a
-  // segment once this many staged writes accumulate (a deadline or stop
-  // flushes a partial segment). Smaller segments start the upload sooner
+  // Writes per streamed segment: the Submit that stages this many writes
+  // seals and uploads a segment (a deadline or stop flushes a partial
+  // segment). Smaller segments start the upload sooner
   // but cost more per-part requests.
   std::size_t stream_segment_writes = 16;
   // Early acks (streaming only): each uploaded segment is also PUT as a
@@ -128,11 +128,6 @@ struct GinjaConfig {
   // label.
   std::string tenant_id;
 
-  // -- point-in-time recovery (§5.4) ----------------------------------------------
-  // When true, garbage collection keeps superseded objects so the database
-  // can be restored to any earlier checkpoint/WAL timestamp.
-  bool keep_history = false;
-
   static GinjaConfig NoLoss() {  // paper's S = B = 1 synchronous mode
     GinjaConfig c;
     c.batch = 1;
@@ -142,9 +137,9 @@ struct GinjaConfig {
 };
 
 // Sanity-checks the knobs whose zero values would make the pipelines hang
-// rather than fail: no uploader ever drains the queue, the aggregator
-// forms empty batches forever, the streaming aggregator never seals a
-// segment, or the checkpointer's part split never advances.
+// rather than fail: no uploader ever drains the queue, batch formation
+// closes empty batches forever, the streaming path never seals a segment,
+// or the checkpointer's part split never advances.
 // Called by Ginja::Boot/Reboot before any thread starts, so a bad config
 // is a clear error instead of a stuck database.
 inline Status ValidateGinjaConfig(const GinjaConfig& config) {
@@ -155,8 +150,8 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
   }
   if (config.batch == 0) {
     return Status::InvalidArgument(
-        "batch must be >= 1 (the aggregator would form empty batches "
-        "forever once a write is staged)");
+        "batch must be >= 1 (every write would close empty batches "
+        "forever once it is staged)");
   }
   if (config.stream_segment_writes == 0) {
     return Status::InvalidArgument(

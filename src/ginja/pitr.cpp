@@ -26,6 +26,16 @@ bool RetentionPolicy::Empty() const {
   return protected_ts_.empty();
 }
 
+void RetentionPolicy::KeepEveryPoint() {
+  std::lock_guard<std::mutex> lock(mu_);
+  keep_every_point_ = true;
+}
+
+bool RetentionPolicy::KeepsEveryPoint() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return keep_every_point_;
+}
+
 std::set<std::string> RetentionPolicy::KeepSet(
     const std::vector<WalObjectId>& wal_objects,
     const std::vector<DbObjectId>& db_objects,

@@ -48,6 +48,12 @@ class RetentionPolicy {
   std::vector<std::uint64_t> ProtectedTs() const;
   bool Empty() const;
 
+  // Keep every point: garbage collection deletes nothing — no WAL, tail,
+  // DB or chunk object — so the database stays restorable to any earlier
+  // WAL timestamp, not only to protected ones.
+  void KeepEveryPoint();
+  bool KeepsEveryPoint() const;
+
   // Object names that garbage collection must NOT delete, given the
   // current cloud contents: the union over protected points T of every
   // object (and replica fallback) in BuildTailPlan(contents, T).
@@ -59,6 +65,7 @@ class RetentionPolicy {
  private:
   mutable std::mutex mu_;
   std::set<std::uint64_t> protected_ts_;
+  bool keep_every_point_ = false;
 };
 
 // Enumerates the moments a recovery can currently target: every WAL-object

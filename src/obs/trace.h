@@ -38,7 +38,7 @@ class MetricsRegistry;
 
 enum class TraceStage : std::uint8_t {
   kSubmit = 0,       // write enqueued (duration 0, marks trace start)
-  kStaged,           // submit → staged by the aggregator
+  kStaged,           // submit entry → staged into the open batch
   kBatchClose,       // staged → batch closed
   kEncodeQueue,      // batch closed → uploader picked the object up
   kEncode,           // envelope encoding

@@ -49,7 +49,7 @@ Status RunSimpleUpdates(Database& db, const std::string& table,
 // `threads` concurrent clients, isolating the ingestion front end from the
 // rest of the engine (no SQL, no interception). Each thread writes its own
 // WAL segment, round-robining over `pages_per_thread` page offsets so the
-// aggregator's coalescing stays hot, with a globally increasing max_lsn.
+// batch coalescing stays hot, with a globally increasing max_lsn.
 struct IngestOptions {
   int threads = 1;
   std::uint64_t writes_per_thread = 100'000;
@@ -63,7 +63,7 @@ struct IngestResult {
   // Submit phase only: all client threads joined (every Submit returned).
   // This is the ingestion front end's throughput.
   double submit_seconds = 0;
-  // Submit phase plus Drain(): includes aggregation and uploads.
+  // Submit phase plus Drain(): includes the last batch close and uploads.
   double total_seconds = 0;
 
   double SubmittedWritesPerSec() const {

@@ -57,17 +57,6 @@ TEST(BlockingQueue, CloseDrainsRemainingItems) {
   EXPECT_FALSE(q.Put(8));
 }
 
-TEST(BlockingQueue, PeekBatchDoesNotRemove) {
-  BlockingQueue<int> q;
-  for (int i = 0; i < 5; ++i) q.Put(i);
-  auto batch = q.PeekBatch(3);
-  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.Size(), 5u);
-  q.PopN(3);
-  EXPECT_EQ(q.Size(), 2u);
-  EXPECT_EQ(q.Take(), 3);
-}
-
 TEST(BlockingQueue, TakeForTimesOut) {
   BlockingQueue<int> q;
   EXPECT_FALSE(q.TakeFor(5'000).has_value());

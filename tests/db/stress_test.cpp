@@ -161,8 +161,8 @@ class WalOrderListener : public FileEventListener {
   bool decreased_ = false;
 };
 
-// Ginja's single commit inbox and the MySQL processor's wrap-epoch
-// detection both assume the engine hands WAL writes to the interception
+// Ginja's batch formation on the submitting thread and the MySQL
+// processor's wrap-epoch detection both assume the engine hands WAL writes to the interception
 // layer one at a time and in log order, as PostgreSQL's WALWriteLock does:
 // concurrent committers serialise inside the engine, never in the listener.
 TEST_P(EngineStress, WalWritesReachTheListenerOneAtATimeInLogOrder) {

@@ -287,9 +287,9 @@ TEST_P(EndToEnd, MultiCloudSurvivesProviderOutage) {
 }
 
 TEST_P(EndToEnd, PointInTimeRecovery) {
-  GinjaConfig config = Harness::FastConfig();
-  config.keep_history = true;  // §5.4: GC keeps superseded objects
+  const GinjaConfig config = Harness::FastConfig();
   Harness h(GetParam(), config);
+  h.ginja->retention().KeepEveryPoint();  // §5.4: GC keeps superseded objects
 
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(h.PutOne(i).ok());
   h.ginja->Drain();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 #include "fs/mem_fs.h"
 #include "ginja/checkpoint_pipeline.h"
 #include "ginja/commit_pipeline.h"
+#include "ginja/pitr.h"
 
 namespace ginja {
 namespace {
@@ -229,6 +231,86 @@ TEST(CommitPipeline, KillAbandonsPending) {
   EXPECT_EQ(fx.store->ObjectCount(), 0u);
 }
 
+// The write that makes B closes its batch inside its own Submit call: no
+// thread hand-off, so the close is visible the moment Submit returns.
+TEST(CommitPipeline, BthSubmitClosesItsBatchBeforeReturning) {
+  PipelineFixture fx;
+  GinjaConfig config;
+  config.batch = 10;
+  config.safety = 1000;
+  auto pipeline = fx.Make(config);
+  for (int i = 0; i < 9; ++i) {
+    pipeline->Submit(W("pg_xlog/0001", i * 512, 512, i + 1));
+  }
+  EXPECT_EQ(pipeline->stats().batches_closed_full.Get(), 0u);
+  pipeline->Submit(W("pg_xlog/0001", 9 * 512, 512, 10));
+  EXPECT_EQ(pipeline->stats().batches_closed_full.Get(), 1u);
+  pipeline->Stop();
+  EXPECT_EQ(fx.view->WalCount(), 1u);
+  EXPECT_EQ(pipeline->stats().batches_closed_deadline.Get(), 0u);
+}
+
+// Submit stamps each write with the clock itself. A write arriving after
+// an idle gap longer than TS is as young as the call, so it neither
+// blocks nor counts the gap in its commit latency.
+TEST(CommitPipeline, WriteAfterIdleGapLongerThanTsDoesNotBlock) {
+  PipelineFixture fx;
+  auto clock = std::make_shared<ManualClock>();
+  GinjaConfig config;
+  config.batch = 100;
+  config.safety = 1000;
+  config.safety_timeout_us = 10'000;  // TS = 10 ms
+  config.batch_timeout_us = 1'000'000;
+  auto pipeline = std::make_unique<CommitPipeline>(fx.store, fx.view, clock,
+                                                   config, fx.envelope);
+  pipeline->Start();
+  clock->Advance(5 * config.safety_timeout_us);  // idle, nothing pending
+  pipeline->Submit(W("pg_xlog/0001", 0, 512, 10));  // into a partial batch
+  EXPECT_EQ(pipeline->stats().blocked_waits.Get(), 0u);
+  EXPECT_EQ(pipeline->PendingWrites(), 1u);  // staged, batch still open
+  pipeline->Stop();
+  EXPECT_EQ(fx.view->WalCount(), 1u);
+  EXPECT_EQ(pipeline->stats().blocked_waits.Get(), 0u);
+  // The model clock never moved after the Submit: an enqueue stamp taken
+  // before the gap would show it here.
+  const HistogramSnapshot latency =
+      pipeline->stats().commit_latency_us.Snapshot();
+  EXPECT_EQ(latency.count, 1u);
+  EXPECT_LT(latency.max, static_cast<double>(config.safety_timeout_us));
+}
+
+// With S < B only TB can close a batch. Writers blocked at S wait off the
+// staging lock, so the unlocker's TB check still closes the partial batch
+// and its ack releases them.
+TEST(CommitPipeline, PartialBatchClosesOnTbWhileWritersBlockAtS) {
+  PipelineFixture fx;
+  GinjaConfig config;
+  config.batch = 100;
+  config.safety = 3;
+  config.batch_timeout_us = 20'000;  // TB = 20 ms
+  auto pipeline = fx.Make(config);
+  std::atomic<int> returned{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 4; ++i) {
+      pipeline->Submit(W("pg_xlog/0001", i * 512, 512, i + 1));
+      returned.fetch_add(1);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (returned.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(returned.load(), 4);
+  if (returned.load() < 4) pipeline->Kill();  // release a stuck writer
+  writer.join();
+  pipeline->Stop();
+  EXPECT_EQ(pipeline->stats().batches_closed_full.Get(), 0u);
+  EXPECT_GE(pipeline->stats().batches_closed_deadline.Get(), 1u);
+  EXPECT_EQ(pipeline->PendingWrites(), 0u);
+  EXPECT_EQ(pipeline->UploadedWalFrontier(), 4u);  // every write uploaded
+}
+
 // -- CheckpointPipeline -------------------------------------------------------------
 
 struct CheckpointFixture {
@@ -340,9 +422,10 @@ TEST(CheckpointPipeline, KeepHistorySkipsGc) {
   seed.size = 100;
   fx.view->AddDb(seed);
 
-  GinjaConfig config;
-  config.keep_history = true;
-  auto pipeline = fx.Make(config);
+  auto retention = std::make_shared<RetentionPolicy>();
+  retention->KeepEveryPoint();
+  auto pipeline = fx.Make(GinjaConfig{});
+  pipeline->SetRetentionPolicy(retention);
   pipeline->OnCheckpointBegin();
   pipeline->AddWrite({"base/16384/t", 0, Bytes(64, 2)});
   pipeline->OnCheckpointEnd(1'000'000);

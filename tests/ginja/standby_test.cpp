@@ -194,11 +194,12 @@ TEST(Standby, TornCheckpointUploadIsInvisible) {
   auto clock = std::make_shared<RealClock>();
   const DbLayout layout = DbLayout::Postgres();
   GinjaConfig config = SmallBatches();
-  config.keep_history = true;        // GC keeps the WAL the torn ckpt covered
   config.max_object_bytes = 2048;    // force multi-part checkpoints
 
   {
     Primary primary(store, config, clock, layout);
+    // GC keeps the WAL the torn checkpoint covered.
+    primary.ginja->retention().KeepEveryPoint();
     for (int i = 0; i < 30; ++i) primary.Commit(i);
     ASSERT_TRUE(primary.db->Checkpoint().ok());
     for (int i = 30; i < 40; ++i) primary.Commit(i);
@@ -424,9 +425,9 @@ TEST(Standby, OpenAtTsIsPointInTimeRecovery) {
   auto clock = std::make_shared<RealClock>();
   const DbLayout layout = DbLayout::Postgres();
   GinjaConfig config = SmallBatches();
-  config.keep_history = true;
 
   Primary primary(store, config, clock, layout);
+  primary.ginja->retention().KeepEveryPoint();
   for (int i = 0; i < 20; ++i) primary.Commit(i);
   const auto point = primary.ginja->ProtectCurrentState();
   ASSERT_TRUE(point.has_value());
