@@ -142,11 +142,13 @@ bool TransferManager::Enqueue(Op op) {
 }
 
 std::future<Result<Bytes>> TransferManager::GetAsync(
-    TransferRoute route, std::string name, std::function<void(Bytes)> then) {
+    TransferRoute route, std::string name, std::function<void(Bytes)> then,
+    std::function<void(Status)> done) {
   Op op;
   op.kind = Op::Kind::kGet;
   op.name = std::move(name);
   op.then = std::move(then);
+  op.done = std::move(done);
   op.store = std::move(route.store);
   op.account = std::move(route.account);
   auto future = op.get_result.get_future();
@@ -155,11 +157,13 @@ std::future<Result<Bytes>> TransferManager::GetAsync(
 }
 
 std::future<Status> TransferManager::PutAsync(TransferRoute route,
-                                              std::string name, Bytes data) {
+                                              std::string name, Bytes data,
+                                              std::function<void(Status)> done) {
   Op op;
   op.kind = Op::Kind::kPut;
   op.name = std::move(name);
   op.data = std::move(data);
+  op.done = std::move(done);
   op.store = std::move(route.store);
   op.account = std::move(route.account);
   auto future = op.status_result.get_future();

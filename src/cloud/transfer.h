@@ -9,8 +9,10 @@
 // lives in a single place instead of per-call-site loops.
 //
 // Consumers in this repo:
-//   * recovery's K-deep GET prefetch and the checkpointer's part/chunk
-//     PUTs keep their windows through RunInOrderWindow() below; recovery
+//   * recovery's GET prefetch (plan items and manifest chunks) and the
+//     checkpointer's part/chunk PUTs keep their windows through
+//     RunInOrderWindow() below: K operations incomplete, however slow the
+//     head, and recovery's lookahead bounded in plan-known bytes; recovery
 //     takes each blob as it lands (GetAsync's `then`) and decodes it in
 //     SubmitFn tasks on the same workers;
 //   * garbage collection fans DELETEs out through DeleteAll();
@@ -29,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -309,10 +312,15 @@ class TransferManager {
   // returned — so work on each object can start the moment it lands, not
   // when the caller gets to its future. It must never wait on the caller:
   // on a shared manager it holds a worker every tenant needs.
+  //
+  // `done` (optional) fires exactly once, for every outcome, after the
+  // future became ready: the completion signal a window counts by.
   std::future<Result<Bytes>> GetAsync(TransferRoute route, std::string name,
-                                      std::function<void(Bytes)> then = nullptr);
+                                      std::function<void(Bytes)> then = nullptr,
+                                      std::function<void(Status)> done = nullptr);
   std::future<Status> PutAsync(TransferRoute route, std::string name,
-                               Bytes data);
+                               Bytes data,
+                               std::function<void(Status)> done = nullptr);
   std::future<Status> DeleteAsync(TransferRoute route, std::string name);
 
   // Callback variants: `done` fires exactly once from a worker thread
@@ -395,31 +403,157 @@ class TransferManager {
   MetricsRegistry* registry_ = nullptr;  // set by RegisterMetrics
 };
 
+// The completion signal RunInOrderWindow hands to `issue(i, done)`: the
+// issuer arranges for it to run exactly once, after item i's future became
+// ready, whatever the outcome. It converts to GetAsync's and PutAsync's
+// `done`, which fire for every outcome, failures and cancellation
+// included.
+class WindowDone {
+ public:
+  struct Sync {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<unsigned char> complete;  // per item
+    std::size_t incomplete = 0;           // issued, `done` not yet run
+    // Set when completions issue: issues what has become admissible,
+    // entered and left with `mu` held.
+    std::function<void(std::unique_lock<std::mutex>&)> refill;
+  };
+
+  WindowDone(Sync* sync, std::size_t item) : sync_(sync), item_(item) {}
+
+  void operator()() const {
+    // Everything under the lock: the window's Sync lives on its caller's
+    // stack, and the caller may return the moment it sees the count drop.
+    std::unique_lock<std::mutex> lock(sync_->mu);
+    sync_->complete[item_] = 1;
+    --sync_->incomplete;
+    sync_->cv.notify_all();
+    if (sync_->refill) sync_->refill(lock);
+  }
+  void operator()(const Status&) const { (*this)(); }
+
+ private:
+  Sync* sync_;
+  std::size_t item_;
+};
+
+// What bounds a RunInOrderWindow.
+struct WindowBounds {
+  // K: operations issued and not yet complete.
+  std::size_t window = 1;
+  // Costs of the issued, unreaped items past the next one to reap; 0
+  // issues nothing past it, zero-cost items included.
+  std::size_t ahead_budget = std::numeric_limits<std::size_t>::max();
+  // Whether the thread that completes an operation issues the next items
+  // itself (then `issue` must be cheap and may run on any thread, though
+  // never twice at once), so a slot frees the moment its operation ends
+  // even while the caller is busy in a reap. Otherwise only the caller
+  // issues, between reaps.
+  bool issue_on_completion = false;
+};
+
 // The one caller-side transfer window. Issues items 0..count-1 in index
-// order, `issue(i)` returning item i's future once fewer than `window`
-// items are in flight, and hands each future to `reap(i, future)`
-// strictly in index order. The first reap that returns non-OK stops
-// further issuing; the futures already issued are waited out before that
-// status is returned, so no transfer this call started outlives it.
+// order and hands each item's future to `reap(i, future)` on the calling
+// thread, strictly in index order.
+//
+// bounds.window (K) counts the operations issued and not yet complete, so
+// a slow head never idles the other slots: `issue(i, done)` returns item
+// i's future and must make `done` (a WindowDone) run once that future is
+// ready, and a new item is issued whenever one completes, not when the
+// head is reaped. What runs ahead of the reap is bounded in bytes instead:
+// the next item to reap is always admitted, and any later item j only
+// while the costs of the issued, unreaped items past the next one, plus
+// cost(j), stay within bounds.ahead_budget. `peak_ahead` (optional)
+// receives the most such bytes held at once.
+//
+// The first reap that returns non-OK stops further issuing; everything
+// already issued is waited out before that status is returned, so no
+// transfer this call started outlives it.
+template <typename Cost, typename Issue, typename Reap>
+Status RunInOrderWindow(std::size_t count, const WindowBounds& bounds,
+                        Cost&& cost, Issue&& issue, Reap&& reap,
+                        std::size_t* peak_ahead = nullptr) {
+  using Future = decltype(issue(std::size_t{0}, std::declval<WindowDone>()));
+  const std::size_t window = std::max<std::size_t>(1, bounds.window);
+  std::vector<std::size_t> costs(count);
+  for (std::size_t j = 0; j < count; ++j) costs[j] = cost(j);
+  WindowDone::Sync sync;
+  sync.complete.assign(count, 0);
+  // All guarded by sync.mu.
+  std::deque<Future> futures;  // items [head, stored)
+  std::size_t head = 0;        // the next item to reap
+  std::size_t next = 0;        // the next item to issue
+  std::size_t stored = 0;      // items whose future is in `futures`
+  std::size_t ahead = 0;       // costs of the issued items past `head`
+  std::size_t peak = 0;
+  bool issuing = false;        // one thread at a time runs `issue`
+  bool stopped = false;
+  auto admissible = [&] {
+    return !stopped && next < count && sync.incomplete < window &&
+           (next == head || (bounds.ahead_budget > 0 &&
+                             costs[next] <= bounds.ahead_budget - ahead));
+  };
+  // Issues what is admissible, unless another thread already is: that
+  // one re-checks after each issue, so no freed slot goes unused.
+  auto issue_admissible = [&](std::unique_lock<std::mutex>& lock) {
+    if (issuing) return;
+    issuing = true;
+    while (admissible()) {
+      const std::size_t j = next++;
+      const std::size_t c = j == head ? 0 : costs[j];
+      ahead += c;
+      peak = std::max(peak, ahead);
+      ++sync.incomplete;
+      lock.unlock();
+      Future f = issue(j, WindowDone(&sync, j));
+      lock.lock();
+      futures.push_back(std::move(f));
+      ++stored;
+    }
+    issuing = false;
+    sync.cv.notify_all();
+  };
+  if (bounds.issue_on_completion) sync.refill = issue_admissible;
+  auto finish = [&](std::unique_lock<std::mutex>& lock, Status st) {
+    stopped = true;
+    // Every WindowDone has run and no thread is issuing: none outlives
+    // `sync` or this frame.
+    sync.cv.wait(lock, [&] { return sync.incomplete == 0 && !issuing; });
+    if (peak_ahead != nullptr) *peak_ahead = peak;
+    return st;
+  };
+
+  std::unique_lock<std::mutex> lock(sync.mu);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (;;) {
+      issue_admissible(lock);
+      if (i < stored && sync.complete[i]) break;
+      // Wait for the head, or (when only this thread issues) for a slot.
+      sync.cv.wait(lock, [&] {
+        return (i < stored && sync.complete[i]) ||
+               (!bounds.issue_on_completion && !issuing && admissible());
+      });
+    }
+    Future f = std::move(futures.front());
+    futures.pop_front();
+    lock.unlock();
+    Status st = reap(i, std::move(f));
+    lock.lock();
+    if (!st.ok()) return finish(lock, std::move(st));
+    head = i + 1;
+    if (head < next) ahead -= costs[head];  // the new head is not ahead
+  }
+  return finish(lock, Status::Ok());
+}
+
+// The same window with no byte bound, issued from the caller only.
 template <typename Issue, typename Reap>
 Status RunInOrderWindow(std::size_t count, std::size_t window, Issue&& issue,
                         Reap&& reap) {
-  using Future = decltype(issue(std::size_t{0}));
-  if (window == 0) window = 1;
-  std::deque<Future> inflight;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    while (next < count && inflight.size() < window) {
-      inflight.push_back(issue(next++));
-    }
-    Status st = reap(i, std::move(inflight.front()));
-    inflight.pop_front();
-    if (!st.ok()) {
-      for (Future& f : inflight) f.wait();
-      return st;
-    }
-  }
-  return Status::Ok();
+  return RunInOrderWindow(
+      count, WindowBounds{window}, [](std::size_t) { return std::size_t{0}; },
+      issue, reap);
 }
 
 }  // namespace ginja

@@ -329,13 +329,16 @@ void CheckpointPipeline::CheckpointerLoop() {
 Status CheckpointPipeline::PutAll(
     std::size_t count, const std::function<Upload(std::size_t)>& make) {
   // Envelope encoding stays on this thread (the enveloped buffer is moved
-  // into the op), while up to `transfer_concurrency` PUTs are in flight.
+  // into the op), while up to `transfer_concurrency` PUTs are incomplete.
+  // Only incomplete PUTs hold their bytes, so the window needs no byte
+  // bound.
   std::vector<Upload> sent(count);
-  auto issue = [&](std::size_t i) {
+  auto issue = [&](std::size_t i, WindowDone done) {
     Upload& u = sent[i] = make(i);
     u.bytes = u.enveloped.size();
     u.submit_us = Tracing() ? clock_->NowMicros() : 0;
-    return Transfers().PutAsync(Route(), u.name, std::move(u.enveloped));
+    return Transfers().PutAsync(Route(), u.name, std::move(u.enveloped),
+                                std::move(done));
   };
   auto reap = [&](std::size_t i, std::future<Status> put) -> Status {
     const Upload& u = sent[i];

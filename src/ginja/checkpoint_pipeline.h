@@ -157,8 +157,8 @@ class CheckpointPipeline {
   std::vector<FileEntry> BuildDumpEntries() const;
   // The one upload path: PUTs uploads 0..count-1 through the transfer
   // window, `make(i)` enveloping upload i on this thread while earlier
-  // PUTs are in flight. Returns the first failure; nothing is issued
-  // after it.
+  // PUTs are in flight. Returns the first failure in upload order; nothing
+  // is issued once it is reaped.
   Status PutAll(std::size_t count,
                 const std::function<Upload(std::size_t)>& make);
   // The upload lists: a checkpoint's or monolithic dump's parts, or a

@@ -75,8 +75,11 @@ struct GinjaConfig {
   std::uint64_t retry_backoff_max_us = 5'000'000;
 
   // -- cloud transfer concurrency ---------------------------------------------
-  // K: GETs kept in flight by the windowed recovery prefetcher (Alg. 1).
-  // 1 reproduces the paper's serial download loop exactly.
+  // K: GETs the windowed recovery prefetcher (Alg. 1) keeps in flight,
+  // counted until each completes, so one slow GET never idles the other
+  // K-1. How far the downloads run ahead of the in-order apply is bounded
+  // in bytes (K x max_object_bytes of listed object sizes), not in items.
+  // 1 fetches nothing ahead: the paper's serial download loop exactly.
   int recovery_prefetch = 8;
   // In-flight cap for checkpoint/dump part PUTs and GC DELETE fan-out.
   int transfer_concurrency = 8;

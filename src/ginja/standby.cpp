@@ -125,6 +125,12 @@ TailApplyContext StandbyReplica::MakeContext(VfsPtr target,
   ctx.tracer = &obs_->tracer;
   ctx.window =
       static_cast<std::size_t>(std::max(1, config_.recovery_prefetch));
+  // Fetched ahead: K of the largest objects, the most the window held
+  // when it counted items, so a plan of large objects still keeps K GETs
+  // in flight while small ones run as far ahead as those bytes allow.
+  // K = 1 fetches nothing ahead: the paper's serial download loop.
+  ctx.fetch_budget =
+      ctx.window > 1 ? ctx.window * config_.max_object_bytes : 0;
   // Room for two of the largest objects to decode ahead of the apply, or
   // many small WAL objects.
   ctx.decode_budget = 2 * config_.max_object_bytes;
@@ -279,10 +285,10 @@ Status StandbyReplica::PollOnce(std::size_t* progressed) {
     auto tails =
         store_->List("WALTAIL/" + std::to_string(frontier) + "_");
     if (!tails.ok()) return tails.status();
-    std::map<std::uint32_t, std::vector<TailObjectId>> segs;
+    std::map<std::uint32_t, std::vector<Listed<TailObjectId>>> segs;
     for (const auto& meta : *tails) {
       auto id = TailObjectId::Decode(meta.name);
-      if (id && id->ts == frontier) segs[id->seg].push_back(*id);
+      if (id && id->ts == frontier) segs[id->seg].push_back({*id, meta.size});
     }
     GINJA_RETURN_IF_ERROR(ApplyItems(
         BuildTailSegmentItems(segs, frontier, tail_seg_cursor_), progressed));

@@ -1,9 +1,12 @@
 #include "ginja/tail_apply.h"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
+#include <deque>
 #include <future>
 #include <mutex>
+#include <utility>
 
 #include "common/codec/codec_pool.h"
 #include "common/codec/sha1.h"
@@ -16,32 +19,38 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
                        std::optional<std::uint64_t> up_to_ts) {
   TailPlan plan;
 
-  std::vector<WalObjectId> wal_objects;
+  std::vector<Listed<WalObjectId>> wal_objects;
   // ts -> seg -> replicas of that segment's tail object (streaming early
   // acks; see CommitPipeline). Only tails of a ts with *no* full WAL
   // object matter — the finished object supersedes its tails.
-  std::map<std::uint64_t, std::map<std::uint32_t, std::vector<TailObjectId>>>
+  std::map<std::uint64_t,
+           std::map<std::uint32_t, std::vector<Listed<TailObjectId>>>>
       tails_by_ts;
-  std::map<std::uint64_t, std::vector<DbObjectId>> db_by_seq;
+  std::map<std::uint64_t, std::vector<Listed<DbObjectId>>>
+      db_by_seq;
   for (const auto& meta : objects) {
     if (auto wal = WalObjectId::Decode(meta.name)) {
-      if (!up_to_ts || wal->ts <= *up_to_ts) wal_objects.push_back(*wal);
+      if (!up_to_ts || wal->ts <= *up_to_ts) {
+        wal_objects.push_back({*wal, meta.size});
+      }
       continue;
     }
     if (auto tail = TailObjectId::Decode(meta.name)) {
       if (!up_to_ts || tail->ts <= *up_to_ts) {
-        tails_by_ts[tail->ts][tail->seg].push_back(*tail);
+        tails_by_ts[tail->ts][tail->seg].push_back({*tail, meta.size});
       }
       continue;
     }
     if (auto db = DbObjectId::Decode(meta.name)) {
-      if (!up_to_ts || db->ts <= *up_to_ts) db_by_seq[db->seq].push_back(*db);
+      if (!up_to_ts || db->ts <= *up_to_ts) {
+        db_by_seq[db->seq].push_back({*db, meta.size});
+      }
     }
   }
-  for (const auto& id : wal_objects) tails_by_ts.erase(id.ts);
+  for (const auto& wal : wal_objects) tails_by_ts.erase(wal.id.ts);
   std::sort(wal_objects.begin(), wal_objects.end(),
-            [](const WalObjectId& a, const WalObjectId& b) { return a.ts < b.ts; });
-  if (!wal_objects.empty()) plan.newest_wal_ts = wal_objects.back().ts;
+            [](const auto& a, const auto& b) { return a.id.ts < b.id.ts; });
+  if (!wal_objects.empty()) plan.newest_wal_ts = wal_objects.back().id.ts;
 
   // 1. Most recent *complete* dump (all parts present) — Alg. 1 lines
   // 27–29. A delta-dump manifest is a single-part dump: "all parts
@@ -49,23 +58,25 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
   // durability is implied (the manifest is PUT strictly after its chunks).
   std::optional<std::uint64_t> dump_seq;
   for (const auto& [seq, parts] : db_by_seq) {
-    if (parts.empty() || (parts[0].type != DbObjectType::kDump &&
-                          parts[0].type != DbObjectType::kManifest)) {
+    if (parts.empty() || (parts[0].id.type != DbObjectType::kDump &&
+                          parts[0].id.type != DbObjectType::kManifest)) {
       continue;
     }
-    if (parts.size() == parts[0].total_parts) dump_seq = seq;
+    if (parts.size() == parts[0].id.total_parts) dump_seq = seq;
   }
   // Highest WAL ts folded into a planned DB object: GC may have deleted
   // every WAL object up to here, so tailing must resume past it even when
   // no WAL object is visible at all.
   std::optional<std::uint64_t> folded_through_ts;
-  auto plan_parts = [&](std::vector<DbObjectId> parts) {
-    std::sort(parts.begin(), parts.end(),
-              [](const DbObjectId& a, const DbObjectId& b) { return a.part < b.part; });
-    for (const auto& id : parts) {
+  auto plan_parts = [&](std::vector<Listed<DbObjectId>> parts) {
+    std::sort(parts.begin(), parts.end(), [](const auto& a, const auto& b) {
+      return a.id.part < b.id.part;
+    });
+    for (const auto& [id, size] : parts) {
       plan.items.push_back({id.Encode(), /*is_wal=*/false, /*is_tail=*/false,
                             0, {},
-                            /*is_manifest=*/id.type == DbObjectType::kManifest});
+                            /*is_manifest=*/id.type == DbObjectType::kManifest,
+                            size});
       plan.last_redo_lsn = std::max(plan.last_redo_lsn, id.redo_lsn);
       folded_through_ts =
           std::max(folded_through_ts.value_or(0), id.ts);
@@ -81,8 +92,10 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
   // skipped entirely; its parts are invisible until all of them land.
   for (const auto& [seq, parts] : db_by_seq) {
     if (dump_seq && seq <= *dump_seq) continue;
-    if (parts.empty() || parts[0].type != DbObjectType::kCheckpoint) continue;
-    if (parts.size() != parts[0].total_parts) continue;  // incomplete upload
+    if (parts.empty() || parts[0].id.type != DbObjectType::kCheckpoint) {
+      continue;
+    }
+    if (parts.size() != parts[0].id.total_parts) continue;  // incomplete upload
     plan_parts(parts);
   }
 
@@ -93,14 +106,14 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
   // gap position depends only on the name-derived ts sequence, so the
   // prefetcher never fetches past it.
   std::optional<std::uint64_t> previous_ts;
-  for (const auto& id : wal_objects) {
+  for (const auto& [id, size] : wal_objects) {
     if (id.max_lsn <= plan.last_redo_lsn) continue;  // already in the pages
     if (previous_ts && id.ts != *previous_ts + 1) {
       plan.gap_after_plan = true;
       break;
     }
     plan.items.push_back({id.Encode(), /*is_wal=*/true, /*is_tail=*/false,
-                          id.ts, {}});
+                          id.ts, {}, /*is_manifest=*/false, size});
     previous_ts = id.ts;
   }
   // Tailing resumes after the last consecutive full object considered: the
@@ -130,7 +143,7 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
   for (const auto& [ts, segs] : tails_by_ts) {
     Lsn ts_max = 0;
     for (const auto& [seg, replicas] : segs) {
-      for (const auto& t : replicas) ts_max = std::max(ts_max, t.max_lsn);
+      for (const auto& t : replicas) ts_max = std::max(ts_max, t.id.max_lsn);
     }
     if (ts_max <= plan.last_redo_lsn) continue;  // fully covered by the pages
     if (previous_ts && ts != *previous_ts + 1) continue;
@@ -160,29 +173,30 @@ std::vector<TailPlanItem> ContinueWalPlan(
     const std::vector<ObjectMeta>& objects, std::uint64_t next_ts,
     std::optional<std::uint64_t> up_to_ts,
     std::optional<std::uint64_t>* newest_ts) {
-  std::vector<WalObjectId> wal_objects;
+  std::vector<Listed<WalObjectId>> wal_objects;
   for (const auto& meta : objects) {
     auto wal = WalObjectId::Decode(meta.name);
     if (!wal) continue;  // a cursor listing may overlap WALTAIL/ etc.
     if (newest_ts && (!*newest_ts || wal->ts > **newest_ts)) *newest_ts = wal->ts;
     if (wal->ts < next_ts) continue;  // unpadded ts: old names can trail the cursor
     if (up_to_ts && wal->ts > *up_to_ts) continue;
-    wal_objects.push_back(*wal);
+    wal_objects.push_back({*wal, meta.size});
   }
   std::sort(wal_objects.begin(), wal_objects.end(),
-            [](const WalObjectId& a, const WalObjectId& b) { return a.ts < b.ts; });
+            [](const auto& a, const auto& b) { return a.id.ts < b.id.ts; });
   std::vector<TailPlanItem> items;
   std::uint64_t expected = next_ts;
-  for (const auto& id : wal_objects) {
+  for (const auto& [id, size] : wal_objects) {
     if (id.ts != expected) break;  // the run must stay consecutive
-    items.push_back({id.Encode(), /*is_wal=*/true, /*is_tail=*/false, id.ts, {}});
+    items.push_back({id.Encode(), /*is_wal=*/true, /*is_tail=*/false, id.ts,
+                     {}, /*is_manifest=*/false, size});
     ++expected;
   }
   return items;
 }
 
 std::vector<TailPlanItem> BuildTailSegmentItems(
-    const std::map<std::uint32_t, std::vector<TailObjectId>>& segs,
+    const std::map<std::uint32_t, std::vector<Listed<TailObjectId>>>& segs,
     std::uint64_t ts, std::uint32_t from_seg) {
   std::vector<TailPlanItem> items;
   // GC only ever deletes a seg-*prefix* of tails (the cumulative max_lsn is
@@ -196,18 +210,19 @@ std::vector<TailPlanItem> BuildTailSegmentItems(
     if (!expected) expected = seg;
     if (seg != *expected) break;
     ++*expected;
-    std::vector<TailObjectId> sorted = replicas;
+    std::vector<Listed<TailObjectId>> sorted = replicas;
     std::sort(sorted.begin(), sorted.end(),
-              [](const TailObjectId& a, const TailObjectId& b) {
-                return a.replica < b.replica;
+              [](const auto& a, const auto& b) {
+                return a.id.replica < b.id.replica;
               });
     TailPlanItem item;
-    item.name = sorted.front().Encode();
+    item.name = sorted.front().id.Encode();
     item.is_wal = true;
     item.is_tail = true;
     item.wal_ts = ts;
+    item.size = sorted.front().size;
     for (std::size_t k = 1; k < sorted.size(); ++k) {
-      item.fallbacks.push_back(sorted[k].Encode());
+      item.fallbacks.push_back(sorted[k].id.Encode());
     }
     items.push_back(std::move(item));
   }
@@ -219,26 +234,30 @@ namespace {
 // Decode-ahead for one ApplyTailPlan call: the per-item slots and the byte
 // budget that bounds the decoded payloads held ahead of the apply.
 //
-// Item i uses slot i % window: RunInOrderWindow issues item i + window only
-// after item i was reaped. Landed blobs get budgeted buffers strictly in
-// plan order: a blob that lands before an earlier one waits for it, so
-// later objects never take the room the apply needs first. A blob with a
-// buffer is decoded by a decode task on the transfer workers; fewer tasks
-// run at once than the codec has threads, which leaves a core to the
-// apply. Every state change (a blob landing, a decode finishing, the apply
-// taking an item or returning its buffer) starts what has become
+// One slot per issued item, keyed from the apply's next item: item i's slot
+// is slots_[i - next_]. A slot is appended as its item is issued (by the
+// caller, or by the worker whose GET completion freed the window slot) and
+// the front one dropped as the apply takes it. The window may run any
+// number of items ahead (RunInOrderWindow bounds them in bytes, not
+// items), and a deque leaves the other slots in place, so a worker can
+// decode into one outside the lock. Landed blobs get budgeted buffers
+// strictly in plan order: a blob that lands before an earlier one waits
+// for it, so later objects never take the room the apply needs first. A
+// blob with a buffer is decoded by a decode task on the transfer workers;
+// fewer tasks run at once than the codec has threads, which leaves a core
+// to the apply. Every state change (a blob landing, a decode finishing,
+// the apply taking an item or returning its buffer) starts what has become
 // admissible. The caller takes each slot when the apply reaches its item.
 // If the item's decode has not begun — no room yet, or its task still
 // queued — the caller decodes it itself; it only waits for a decode
 // already running. No worker ever waits on the apply.
 //
-// Small objects (ones the envelope did not chunk) go ahead only while no
-// GET is in flight, that is when the apply is bound by decoding rather than
-// by the store. While GETs are outstanding the caller waits on the store
-// anyway and decodes a small object in about a millisecond, and handing
-// those decodes to workers measurably slowed a latency-bound restore
-// (EXPERIMENTS.md, "Pipelined cold restore"). Chunked objects always go
-// ahead: they are what a serial apply stalls on.
+// Every object goes ahead once it has a buffer, small ones included. With
+// the window issuing GETs as others complete, some GET is nearly always in
+// flight, so holding small objects back while one is would leave the
+// caller decoding almost every WAL object itself, and on a latency-bound
+// restore that serial decode is what bounded the apply (EXPERIMENTS.md,
+// "No head-of-line GETs").
 //
 // The budget counts buffer capacities: the buffers held by slots the apply
 // has not taken yet, plus emptied buffers kept for reuse. The buffer the
@@ -246,7 +265,20 @@ namespace {
 // needs. Only the calling thread allocates buffers; workers only reuse
 // kept ones. (A buffer malloc'd on a transfer worker lands in that thread's
 // arena, and glibc keeps freed arena memory resident: repeated restores
-// grew peak RSS by hundreds of MB that way; same section.)
+// grew peak RSS by hundreds of MB that way; same section.) So that a blob
+// landing while the caller is busy applying still finds a buffer, the
+// caller prepays each of the next K items that has not landed yet (K
+// bounds what one hand-out allocates ahead of any landing): a buffer sized
+// from the item's listed bytes times the payload-to-blob ratio of the last
+// object of its kind (WAL or DB) to land, plus a quarter; without
+// compression the payload never outgrows the blob, and the buffer is the
+// listed size.
+// Only objects small beside the budget (an eighth of it) are prepaid: the
+// many WAL objects that land while a large DB part is applied are what
+// this is for, and a large object's estimate errs by megabytes, which
+// either blocks the budget or is thrown away. A blob whose payload
+// outgrows its prepaid buffer returns the buffer for reuse and waits for a
+// fitting one like any other.
 class DecodeAhead {
  public:
   struct Taken {
@@ -259,15 +291,15 @@ class DecodeAhead {
     std::uint64_t decoded_us = 0;
   };
 
-  DecodeAhead(const TailApplyContext& ctx, std::size_t window,
-              std::size_t items, bool tracing)
-      : ctx_(ctx), window_(window), limit_(ctx.decode_budget),
+  DecodeAhead(const TailApplyContext& ctx, bool tracing)
+      : ctx_(ctx), limit_(ctx.decode_budget),
         max_decoders_(ctx.envelope->codec_pool()
                           ? std::max(1, ctx.envelope->codec_pool()->threads() - 1)
                           : 1),
-        chunked_above_(ctx.envelope->options().parallel_encode_threshold),
-        clock_(tracing ? ctx.clock.get() : nullptr),
-        slots_(std::clamp<std::size_t>(items, 1, window)) {}
+        compress_(ctx.envelope->options().compress),
+        clock_(tracing ? ctx.clock.get() : nullptr) {
+    expansion_[0] = expansion_[1] = compress_ ? 0 : 1;
+  }
 
   // Waits out every decode task, so none outlives the plan.
   ~DecodeAhead() {
@@ -279,17 +311,27 @@ class DecodeAhead {
   void OnFetched(std::size_t i, Bytes blob) {
     const std::uint64_t now = clock_ ? clock_->NowMicros() : 0;
     auto size = ctx_.envelope->PayloadSize(View(blob));
-    Slot& s = slot(i);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      s.item = i;
+      Slot& s = slots_[i - next_];
       s.blob_size = blob.size();
       s.blob = std::move(blob);
       if (clock_) s.fetched_us = now;
-      // Unreadable headers: left to the caller, whose decode reports them.
-      s.state = size.ok() ? State::kWaiting : State::kCallerDecodes;
-      if (size.ok()) s.payload_size = *size;
+      if (!size.ok()) {
+        // Unreadable headers: left to the caller, whose decode reports them.
+        s.state = State::kCallerDecodes;
+      } else {
+        s.payload_size = *size;
+        if (compress_ && s.blob_size > 0) {
+          expansion_[s.wal] = 1.25 * static_cast<double>(*size) / s.blob_size;
+        }
+        if (s.charged > 0 && s.payload.capacity() < *size) {
+          ahead_ -= s.charged;  // prepaid too little
+          s.charged = 0;
+          KeepLocked(std::exchange(s.payload, Bytes{}));
+        }
+        s.state = s.charged > 0 ? State::kCharged : State::kWaiting;
+      }
     }
     Admit(/*may_allocate=*/false);
   }
@@ -302,9 +344,8 @@ class DecodeAhead {
     Taken out;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      Slot& s = slot(i);
+      Slot& s = slots_.front();  // item i: the apply takes items in order
       cv_.wait(lock, [&] { return s.state != State::kDecoding; });
-      if (s.state == State::kFetching) --in_flight_;  // its GET failed
       out.blob_size = s.blob_size;
       out.fetched_us = s.fetched_us;
       out.decoded_us = s.decoded_us;
@@ -321,7 +362,7 @@ class DecodeAhead {
       } else {
         out.payload = SpareLocked();
       }
-      s = Slot{};
+      slots_.pop_front();
       next_ = i + 1;
     }
     return out;
@@ -331,23 +372,18 @@ class DecodeAhead {
   void Recycle(Bytes buf) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (buf.capacity() > 0 &&
-          ahead_ + kept_bytes_ + buf.capacity() <= limit_) {
-        kept_bytes_ += buf.capacity();
-        auto at = std::upper_bound(kept_.begin(), kept_.end(), buf.capacity(),
-                                   [](std::size_t cap, const Bytes& b) {
-                                     return cap < b.capacity();
-                                   });
-        kept_.insert(at, std::move(buf));
-      }
+      KeepLocked(std::move(buf));
     }
     Pump();
   }
 
-  // Caller side: item i's GET was issued.
-  void OnIssued() {
+  // Issuer side (caller or worker, one at a time, in plan order): the
+  // next item's GET is about to be issued.
+  void OnIssued(const TailPlanItem& item) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++in_flight_;
+    Slot& s = slots_.emplace_back();
+    s.listed = static_cast<std::size_t>(item.size);
+    s.wal = item.is_wal;
   }
 
   // Caller side: starts the decodes that have become admissible.
@@ -372,26 +408,24 @@ class DecodeAhead {
 
   struct Slot {
     State state = State::kFetching;
-    std::size_t item = 0;
+    std::size_t listed = 0;        // enveloped bytes, from the plan
+    bool wal = false;              // a WAL object (else a DB one)
     Bytes blob;
     std::size_t blob_size = 0;
     std::size_t payload_size = 0;
     Bytes payload;                 // charged to the budget while held here
-    std::size_t charged = 0;       // its capacity when charged
+    std::size_t charged = 0;       // its capacity when charged (or prepaid)
     Status status = Status::Ok();
     std::optional<std::uint64_t> fetched_us;
     std::uint64_t decoded_us = 0;
   };
 
-  Slot& slot(std::size_t i) { return slots_[i % slots_.size()]; }
-
-  // Charges a buffer for `s`'s payload to the budget; false when there is
-  // none. Reuses the smallest kept buffer large enough but at most twice
-  // the payload (a larger one would hold budget it does not use); else, if
-  // `may_allocate`, allocates one, dropping kept buffers (largest first)
-  // when only that makes room.
-  bool ChargeLocked(Slot& s, bool may_allocate) {
-    const std::size_t size = s.payload_size;
+  // Charges a buffer for `size` payload bytes of `s` to the budget; false
+  // when there is none. Reuses the smallest kept buffer large enough but at
+  // most twice the payload (a larger one would hold budget it does not
+  // use); else, if `may_allocate`, allocates one, dropping kept buffers
+  // (largest first) when only that makes room.
+  bool ChargeLocked(Slot& s, std::size_t size, bool may_allocate) {
     auto fit = std::find_if(kept_.begin(), kept_.end(),
                             [&](const Bytes& b) { return b.capacity() >= size; });
     if (fit != kept_.end() && fit->capacity() / 2 <= size) {
@@ -412,6 +446,32 @@ class DecodeAhead {
     ahead_ += s.charged;
     peak_ahead_ = std::max(peak_ahead_, ahead_);
     return true;
+  }
+
+  // Caller side: charges a buffer for a slot still fetching, sized from
+  // its listed bytes; false when no size can be estimated, the object is
+  // not small, or there is no room.
+  bool PrepayLocked(Slot& s) {
+    const double ratio = expansion_[s.wal];
+    if (s.listed == 0 || ratio == 0) return false;
+    const auto estimate =
+        static_cast<std::size_t>(std::ceil(s.listed * ratio));
+    if (estimate > limit_ / 8) return false;
+    return ChargeLocked(s, estimate, /*may_allocate=*/true);
+  }
+
+  // Keeps an empty buffer for reuse if the budget has room for it.
+  void KeepLocked(Bytes buf) {
+    if (buf.capacity() == 0 ||
+        ahead_ + kept_bytes_ + buf.capacity() > limit_) {
+      return;
+    }
+    kept_bytes_ += buf.capacity();
+    auto at = std::upper_bound(kept_.begin(), kept_.end(), buf.capacity(),
+                               [](std::size_t cap, const Bytes& b) {
+                                 return cap < b.capacity();
+                               });
+    kept_.insert(at, std::move(buf));
   }
 
   Bytes SpareLocked() {
@@ -436,50 +496,54 @@ class DecodeAhead {
     cv_.notify_all();
   }
 
-  // Starts what has become admissible: charges the landed items from the
-  // apply's next one on, in plan order, until one has not landed or gets
-  // no buffer, and queues a decode task for each charged one that may go
-  // ahead while fewer than max_decoders_ run.
+  // Starts what has become admissible: charges buffers from the apply's
+  // next item on, in plan order, until one gets none (a landed item its
+  // payload, one of the next K still fetching a prepaid buffer when
+  // `may_allocate`, anything else nothing), and queues a decode task for
+  // each charged, landed item while fewer than max_decoders_ run.
   void Admit(bool may_allocate) {
-    std::vector<std::pair<Slot*, std::size_t>> queued;
+    std::vector<std::size_t> queued;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t j = next_; j < next_ + window_; ++j) {
-        Slot& s = slot(j);
-        if (s.item != j || s.state == State::kFetching) break;
-        if (s.state == State::kWaiting) {
-          if (!ChargeLocked(s, may_allocate)) break;
-          s.state = State::kCharged;
+      bool charging = true;
+      for (std::size_t k = 0; k < slots_.size(); ++k) {
+        Slot& s = slots_[k];
+        if (charging && s.charged == 0) {
+          if (s.state == State::kFetching) {
+            charging = may_allocate && k < ctx_.window && PrepayLocked(s);
+          } else if (s.state == State::kWaiting) {
+            charging = ChargeLocked(s, s.payload_size, may_allocate);
+            if (charging) s.state = State::kCharged;
+          }
         }
         if (s.state != State::kCharged || decoders_ >= max_decoders_) continue;
-        if (in_flight_ > 0 && s.payload_size <= chunked_above_) continue;
         ++decoders_;
         ++tasks_;
         s.state = State::kQueued;
-        queued.emplace_back(&s, j);
+        queued.push_back(next_ + k);
       }
     }
-    for (const auto& [s, item] : queued) {
+    for (const std::size_t item : queued) {
       ctx_.transfers->SubmitFn(
           ctx_.route,
-          [this, s = s, item = item] {
+          [this, item] {
+            Slot* s = nullptr;
             {
               std::lock_guard<std::mutex> lock(mu_);
-              if (s->item != item || s->state != State::kQueued) {
-                return Status::Ok();  // the caller took it first
-              }
+              s = QueuedLocked(item);
+              if (s == nullptr) return Status::Ok();  // the caller took it first
               s->state = State::kDecoding;
             }
-            Decode(*s);
+            Decode(*s);  // the slot stays put: Take waits out kDecoding
             Admit(/*may_allocate=*/false);
             return Status::Ok();
           },
-          [this, s = s, item = item](const Status& st) {
+          [this, item](const Status& st) {
             // Fires once per task, after it ran or instead of it (the
             // manager or the account was cancelled): the caller then
             // decodes the item with the buffer it holds.
             std::lock_guard<std::mutex> lock(mu_);
-            if (!st.ok() && s->item == item && s->state == State::kQueued) {
+            if (Slot* s = st.ok() ? nullptr : QueuedLocked(item)) {
               s->state = State::kCharged;
               --decoders_;
             }
@@ -489,18 +553,23 @@ class DecodeAhead {
     }
   }
 
+  // Item `item`'s slot if it is still queued for a worker's decode.
+  Slot* QueuedLocked(std::size_t item) {
+    if (item < next_) return nullptr;
+    Slot& s = slots_[item - next_];
+    return s.state == State::kQueued ? &s : nullptr;
+  }
+
   const TailApplyContext& ctx_;
-  const std::size_t window_;
   const std::size_t limit_;
   const std::size_t max_decoders_;
-  const std::size_t chunked_above_;  // payloads above this are chunked (v2)
+  const bool compress_;
   Clock* const clock_;  // null => untraced
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  // a decode finished, or a task ended
-  std::vector<Slot> slots_;
+  std::deque<Slot> slots_;      // items next_, next_ + 1, ... issued so far
   std::size_t next_ = 0;        // the apply's next item
-  std::size_t in_flight_ = 0;   // GETs issued, not landed
   std::size_t tasks_ = 0;       // submitted tasks whose `done` has not fired
   std::size_t decoders_ = 0;    // tasks that will decode: queued, not taken
                                 // by the caller first, or running
@@ -508,6 +577,10 @@ class DecodeAhead {
   std::size_t kept_bytes_ = 0;
   std::size_t ahead_ = 0;       // capacity of slot buffers not yet taken
   std::size_t peak_ahead_ = 0;
+  // Payload bytes to prepay per listed byte of a DB [0] or WAL [1] object:
+  // 1 without compression, else the ratio of the last of its kind to land
+  // plus a quarter; 0 while unknown.
+  double expansion_[2];
   std::size_t decoded_ahead_ = 0;
 };
 
@@ -520,8 +593,11 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
   const Envelope& envelope = *ctx.envelope;
   const bool tracing =
       ctx.tracer != nullptr && ctx.tracer->enabled() && ctx.clock != nullptr;
-  const std::size_t window = std::max<std::size_t>(1, ctx.window);
-  DecodeAhead ahead(ctx, window, plan.size(), tracing);
+  // GETs are cheap to issue, so the worker that completes one issues the
+  // next: a slot never waits for the apply to finish an item.
+  const WindowBounds bounds{ctx.window, ctx.fetch_budget,
+                            /*issue_on_completion=*/true};
+  DecodeAhead ahead(ctx, tracing);
 
   auto count = [&](std::size_t blob_size) {
     ++r->objects_downloaded;
@@ -541,8 +617,10 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
 
   // A delta-dump manifest expands into chunk fetches: every ref is first
   // offered to ctx.chunk_source (hash-verified local reuse — the warm
-  // standby's previous image), and the rest GET with the same K-deep
-  // window, verified against their content digest before being written.
+  // standby's previous image), and the rest GET through the same window
+  // (K incomplete, the fetched-ahead chunks bounded by the budget in
+  // their listed lengths), verified against their content digest before
+  // being written.
   // Any chunk failure fails the manifest, exactly like a missing dump part.
   auto apply_manifest = [&](ByteView payload) -> Status {
     auto refs = DecodeManifest(payload);
@@ -566,10 +644,11 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       to_fetch.push_back(k);
     }
 
-    auto issue = [&](std::size_t k) {
+    auto issue = [&](std::size_t k, WindowDone done) {
       const ChunkRef& ref = (*refs)[to_fetch[k]];
       return transfers.GetAsync(ctx.route,
-                                ChunkObjectId{ref.digest, ref.length}.Encode());
+                                ChunkObjectId{ref.digest, ref.length}.Encode(),
+                                nullptr, std::move(done));
     };
     auto reap = [&](std::size_t k, std::future<Result<Bytes>> f) -> Status {
       const ChunkRef& ref = (*refs)[to_fetch[k]];
@@ -592,16 +671,20 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       ++r->chunks_downloaded;
       return Status::Ok();
     };
-    return RunInOrderWindow(to_fetch.size(), window, issue, reap);
+    return RunInOrderWindow(
+        to_fetch.size(), bounds,
+        [&](std::size_t k) { return std::size_t{(*refs)[to_fetch[k]].length}; },
+        issue, reap);
   };
 
   std::vector<std::uint64_t> issue_times(tracing ? plan.size() : 0);
-  auto issue = [&](std::size_t i) {
+  auto issue = [&](std::size_t i, WindowDone done) {
     if (tracing) issue_times[i] = ctx.clock->NowMicros();
-    ahead.OnIssued();
+    ahead.OnIssued(plan[i]);
     return transfers.GetAsync(
         ctx.route, plan[i].name,
-        [&ahead, i](Bytes blob) { ahead.OnFetched(i, std::move(blob)); });
+        [&ahead, i](Bytes blob) { ahead.OnFetched(i, std::move(blob)); },
+        std::move(done));
   };
   // A non-OK return ends the plan: the result already says why.
   auto reap = [&](std::size_t i, std::future<Result<Bytes>> fetched) -> Status {
@@ -685,7 +768,10 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
     ++result.items_applied;
     return Status::Ok();
   };
-  RunInOrderWindow(plan.size(), window, issue, reap);
+  RunInOrderWindow(
+      plan.size(), bounds,
+      [&](std::size_t i) { return static_cast<std::size_t>(plan[i].size); },
+      issue, reap, &result.peak_fetched_ahead_bytes);
   result.items_decoded_ahead = ahead.decoded_ahead();
   result.peak_ahead_bytes = ahead.peak_ahead();
   return result;

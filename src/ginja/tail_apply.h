@@ -70,6 +70,18 @@ struct TailPlanItem {
   // Delta-dump manifest: the payload lists CHUNK/ references which the
   // apply loop expands into windowed chunk fetches.
   bool is_manifest = false;
+  // Enveloped bytes, from the listing (ObjectMeta::size): what the fetch
+  // window charges against its lookahead budget and what a decode buffer
+  // is prepaid from before the object lands. 0 when unknown.
+  std::uint64_t size = 0;
+};
+
+// An id decoded from a listing, with the object's listed size (which
+// becomes TailPlanItem::size).
+template <typename Id>
+struct Listed {
+  Id id;
+  std::uint64_t size = 0;
 };
 
 struct TailPlan {
@@ -116,7 +128,7 @@ std::vector<TailPlanItem> ContinueWalPlan(
 // from_seg, and either ends at the first hole — what followed the hole
 // was never acknowledged.
 std::vector<TailPlanItem> BuildTailSegmentItems(
-    const std::map<std::uint32_t, std::vector<TailObjectId>>& segs,
+    const std::map<std::uint32_t, std::vector<Listed<TailObjectId>>>& segs,
     std::uint64_t ts, std::uint32_t from_seg);
 
 // Everything ApplyTailPlan needs, parameterized so recovery and the warm
@@ -128,7 +140,10 @@ struct TailApplyContext {
   VfsPtr target;
   std::shared_ptr<Clock> clock;         // null => untraced
   WriteTracer* tracer = nullptr;        // null => untraced
-  std::size_t window = 1;               // K GETs kept in flight
+  std::size_t window = 1;               // K GETs kept incomplete
+  // Enveloped bytes (TailPlanItem::size, chunk lengths) that may be
+  // fetched ahead of the item the apply is on; 0 fetches nothing ahead.
+  std::size_t fetch_budget = 0;
   // Bytes of decoded payload the workers may hold ahead of the apply
   // (buffers kept for reuse included); 0 decodes everything on the caller.
   std::size_t decode_budget = 0;
@@ -157,9 +172,14 @@ struct TailApplyResult {
   // most decoded bytes held ahead at once (never above ctx.decode_budget).
   std::size_t items_decoded_ahead = 0;
   std::size_t peak_ahead_bytes = 0;
+  // The most enveloped bytes (TailPlanItem::size) issued for items past
+  // the one the apply was on (never above ctx.fetch_budget).
+  std::size_t peak_fetched_ahead_bytes = 0;
 };
 
-// Windowed, pipelined, ordered apply. Up to `window` GETs are in flight;
+// Windowed, pipelined, ordered apply. `window` GETs are kept incomplete,
+// however long the one the apply waits on takes, and the items fetched
+// ahead of the apply are bounded by ctx.fetch_budget in listed bytes;
 // the transfer workers decode landed objects into buffers of their own
 // (fanning v2 chunks across the envelope's codec pool) while the calling
 // thread applies earlier objects strictly in plan order. The decoded bytes

@@ -1,10 +1,11 @@
 // TransferManager: bounded concurrency, retry/backoff on injected faults,
-// fan-out deletes, and cancellation; RunInOrderWindow's ordering, bound
-// and failure contract.
+// fan-out deletes, and cancellation; RunInOrderWindow's ordering, its
+// bounds (incomplete operations, lookahead bytes) and failure contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -296,6 +297,28 @@ TEST(TransferStream, PermanentFailureFailsFinish) {
 
 // -- RunInOrderWindow -----------------------------------------------------
 
+// Runs `fn` on a thread of its own; the returned future becomes ready with
+// fn's value, and then `done` runs, as a transfer worker would do it.
+template <typename Fn>
+std::future<int> RunThen(std::vector<std::thread>& threads, Fn fn,
+                         WindowDone done) {
+  auto promise = std::make_shared<std::promise<int>>();
+  auto future = promise->get_future();
+  threads.emplace_back([promise, fn = std::move(fn), done] {
+    promise->set_value(fn());
+    done();
+  });
+  return future;
+}
+
+// A future that is ready at once, its `done` already run.
+std::future<int> Ready(int value, WindowDone done) {
+  std::promise<int> ready;
+  ready.set_value(value);
+  done();
+  return ready.get_future();
+}
+
 TEST(TransferWindow, ReapsInIndexOrderWhenFuturesCompleteOutOfOrder) {
   // Within each window-aligned group, item i finishes only after item i+1
   // has, so every group completes back to front.
@@ -307,66 +330,220 @@ TEST(TransferWindow, ReapsInIndexOrderWhenFuturesCompleteOutOfOrder) {
   std::mutex mu;
   std::vector<std::size_t> completed;
   std::vector<std::size_t> reaped;
+  std::vector<std::thread> threads;
   Status st = RunInOrderWindow(
       kCount, kWindow,
-      [&](std::size_t i) {
-        return std::async(std::launch::async, [&, i] {
-          if ((i + 1) % kWindow != 0) finished_f[i + 1].wait();
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            completed.push_back(i);
-          }
-          finished[i].set_value();
-          return i;
-        });
+      [&](std::size_t i, WindowDone done) {
+        return RunThen(
+            threads,
+            [&, i] {
+              if ((i + 1) % kWindow != 0) finished_f[i + 1].wait();
+              {
+                std::lock_guard<std::mutex> lock(mu);
+                completed.push_back(i);
+              }
+              finished[i].set_value();
+              return static_cast<int>(i);
+            },
+            done);
       },
-      [&](std::size_t i, std::future<std::size_t> f) {
-        EXPECT_EQ(f.get(), i);
+      [&](std::size_t i, std::future<int> f) {
+        EXPECT_EQ(f.get(), static_cast<int>(i));
         reaped.push_back(i);
         return Status::Ok();
       });
+  for (auto& t : threads) t.join();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(completed, (std::vector<std::size_t>{3, 2, 1, 0, 7, 6, 5, 4}));
   EXPECT_EQ(reaped, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(TransferWindow, InFlightNeverExceedsWindow) {
+  // "In flight" is issued and not yet complete: each operation counts
+  // itself out just before its future becomes ready. Operations hold
+  // until the window has been full once, so reaching the bound does not
+  // depend on how fast their threads start.
   constexpr std::size_t kWindow = 3;
+  std::mutex mu;
+  std::condition_variable cv;
   std::size_t inflight = 0;
   std::size_t peak = 0;
+  std::size_t full_at = kWindow;  // the bound this run should reach
   std::size_t issued = 0;
-  Status st = RunInOrderWindow(
-      20, kWindow,
-      [&](std::size_t) {
-        peak = std::max(peak, ++inflight);
-        ++issued;
-        std::promise<int> ready;
-        ready.set_value(0);
-        return ready.get_future();
-      },
-      [&](std::size_t, std::future<int> f) {
-        f.get();
-        --inflight;
-        return Status::Ok();
-      });
+  std::vector<std::thread> threads;
+  auto issue = [&](std::size_t, WindowDone done) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      peak = std::max(peak, ++inflight);
+      ++issued;
+      cv.notify_all();
+    }
+    return RunThen(
+        threads,
+        [&] {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return peak >= full_at; });
+          --inflight;
+          return 0;
+        },
+        done);
+  };
+  auto reap = [&](std::size_t, std::future<int> f) {
+    f.get();
+    return Status::Ok();
+  };
+  Status st = RunInOrderWindow(20, kWindow, issue, reap);
+  for (auto& t : threads) t.join();
+  threads.clear();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(issued, 20u);
   EXPECT_EQ(peak, kWindow);
   // A zero window still makes progress, one item at a time.
-  inflight = peak = 0;
-  RunInOrderWindow(
-      5, 0,
-      [&](std::size_t) {
-        peak = std::max(peak, ++inflight);
-        std::promise<int> ready;
-        ready.set_value(0);
-        return ready.get_future();
+  peak = 0;
+  full_at = 1;
+  RunInOrderWindow(5, 0, issue, reap);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(peak, 1u);
+}
+
+TEST(TransferWindow, SlowHeadDoesNotStallLaterItems) {
+  // Item 0 completes only once items 1..kWindow have: the window must
+  // issue item kWindow while the head is still incomplete. A window that
+  // issues only as the head is reaped waits on item 0 forever; the
+  // timeout turns that into a failure instead of a hang.
+  constexpr std::size_t kWindow = 3;
+  constexpr std::size_t kCount = 2 * kWindow + 1;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t later_done = 0;  // items 1..kWindow completed
+  bool head_timed_out = false;
+  std::vector<std::thread> threads;
+  Status st = RunInOrderWindow(
+      kCount, kWindow,
+      [&](std::size_t i, WindowDone done) {
+        return RunThen(
+            threads,
+            [&, i] {
+              std::unique_lock<std::mutex> lock(mu);
+              if (i == 0) {
+                head_timed_out = !cv.wait_for(
+                    lock, std::chrono::seconds(10),
+                    [&] { return later_done == kWindow; });
+              } else if (i <= kWindow) {
+                ++later_done;
+                cv.notify_all();
+              }
+              return static_cast<int>(i);
+            },
+            done);
       },
-      [&](std::size_t, std::future<int>) {
-        --inflight;
+      [&](std::size_t i, std::future<int> f) {
+        EXPECT_EQ(f.get(), static_cast<int>(i));
         return Status::Ok();
       });
-  EXPECT_EQ(peak, 1u);
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(st.ok());
+  EXPECT_FALSE(head_timed_out);
+}
+
+TEST(TransferWindow, LookaheadStaysWithinBudget) {
+  // Operations complete at once, so only the budget limits how far the
+  // window runs ahead of the reap. Item 4 alone exceeds the budget: it is
+  // issued only as the next item to reap.
+  const std::vector<std::size_t> cost = {5, 3, 4, 2, 20, 1, 6, 2, 3, 7, 1};
+  constexpr std::size_t kBudget = 8;
+  std::vector<bool> is_issued(cost.size(), false);
+  std::size_t reaped = 0;
+  std::size_t seen_peak = 0;
+  std::size_t reported_peak = 0;
+  Status st = RunInOrderWindow(
+      cost.size(), WindowBounds{/*window=*/4, kBudget},
+      [&](std::size_t i) { return cost[i]; },
+      [&](std::size_t i, WindowDone done) {
+        is_issued[i] = true;
+        // Bytes issued ahead of the next item to reap, this one included.
+        std::size_t ahead = 0;
+        for (std::size_t j = reaped + 1; j < cost.size(); ++j) {
+          if (is_issued[j]) ahead += cost[j];
+        }
+        EXPECT_LE(ahead, kBudget) << "issuing " << i;
+        seen_peak = std::max(seen_peak, ahead);
+        return Ready(static_cast<int>(i), done);
+      },
+      [&](std::size_t i, std::future<int> f) {
+        EXPECT_EQ(f.get(), static_cast<int>(i));
+        EXPECT_EQ(reaped, i);
+        ++reaped;
+        return Status::Ok();
+      },
+      &reported_peak);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(reaped, cost.size());
+  EXPECT_EQ(reported_peak, seen_peak);
+  EXPECT_GT(seen_peak, 0u);  // it did run ahead
+  EXPECT_LE(reported_peak, kBudget);
+}
+
+TEST(TransferWindow, ZeroBudgetIssuesOnlyTheNextItemToReap) {
+  // K = 1 with nothing fetched ahead is the serial loop: item i + 1 goes
+  // out only once item i was reaped, zero-cost items included.
+  constexpr std::size_t kCount = 5;
+  std::size_t reaped = 0;
+  WindowBounds bounds;
+  bounds.window = 1;
+  bounds.ahead_budget = 0;
+  bounds.issue_on_completion = true;
+  Status st = RunInOrderWindow(
+      kCount, bounds, [](std::size_t) { return std::size_t{0}; },
+      [&](std::size_t i, WindowDone done) {
+        EXPECT_EQ(i, reaped) << "issued before item " << reaped << " was reaped";
+        return Ready(static_cast<int>(i), done);
+      },
+      [&](std::size_t i, std::future<int> f) {
+        EXPECT_EQ(f.get(), static_cast<int>(i));
+        ++reaped;
+        return Status::Ok();
+      });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(reaped, kCount);
+}
+
+TEST(TransferWindow, CompletionsIssueWhileTheReapRuns) {
+  // With issue_on_completion, the thread that completes an operation
+  // issues the next one: reaping item 0 waits until items up to kWindow
+  // were issued, which only the completing threads can do meanwhile.
+  constexpr std::size_t kWindow = 2;
+  constexpr std::size_t kCount = 6;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t issued = 0;
+  bool reap_timed_out = false;
+  std::vector<std::thread> threads;
+  WindowBounds bounds;
+  bounds.window = kWindow;
+  bounds.issue_on_completion = true;
+  Status st = RunInOrderWindow(
+      kCount, bounds, [](std::size_t) { return std::size_t{0}; },
+      [&](std::size_t i, WindowDone done) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++issued;
+        cv.notify_all();
+        return RunThen(threads, [i] { return static_cast<int>(i); }, done);
+      },
+      [&](std::size_t i, std::future<int> f) {
+        EXPECT_EQ(f.get(), static_cast<int>(i));
+        if (i == 0) {
+          std::unique_lock<std::mutex> lock(mu);
+          reap_timed_out = !cv.wait_for(lock, std::chrono::seconds(10),
+                                        [&] { return issued > kWindow; });
+        }
+        return Status::Ok();
+      });
+  ASSERT_TRUE(st.ok());
+  EXPECT_FALSE(reap_timed_out);
+  EXPECT_EQ(issued, kCount);
+  for (auto& t : threads) t.join();
 }
 
 TEST(TransferWindow, FailedReapStopsIssuingAndWaitsOutIssued) {
@@ -377,28 +554,33 @@ TEST(TransferWindow, FailedReapStopsIssuingAndWaitsOutIssued) {
   std::vector<std::atomic<bool>> done(kCount);
   std::vector<std::size_t> reaped;
   std::size_t issued = 0;
+  std::size_t issued_at_failure = 0;
   Status st = RunInOrderWindow(
       kCount, 4,
-      [&](std::size_t i) {
+      [&](std::size_t i, WindowDone window_done) {
         ++issued;
-        auto promise = std::make_shared<std::promise<int>>();
-        auto future = promise->get_future();
-        threads.emplace_back([&done, i, promise] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          done[i].store(true);
-          promise->set_value(static_cast<int>(i));
-        });
-        return future;
+        return RunThen(
+            threads,
+            [&done, i] {
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              done[i].store(true);
+              return static_cast<int>(i);
+            },
+            window_done);
       },
       [&](std::size_t i, std::future<int> f) {
         f.get();
         reaped.push_back(i);
-        return i == 2 ? Status::Unavailable("injected") : Status::Ok();
+        if (i != 2) return Status::Ok();
+        issued_at_failure = issued;
+        return Status::Unavailable("injected");
       });
   EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(reaped, (std::vector<std::size_t>{0, 1, 2}));
-  // Reaping item 2 found 2..5 in flight; nothing was issued after it.
-  EXPECT_EQ(issued, 6u);
+  // Items past 2 may have been issued as earlier ones completed, but
+  // nothing was issued after reaping item 2 failed.
+  EXPECT_GE(issued_at_failure, 3u);
+  EXPECT_EQ(issued, issued_at_failure);
   for (std::size_t i = 0; i < issued; ++i) EXPECT_TRUE(done[i].load()) << i;
   for (auto& t : threads) t.join();
 }

@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -257,6 +260,53 @@ class SlowFirstWriteFs : public MemFs {
   std::atomic<bool> stalled_{false};
 };
 
+// Holds the GET of one object until `later` GETs of other objects have
+// been served, the way a slow first dump part holds a colocated restore.
+// Times out (and says so) rather than hanging a window that cannot get
+// past its head.
+class HoldOneGetStore : public ObjectStore {
+ public:
+  HoldOneGetStore(ObjectStorePtr inner, std::string held, std::size_t later)
+      : inner_(std::move(inner)), held_(std::move(held)), later_(later) {}
+
+  Result<Bytes> Get(std::string_view name) override {
+    if (name == held_) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        timed_out_ = !cv_.wait_for(lock, std::chrono::seconds(10),
+                                   [&] { return served_ >= later_; });
+      }
+      return inner_->Get(name);
+    }
+    auto blob = inner_->Get(name);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++served_;
+    cv_.notify_all();
+    return blob;
+  }
+  Status Put(std::string_view name, ByteView data) override {
+    return inner_->Put(name, data);
+  }
+  Status Delete(std::string_view name) override { return inner_->Delete(name); }
+  Result<std::vector<ObjectMeta>> List(std::string_view prefix) override {
+    return inner_->List(prefix);
+  }
+
+  bool timed_out() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  ObjectStorePtr inner_;
+  std::string held_;
+  std::size_t later_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t served_ = 0;
+  bool timed_out_ = false;
+};
+
 struct DirectOutcome {
   TailApplyResult result;
   RecoveryReport report;
@@ -264,16 +314,23 @@ struct DirectOutcome {
 };
 
 // One ApplyTailPlan over the whole bucket with window `k` and the given
-// decode budget, the codec pool attached as recovery attaches it.
+// decode budget, the codec pool attached and the transfer workers sized as
+// recovery sizes them (K for the GETs, codec_threads more for the decode
+// tasks). Nothing bounds the fetch lookahead but K unless `fetch_budget`
+// is given.
 DirectOutcome ApplyWhole(
     const Backup& backup, std::size_t k, std::size_t budget,
-    std::shared_ptr<MemFs> target = std::make_shared<MemFs>()) {
+    std::shared_ptr<MemFs> target = std::make_shared<MemFs>(),
+    std::size_t fetch_budget = std::numeric_limits<std::size_t>::max(),
+    ObjectStorePtr store = nullptr) {
+  if (store == nullptr) store = backup.store;
   auto objects = backup.store->List("");
   EXPECT_TRUE(objects.ok());
   const TailPlan plan = BuildTailPlan(*objects, std::nullopt);
   TransferOptions options;
-  options.concurrency = static_cast<int>(k);
-  TransferManager transfers(backup.store, options);
+  options.concurrency =
+      static_cast<int>(k) + std::max(1, backup.config.codec_threads);
+  TransferManager transfers(store, options);
   Envelope envelope(backup.config.envelope);
   envelope.SetCodecPool(std::make_shared<CodecPool>(backup.config.codec_threads));
   TailApplyContext ctx;
@@ -281,6 +338,7 @@ DirectOutcome ApplyWhole(
   ctx.envelope = &envelope;
   ctx.target = target;
   ctx.window = k;
+  ctx.fetch_budget = fetch_budget;
   ctx.decode_budget = budget;
   DirectOutcome out;
   out.result = ApplyTailPlan(plan.items, ctx, &out.report);
@@ -356,6 +414,142 @@ TEST(RecoveryParallelTest, DecodedAheadBytesStayWithinBudget) {
     }
     EXPECT_EQ(ahead.files, serial.files);
   }
+}
+
+TEST(RecoveryParallelTest, SlowHeadGetOverlapsLaterGets) {
+  // The first DB part's GET completes only after K later GETs were
+  // served: K GETs stay in flight however long the head takes.
+  constexpr int kWindow = 4;
+  const Backup backup = BuildBackup();
+  auto objects = backup.store->List("");
+  ASSERT_TRUE(objects.ok());
+  const TailPlan plan = BuildTailPlan(*objects, std::nullopt);
+  ASSERT_GT(plan.items.size(), static_cast<std::size_t>(kWindow) + 1);
+  ASSERT_FALSE(plan.items[0].is_wal);
+  auto held = std::make_shared<HoldOneGetStore>(backup.store,
+                                                plan.items[0].name, kWindow);
+
+  GinjaConfig config = backup.config;
+  config.recovery_prefetch = kWindow;
+  auto target = std::make_shared<MemFs>();
+  Outcome slow_head;
+  slow_head.status =
+      Ginja::Recover(held, config, backup.layout, target, &slow_head.report);
+  EXPECT_FALSE(held->timed_out());
+  auto files = target->ListFiles("");
+  ASSERT_TRUE(files.ok());
+  for (const auto& path : *files) slow_head.files[path] = *target->ReadAll(path);
+  const Outcome serial = RecoverWithK(backup, 1);
+  ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+  ExpectIdentical(serial, slow_head);
+}
+
+TEST(RecoveryParallelTest, FetchedAheadBytesStayWithinBudget) {
+  const Backup backup = BuildBackup(/*value_bytes=*/1024, /*codec=*/true);
+  auto objects = backup.store->List("");
+  ASSERT_TRUE(objects.ok());
+  std::size_t largest = 0;  // enveloped, as listed
+  for (const auto& meta : *objects) {
+    largest = std::max<std::size_t>(largest, meta.size);
+  }
+  const DirectOutcome serial =
+      ApplyWhole(backup, 1, 0, std::make_shared<MemFs>(), 0);
+  EXPECT_EQ(serial.result.peak_fetched_ahead_bytes, 0u);  // no budget, no ahead
+  for (std::size_t budget : {largest / 2, largest, 4 * largest}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    const DirectOutcome ahead =
+        ApplyWhole(backup, 8, budget, std::make_shared<MemFs>(), budget);
+    EXPECT_EQ(ahead.result.items_applied, serial.result.items_applied);
+    EXPECT_LE(ahead.result.peak_fetched_ahead_bytes, budget);
+    EXPECT_GT(ahead.result.peak_fetched_ahead_bytes, 0u);
+    EXPECT_EQ(ahead.files, serial.files);
+  }
+}
+
+// A one-shot latch: Wait returns once Open was called, or false after ten
+// seconds.
+class Latch {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  bool Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Serves one object at once and every other GET only once `latch` opens.
+class LatchedStore : public ObjectStore {
+ public:
+  LatchedStore(ObjectStorePtr inner, std::string free, Latch* latch)
+      : inner_(std::move(inner)), free_(std::move(free)), latch_(latch) {}
+  Result<Bytes> Get(std::string_view name) override {
+    if (name != free_ && !latch_->Wait()) {
+      return Status::Unavailable("latch never opened");
+    }
+    return inner_->Get(name);
+  }
+  Status Put(std::string_view name, ByteView data) override {
+    return inner_->Put(name, data);
+  }
+  Status Delete(std::string_view name) override { return inner_->Delete(name); }
+  Result<std::vector<ObjectMeta>> List(std::string_view prefix) override {
+    return inner_->List(prefix);
+  }
+
+ private:
+  ObjectStorePtr inner_;
+  std::string free_;
+  Latch* latch_;
+};
+
+// A MemFs whose first write opens `latch` and then stalls.
+class LatchOpeningFs : public MemFs {
+ public:
+  explicit LatchOpeningFs(Latch* latch) : latch_(latch) {}
+  Status Write(std::string_view path, std::uint64_t offset, ByteView data,
+               bool sync) override {
+    if (!stalled_.exchange(true)) {
+      latch_->Open();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return MemFs::Write(path, offset, data, sync);
+  }
+
+ private:
+  Latch* latch_;
+  std::atomic<bool> stalled_{false};
+};
+
+TEST(RecoveryParallelTest, BlobsLandingDuringAStalledApplyDecodeAhead) {
+  // Every object but the first lands only once the apply of the first is
+  // under way, after the caller handed out buffers: the buffers it prepaid
+  // from the listed sizes let the workers decode them during the stall.
+  const Backup backup = BuildBackup();
+  auto objects = backup.store->List("");
+  ASSERT_TRUE(objects.ok());
+  const TailPlan plan = BuildTailPlan(*objects, std::nullopt);
+  ASSERT_GT(plan.items.size(), 2u);
+  ASSERT_LT(plan.items.size(), 32u);  // one window holds the whole plan
+  const std::size_t budget = 2 * backup.config.max_object_bytes;
+  const DirectOutcome serial = ApplyWhole(backup, 1, budget);
+  Latch latch;
+  const DirectOutcome ahead = ApplyWhole(
+      backup, 32, budget, std::make_shared<LatchOpeningFs>(&latch),
+      std::numeric_limits<std::size_t>::max(),
+      std::make_shared<LatchedStore>(backup.store, plan.items[0].name, &latch));
+  EXPECT_EQ(ahead.result.items_applied, serial.result.items_applied);
+  EXPECT_EQ(ahead.result.items_decoded_ahead, serial.result.items_applied - 1);
+  EXPECT_LE(ahead.result.peak_ahead_bytes, budget);
+  EXPECT_EQ(ahead.files, serial.files);
 }
 
 TEST(RecoveryParallelTest, TracedRecoverSplitsFetchDecodeApply) {

@@ -545,9 +545,9 @@ TEST(Standby, ResumedTailRunStopsAtAHole) {
   // resuming at segment 2 must apply nothing rather than jump to 3 — the
   // divergence that made BootstrapAppliesAckedTailSegmentsOfAKilledStream
   // flaky under load.
-  std::map<std::uint32_t, std::vector<TailObjectId>> segs;
+  std::map<std::uint32_t, std::vector<Listed<TailObjectId>>> segs;
   for (std::uint32_t seg : {0u, 1u, 3u}) {
-    segs[seg] = {TailObjectId{7, seg, 0, 100u * (seg + 1)}};
+    segs[seg] = {{TailObjectId{7, seg, 0, 100u * (seg + 1)}, 0}};
   }
   EXPECT_EQ(BuildTailSegmentItems(segs, 7, /*from_seg=*/0).size(), 2u);
   EXPECT_TRUE(BuildTailSegmentItems(segs, 7, /*from_seg=*/2).empty());
