@@ -155,12 +155,16 @@ struct TpccBenchResult {
 
 // Runs TPC-C for `model_seconds` of model time with periodic checkpoints
 // (the engine checkpoints every ~checkpoint_every_txns transactions on
-// terminal 0, standing in for the DBMS's background checkpointer).
+// terminal 0, standing in for the DBMS's background checkpointer). With
+// `max_txns` set it runs exactly that many transactions instead, without
+// the timed warmup, so the run's size does not depend on the host's speed.
 inline TpccBenchResult RunTpccBench(Stack& stack, double model_seconds,
-                                    int terminals = 5) {
+                                    int terminals = 5,
+                                    std::uint64_t max_txns = 0) {
   TpccRunOptions options;
   options.terminals = terminals;
   options.wall_seconds = model_seconds / kTimeScale;
+  options.max_txns = max_txns;
   options.tick_every_txns = 400;
   Database* db = stack.db.get();
   const bool fuzzy = db->layout().flavor == DbFlavor::kMySql;
@@ -173,9 +177,11 @@ inline TpccBenchResult RunTpccBench(Stack& stack, double model_seconds,
   };
   // Short warmup (discarded): first-touch allocation, cache fill, and the
   // first checkpoint happen outside the measured window.
-  TpccRunOptions warmup = options;
-  warmup.wall_seconds = std::min(0.3, options.wall_seconds / 4);
-  (void)RunTpcc(*stack.tpcc, warmup);
+  if (max_txns == 0) {
+    TpccRunOptions warmup = options;
+    warmup.wall_seconds = std::min(0.3, options.wall_seconds / 4);
+    (void)RunTpcc(*stack.tpcc, warmup);
+  }
 
   TpccBenchResult result;
   const std::uint64_t start = stack.clock->NowMicros();

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
+#include <thread>
+#include <utility>
 
+#include "common/codec/codec_pool.h"
 #include "common/codec/crc32.h"
 
 namespace ginja {
@@ -56,10 +60,180 @@ Result<std::vector<std::pair<std::string, std::uint32_t>>> DecodeCatalog(
   return out;
 }
 
+// Redo on K threads (DESIGN.md, "Recovery data path", item 7). The threads
+// load the tables, largest file first, while one of them parses the WAL
+// and hands each table its committed records; a table's records are
+// applied in LSN order, by one thread at a time, once it has loaded.
+// Tables share nothing, so per-table order is all redo needs: every table
+// ends with the same rows, buckets and first-dirty LSNs for any K.
+class ParallelRedo {
+ public:
+  // `tables` (each with its file) in catalog order.
+  ParallelRedo(Vfs& vfs, std::vector<std::pair<Table*, std::string>> tables)
+      : vfs_(vfs), slots_(tables.size()) {
+    std::vector<std::uint64_t> sizes;
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+      slots_[i].table = tables[i].first;
+      slots_[i].file = std::move(tables[i].second);
+      auto size = vfs_.FileSize(slots_[i].file);
+      sizes.push_back(size.ok() ? *size : 0);
+      load_order_.push_back(i);
+    }
+    std::stable_sort(load_order_.begin(), load_order_.end(),
+                     [&](std::size_t a, std::size_t b) { return sizes[a] > sizes[b]; });
+  }
+
+  // The parsing thread: queues a committed record of table `t`. Records go
+  // out in batches, and the parser helps with the other work while too many
+  // bytes of them are handed out and not yet applied.
+  void Add(std::size_t t, WalRecord& record) {
+    Slot& slot = slots_[t];
+    slot.staged_bytes += sizeof(WalRecord) + record.key.size() + record.value.size();
+    slot.staged.push_back(std::move(record));
+    if (++staged_ < kBatchRecords) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    HandOverLocked();
+    while (outstanding_bytes_ > kMaxOutstandingBytes) {
+      if (!RunOneLocked(lock)) cv_.wait(lock);
+    }
+  }
+
+  // The parsing thread, once the log ends.
+  void ParseDone() {
+    std::lock_guard<std::mutex> lock(mu_);
+    HandOverLocked();
+    parsed_ = true;
+  }
+
+  // Every thread: loads and applies until nothing is left to start.
+  void Work() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (RunOneLocked(lock)) continue;
+      // Nothing to start: what is still busy, the thread running it ends.
+      if (parsed_ && next_load_ == slots_.size()) break;
+      cv_.wait(lock);
+    }
+  }
+
+  // After every Work() returned: the first failed load in catalog order.
+  Status LoadStatus() const {
+    for (const Slot& slot : slots_) {
+      if (!slot.load_status.ok()) return slot.load_status;
+    }
+    return Status::Ok();
+  }
+
+ private:
+  // Records go out in batches of kBatchRecords; the parser stops to help
+  // while more than kMaxOutstandingBytes of them wait, which bounds what a
+  // table that loads slowly can hold back.
+  static constexpr std::size_t kBatchRecords = 1024;
+  static constexpr std::size_t kMaxOutstandingBytes = 64 << 20;
+
+  struct Slot {
+    Table* table = nullptr;
+    std::string file;
+    Status load_status;
+    bool loaded = false;
+    bool busy = false;  // a thread is loading it or applying to it
+    std::vector<WalRecord> pending;  // handed out, not yet applied
+    std::size_t pending_bytes = 0;
+    std::vector<WalRecord> staged;   // parser only
+    std::size_t staged_bytes = 0;    // parser only
+  };
+
+  void HandOverLocked() {
+    for (Slot& slot : slots_) {
+      if (slot.staged.empty()) continue;
+      if (slot.pending.empty()) {
+        slot.pending.swap(slot.staged);
+      } else {
+        slot.pending.insert(slot.pending.end(),
+                            std::make_move_iterator(slot.staged.begin()),
+                            std::make_move_iterator(slot.staged.end()));
+        slot.staged.clear();
+      }
+      slot.pending_bytes += slot.staged_bytes;
+      outstanding_bytes_ += slot.staged_bytes;
+      slot.staged_bytes = 0;
+    }
+    staged_ = 0;
+    cv_.notify_all();
+  }
+
+  // Runs one load (largest file first) or one table's pending records,
+  // without the lock. False when neither can start now.
+  bool RunOneLocked(std::unique_lock<std::mutex>& lock) {
+    if (next_load_ < slots_.size()) {
+      Slot& slot = slots_[load_order_[next_load_++]];
+      slot.busy = true;
+      lock.unlock();
+      // A table never checkpointed has no file yet; any other read failure
+      // must fail the open rather than load the table empty. The table
+      // loads straight from the file's bytes, without a copy where the Vfs
+      // allows.
+      Status loaded = vfs_.ReadAllView(slot.file, [&slot](ByteView file) {
+        return slot.table->LoadFile(file);
+      });
+      if (loaded.code() == ErrorCode::kNotFound) loaded = Status::Ok();
+      lock.lock();
+      slot.load_status = std::move(loaded);
+      slot.loaded = true;
+      slot.busy = false;
+      cv_.notify_all();
+      return true;
+    }
+    auto ready = std::find_if(slots_.begin(), slots_.end(), [](const Slot& s) {
+      return s.loaded && !s.busy && !s.pending.empty();
+    });
+    if (ready == slots_.end()) return false;
+    Slot& slot = *ready;
+    slot.busy = true;
+    std::vector<WalRecord> batch;
+    batch.swap(slot.pending);
+    const std::size_t bytes = std::exchange(slot.pending_bytes, 0);
+    lock.unlock();
+    // A table that failed to load fails the open; its records are dropped.
+    if (slot.load_status.ok()) {
+      for (WalRecord& r : batch) {
+        if (r.type == WalRecordType::kPut) {
+          slot.table->Put(r.key, std::move(r.value), r.lsn);
+        } else {
+          slot.table->Delete(r.key, r.lsn);
+        }
+      }
+    }
+    batch = {};  // frees the records outside the lock
+    lock.lock();
+    outstanding_bytes_ -= bytes;
+    slot.busy = false;
+    cv_.notify_all();
+    return true;
+  }
+
+  Vfs& vfs_;
+  std::vector<Slot> slots_;              // catalog order
+  std::vector<std::size_t> load_order_;  // largest file first
+  std::size_t staged_ = 0;               // parser only
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t next_load_ = 0;
+  std::size_t outstanding_bytes_ = 0;  // handed out, not yet applied
+  bool parsed_ = false;
+};
+
 }  // namespace
 
-Database::Database(VfsPtr vfs, DbLayout layout, DbOptions options)
-    : vfs_(std::move(vfs)), layout_(layout), options_(options) {
+Database::Database(VfsPtr vfs, DbLayout layout, DbOptions options,
+                   int redo_threads)
+    : vfs_(std::move(vfs)),
+      layout_(layout),
+      options_(options),
+      redo_threads_(redo_threads > 0
+                        ? redo_threads
+                        : static_cast<int>(std::thread::hardware_concurrency())) {
   if (options_.default_buckets == 0) options_.default_buckets = 64;
 }
 
@@ -113,30 +287,36 @@ Status Database::Open() {
   checkpoint_lsn_ = control->checkpoint_lsn;
   control_counter_ = control->counter;
 
+  std::vector<std::pair<Table*, std::string>> tables;
+  std::map<std::string_view, std::size_t> index;  // name -> position in `tables`
   for (const auto& [name, buckets] : *catalog) {
-    Table table(name, buckets, layout_.data_page_size);
-    // A table never checkpointed has no file yet; any other read failure
-    // must fail the open rather than load the table empty. The table loads
-    // straight from the file's bytes, without a copy where the Vfs allows.
-    Status loaded = vfs_->ReadAllView(
-        layout_.TableFileName(name),
-        [&table](ByteView file) { return table.LoadFile(file); });
-    if (!loaded.ok() && loaded.code() != ErrorCode::kNotFound) return loaded;
-    tables_.emplace(name, std::move(table));
+    auto [it, inserted] =
+        tables_.emplace(name, Table(name, buckets, layout_.data_page_size));
+    if (!inserted) continue;
+    index.emplace(it->first, tables.size());
+    tables.emplace_back(&it->second, layout_.TableFileName(name));
   }
 
   // Redo: replay committed transactions past the checkpoint. Logical,
   // ordered, idempotent row operations need no per-page LSN gate.
-  WalReader reader(vfs_, layout_);
-  auto end = reader.Replay(checkpoint_lsn_, [this](WalRecord& r) {
-    auto it = tables_.find(r.table);
-    if (it == tables_.end()) return;  // table dropped/unknown: skip
-    if (r.type == WalRecordType::kPut) {
-      it->second.Put(r.key, std::move(r.value), r.lsn);
-    } else {
-      it->second.Delete(r.key, r.lsn);
+  ParallelRedo redo(*vfs_, std::move(tables));
+  const int threads = std::clamp<int>(redo_threads_, 1,
+                                      std::max<int>(1, index.size()));
+  Result<Lsn> end = checkpoint_lsn_;
+  CodecPool pool(threads);
+  pool.ParallelFor(static_cast<std::size_t>(threads), [&](std::size_t i) {
+    if (i == 0) {  // one thread parses the log first; all load and apply
+      WalReader reader(vfs_, layout_);
+      end = reader.Replay(checkpoint_lsn_, [&](WalRecord& r) {
+        auto it = index.find(r.table);
+        if (it == index.end()) return;  // table dropped/unknown: skip
+        redo.Add(it->second, r);
+      });
+      redo.ParseDone();
     }
+    redo.Work();
   });
+  GINJA_RETURN_IF_ERROR(redo.LoadStatus());
   if (!end.ok()) return end.status();
 
   wal_ = std::make_unique<WalWriter>(vfs_, layout_, *end,
@@ -398,6 +578,12 @@ std::vector<std::string> Database::TableNames() const {
   out.reserve(tables_.size());
   for (const auto& [name, table] : tables_) out.push_back(name);
   return out;
+}
+
+std::vector<Table::DirtyPage> Database::DirtyPages(const std::string& table) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tables_.find(table);
+  return it == tables_.end() ? std::vector<Table::DirtyPage>{} : it->second.DirtyPages();
 }
 
 std::uint64_t Database::RowCount(const std::string& table) const {

@@ -44,7 +44,10 @@ struct DbOptions {
 
 class Database {
  public:
-  Database(VfsPtr vfs, DbLayout layout, DbOptions options = {});
+  // `redo_threads` is the K that Open loads and replays on, capped by the
+  // table count; 0 takes the host's hardware threads.
+  Database(VfsPtr vfs, DbLayout layout, DbOptions options = {},
+           int redo_threads = 0);
   ~Database() = default;
 
   Database(const Database&) = delete;
@@ -55,7 +58,9 @@ class Database {
 
   // Opens an existing directory: loads the catalog and table files, then
   // redoes the WAL from the checkpoint recorded in the control block.
-  // This is both the clean-restart and the crash-recovery path.
+  // This is both the clean-restart and the crash-recovery path. Tables load
+  // and replay on K threads while the WAL is parsed; the result is the
+  // same for every K.
   Status Open();
 
   // Must be called before the workload starts (catalog writes are not
@@ -102,6 +107,8 @@ class Database {
   std::uint64_t ApproxDataBytes() const;
   std::vector<std::string> TableNames() const;
   std::uint64_t RowCount(const std::string& table) const;
+  // The table's dirty buckets, oldest first (empty for an unknown table).
+  std::vector<Table::DirtyPage> DirtyPages(const std::string& table) const;
   const DbLayout& layout() const { return layout_; }
 
  private:
@@ -115,6 +122,7 @@ class Database {
   VfsPtr vfs_;
   DbLayout layout_;
   DbOptions options_;
+  int redo_threads_;
 
   mutable std::mutex mu_;
   std::map<std::string, Table> tables_;

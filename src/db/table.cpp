@@ -28,10 +28,17 @@ Table::Table(std::string name, std::uint32_t buckets, std::size_t page_size)
     : name_(std::move(name)), page_size_(page_size) {
   assert(buckets > 0);
   buckets_.resize(buckets);
+  dirty_.assign(buckets, kClean);
 }
 
 std::uint32_t Table::BucketOf(std::string_view key) const {
   return static_cast<std::uint32_t>(HashKey(key) % buckets_.size());
+}
+
+void Table::MarkDirty(std::uint32_t b, Lsn lsn) {
+  if (dirty_[b] != kClean) return;  // keeps its first-dirty LSN
+  dirty_[b] = lsn;
+  ++dirty_count_;
 }
 
 void Table::Put(const std::string& key, Bytes value, Lsn lsn) {
@@ -47,7 +54,7 @@ void Table::Put(const std::string& key, Bytes value, Lsn lsn) {
     approx_bytes_ -= it->second.size();
     it->second = std::move(value);
   }
-  dirty_.try_emplace(b, lsn);
+  MarkDirty(b, lsn);
   MaybeSplit();
 }
 
@@ -59,7 +66,7 @@ bool Table::Delete(const std::string& key, Lsn lsn) {
   approx_bytes_ -= key.size() + it->second.size();
   --row_count_;
   bucket.erase(it);
-  dirty_.try_emplace(b, lsn);
+  MarkDirty(b, lsn);
   return true;
 }
 
@@ -72,8 +79,10 @@ std::optional<Bytes> Table::Get(const std::string& key) const {
 
 std::vector<Table::DirtyPage> Table::DirtyPages() const {
   std::vector<DirtyPage> out;
-  out.reserve(dirty_.size());
-  for (const auto& [bucket, lsn] : dirty_) out.push_back({bucket, lsn});
+  out.reserve(dirty_count_);
+  for (std::uint32_t b = 0; b < dirty_.size(); ++b) {
+    if (dirty_[b] != kClean) out.push_back({b, dirty_[b]});
+  }
   std::sort(out.begin(), out.end(), [](const DirtyPage& a, const DirtyPage& b) {
     return a.first_dirty_lsn < b.first_dirty_lsn;
   });
@@ -81,11 +90,8 @@ std::vector<Table::DirtyPage> Table::DirtyPages() const {
 }
 
 std::optional<Lsn> Table::OldestDirtyLsn() const {
-  std::optional<Lsn> oldest;
-  for (const auto& [bucket, lsn] : dirty_) {
-    if (!oldest || lsn < *oldest) oldest = lsn;
-  }
-  return oldest;
+  if (dirty_count_ == 0) return std::nullopt;
+  return *std::min_element(dirty_.begin(), dirty_.end());
 }
 
 Bytes Table::SerializeBucket(std::uint32_t b, Lsn flush_lsn) {
@@ -115,7 +121,11 @@ Bytes Table::SerializeBucket(std::uint32_t b, Lsn flush_lsn) {
   return page;
 }
 
-void Table::MarkClean(std::uint32_t b) { dirty_.erase(b); }
+void Table::MarkClean(std::uint32_t b) {
+  if (dirty_[b] == kClean) return;
+  dirty_[b] = kClean;
+  --dirty_count_;
+}
 
 void Table::MaybeSplit() {
   // Estimate the worst-case serialized bucket size cheaply: if average
@@ -135,8 +145,8 @@ void Table::MaybeSplit() {
   buckets_ = std::move(next);
   // Everything is dirty after redistribution: the next checkpoint rewrites
   // the whole file. LSN 0 forces these pages to flush first.
-  dirty_.clear();
-  for (std::uint32_t b = 0; b < buckets_.size(); ++b) dirty_.emplace(b, 0);
+  dirty_.assign(buckets_.size(), 0);
+  dirty_count_ = buckets_.size();
 }
 
 Status Table::LoadFile(ByteView file) {

@@ -44,7 +44,7 @@ class Table {
   };
   // Dirty buckets, oldest first (InnoDB flush-list order).
   std::vector<DirtyPage> DirtyPages() const;
-  bool IsDirty() const { return !dirty_.empty(); }
+  bool IsDirty() const { return dirty_count_ > 0; }
   // Smallest first-dirty LSN over dirty buckets, or nullopt when clean.
   std::optional<Lsn> OldestDirtyLsn() const;
 
@@ -70,13 +70,16 @@ class Table {
 
  private:
   std::uint32_t BucketOf(std::string_view key) const;
+  void MarkDirty(std::uint32_t b, Lsn lsn);
   void MaybeSplit();
 
   std::string name_;
   std::size_t page_size_;
   std::vector<std::map<std::string, Bytes>> buckets_;
-  // bucket -> first-dirty LSN
-  std::map<std::uint32_t, Lsn> dirty_;
+  // Per bucket: its first-dirty LSN, or kClean.
+  static constexpr Lsn kClean = ~Lsn{0};
+  std::vector<Lsn> dirty_;
+  std::size_t dirty_count_ = 0;
   std::uint64_t row_count_ = 0;
   std::uint64_t approx_bytes_ = 0;
 };

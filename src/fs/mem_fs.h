@@ -1,10 +1,18 @@
 // In-memory Vfs: deterministic, fast, and trivially "crashable" — tests
 // simulate a machine crash by simply abandoning the engine object; the
 // MemFs then holds exactly the bytes that were written before the crash.
+//
+// Each file is an anonymous memory mapping that grows with mremap, so a
+// growing file's bytes are never copied (the kernel moves page-table
+// entries, not pages), and pages nobody wrote cost no memory. Writers take
+// the lock exclusively (growth may move the mapping's address); readers,
+// views included, share it.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
-#include <mutex>
+#include <shared_mutex>
 
 #include "fs/vfs.h"
 
@@ -31,8 +39,32 @@ class MemFs : public Vfs {
   std::uint64_t TotalBytes() const;
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, Bytes, std::less<>> files_;
+  // One file's bytes. Everything in [size, capacity) reads as zero, so a
+  // write past the end leaves a zero hole without filling it.
+  class File {
+   public:
+    File() = default;
+    ~File();
+    File(File&& other) noexcept;
+    File& operator=(File&& other) noexcept;
+    File(const File&) = delete;
+    File& operator=(const File&) = delete;
+
+    std::size_t size() const { return size_; }
+    ByteView view() const { return ByteView(data_, size_); }
+    Status Write(std::uint64_t offset, ByteView data);
+    Status Resize(std::uint64_t size);
+
+   private:
+    Status Reserve(std::size_t bytes);
+
+    std::uint8_t* data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+  };
+
+  mutable std::shared_mutex mu_;
+  std::map<std::string, File, std::less<>> files_;
 };
 
 }  // namespace ginja

@@ -8,7 +8,7 @@ namespace ginja {
 
 TpccRunResult RunTpcc(TpccWorkload& workload, const TpccRunOptions& options) {
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> total{0}, neworder{0}, aborted{0};
+  std::atomic<std::uint64_t> total{0}, neworder{0}, aborted{0}, started{0};
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> terminals;
@@ -18,6 +18,10 @@ TpccRunResult RunTpcc(TpccWorkload& workload, const TpccRunOptions& options) {
       SplitMix64 rng(options.seed + static_cast<std::uint64_t>(t) * 7919);
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
+        if (options.max_txns > 0 &&
+            started.fetch_add(1, std::memory_order_relaxed) >= options.max_txns) {
+          break;
+        }
         const auto type = workload.PickType(rng);
         Status st = workload.Execute(type, rng);
         if (st.ok()) {
@@ -37,8 +41,10 @@ TpccRunResult RunTpcc(TpccWorkload& workload, const TpccRunOptions& options) {
     });
   }
 
-  std::this_thread::sleep_for(std::chrono::duration<double>(options.wall_seconds));
-  stop.store(true);
+  if (options.max_txns == 0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(options.wall_seconds));
+    stop.store(true);
+  }
   for (auto& t : terminals) t.join();
   const auto end = std::chrono::steady_clock::now();
 

@@ -34,6 +34,10 @@ struct TpccRunOptions {
   // the engine is configured for manual checkpointing). May be null.
   std::function<void()> tick;
   std::uint64_t tick_every_txns = 0;  // 0 = never
+  // When set, the terminals stop once this many transactions were started
+  // in all, and `wall_seconds` is ignored: a run of a fixed size, e.g. to
+  // leave the same bucket behind on every run.
+  std::uint64_t max_txns = 0;
 };
 
 TpccRunResult RunTpcc(TpccWorkload& workload, const TpccRunOptions& options);

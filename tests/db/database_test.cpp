@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+#include <set>
+#include <thread>
+#include <tuple>
+
+#include "common/rng.h"
 #include "db/database.h"
 #include "fs/mem_fs.h"
 
@@ -39,6 +46,61 @@ class FailingReadFs : public Vfs {
   std::shared_ptr<MemFs> inner_;
   std::string path_;
   std::uint64_t from_offset_;
+};
+
+// Forwards to a MemFs and logs every write, so two opens of one image can
+// be compared by the bytes their first checkpoint writes. It can also stage
+// a crash: the writes below an offset of one file are lost, and the first
+// write to another file fails.
+class WriteLogFs : public Vfs {
+ public:
+  using Entry = std::tuple<std::string, std::uint64_t, Bytes, bool>;
+
+  explicit WriteLogFs(std::shared_ptr<MemFs> inner) : inner_(std::move(inner)) {}
+
+  Status Write(std::string_view p, std::uint64_t o, ByteView d, bool sync) override {
+    if (!lost_path_.empty()) {
+      if (p == lost_path_ && o < lost_below_) return Status::Ok();
+      if (p == crash_path_) return Status::IoError("injected crash");
+    }
+    log_.emplace_back(std::string(p), o, Bytes(d.begin(), d.end()), sync);
+    return inner_->Write(p, o, d, sync);
+  }
+  Result<Bytes> Read(std::string_view p, std::uint64_t o, std::uint64_t s) override {
+    return inner_->Read(p, o, s);
+  }
+  Result<Bytes> ReadAll(std::string_view p) override { return inner_->ReadAll(p); }
+  // Table loads take a while next to the parse, so parsed records wait
+  // for their table to load: the case per-table ordering must get right.
+  Status ReadAllView(std::string_view p,
+                     const std::function<Status(ByteView)>& fn) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return inner_->ReadAllView(p, fn);
+  }
+  Result<std::uint64_t> FileSize(std::string_view p) override { return inner_->FileSize(p); }
+  bool Exists(std::string_view p) override { return inner_->Exists(p); }
+  Status Truncate(std::string_view p, std::uint64_t size) override {
+    return inner_->Truncate(p, size);
+  }
+  Status Remove(std::string_view p) override { return inner_->Remove(p); }
+  Result<std::vector<std::string>> ListFiles(std::string_view prefix) override {
+    return inner_->ListFiles(prefix);
+  }
+
+  void CrashAt(std::string crash_path, std::string lost_path,
+               std::uint64_t lost_below) {
+    crash_path_ = std::move(crash_path);
+    lost_path_ = std::move(lost_path);
+    lost_below_ = lost_below;
+  }
+  std::vector<Entry> TakeLog() { return std::exchange(log_, {}); }
+
+ private:
+  std::shared_ptr<MemFs> inner_;
+  std::string crash_path_;
+  std::string lost_path_;
+  std::uint64_t lost_below_ = 0;
+  std::vector<Entry> log_;
 };
 
 class DatabaseTest : public ::testing::TestWithParam<DbFlavor> {
@@ -284,6 +346,249 @@ TEST_P(DatabaseTest, ControlReadErrorFailsOpen) {
       fs, layout.ControlFileName(), layout.ControlOffset(layout.ControlSlotCount() - 1));
   Database db(failing, layout);
   EXPECT_EQ(db.Open().code(), ErrorCode::kIoError);
+}
+
+// -- Open is the same for any K ------------------------------------------------
+
+// A crashed image plus the committed rows it must recover to.
+struct Image {
+  DbLayout layout;
+  std::shared_ptr<MemFs> fs = std::make_shared<MemFs>();
+  std::map<std::string, std::map<std::string, Bytes>> rows;  // table -> key -> value
+  std::set<std::pair<std::string, std::string>> keys;         // every key ever written
+};
+
+// Everything an Open leaves behind that redo decides.
+struct Opened {
+  std::vector<std::string> tables;
+  std::map<std::string, std::uint64_t> row_counts;
+  std::map<std::string, std::map<std::string, Bytes>> rows;
+  std::map<std::string, std::vector<std::pair<std::uint32_t, Lsn>>> dirty;
+  Lsn wal_end = 0;
+  std::vector<WriteLogFs::Entry> checkpoint;  // the first checkpoint's writes
+};
+
+Opened OpenWithK(const Image& image, int k) {
+  Opened out;
+  auto log = std::make_shared<WriteLogFs>(image.fs->Clone());
+  Database db(log, image.layout, {}, k);
+  const Status st = db.Open();
+  EXPECT_TRUE(st.ok()) << "K=" << k << ": " << st.ToString();
+  out.tables = db.TableNames();
+  for (const auto& table : out.tables) {
+    out.row_counts[table] = db.RowCount(table);
+    for (const auto& d : db.DirtyPages(table)) {
+      out.dirty[table].emplace_back(d.bucket, d.first_dirty_lsn);
+    }
+  }
+  for (const auto& [table, key] : image.keys) {
+    if (auto value = db.Get(table, key)) out.rows[table][key] = *value;
+  }
+  out.wal_end = db.WalEndLsn();
+  EXPECT_TRUE(log->TakeLog().empty());  // Open itself writes nothing
+  // MySQL flushes the oldest dirty pages first, so its first fuzzy batch
+  // shows the first-dirty LSNs; the full checkpoint writes every page.
+  if (image.layout.flavor == DbFlavor::kMySql) EXPECT_TRUE(db.FuzzyFlush().ok());
+  EXPECT_TRUE(db.Checkpoint().ok());
+  out.checkpoint = log->TakeLog();
+  return out;
+}
+
+// Opens the image with K = 1 and with every larger K up to past the table
+// count, and expects every table to end the same; returns the K = 1 open.
+Opened ExpectSameForAnyK(const Image& image) {
+  Opened serial = OpenWithK(image, 1);
+  for (int k : {2, 3, 5, 8}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    const Opened parallel = OpenWithK(image, k);
+    EXPECT_EQ(parallel.tables, serial.tables);
+    EXPECT_EQ(parallel.row_counts, serial.row_counts);
+    EXPECT_EQ(parallel.rows, serial.rows);
+    EXPECT_EQ(parallel.dirty, serial.dirty);
+    EXPECT_EQ(parallel.wal_end, serial.wal_end);
+    EXPECT_EQ(parallel.checkpoint, serial.checkpoint);
+  }
+  return serial;
+}
+
+// Random committed transactions over five tables of different sizes:
+// puts of 0-300 byte values and deletes, so buckets split and rows move.
+// Every commit is mirrored into `image.rows`.
+void RunWorkload(Database& db, Image& image, int txns, std::uint64_t seed,
+                 int checkpoint_every = 0) {
+  static const char* kTables[] = {"big", "mid", "small", "tiny", "empty"};
+  static const int kKeys[] = {600, 200, 60, 10, 0};
+  SplitMix64 rng(seed);
+  for (int i = 0; i < txns; ++i) {
+    auto txn = db.Begin();
+    std::vector<std::tuple<std::string, std::string, std::optional<Bytes>>> ops;
+    const int n = 1 + static_cast<int>(rng.Next() % 6);
+    for (int j = 0; j < n; ++j) {
+      const int t = static_cast<int>(rng.Next() % 4);
+      const std::string key = "key-" + std::to_string(rng.Next() % kKeys[t]);
+      if (rng.Next() % 5 == 0) {
+        ASSERT_TRUE(db.Delete(txn, kTables[t], key).ok());
+        ops.emplace_back(kTables[t], key, std::nullopt);
+      } else {
+        Bytes value(rng.Next() % 300, static_cast<std::uint8_t>('a' + i % 26));
+        ASSERT_TRUE(db.Put(txn, kTables[t], key, value).ok());
+        ops.emplace_back(kTables[t], key, std::move(value));
+      }
+    }
+    ASSERT_TRUE(db.Commit(txn).ok());
+    for (auto& [table, key, value] : ops) {
+      image.keys.emplace(table, key);
+      if (value) {
+        image.rows[table][key] = std::move(*value);
+      } else {
+        image.rows[table].erase(key);
+      }
+    }
+    if (checkpoint_every > 0 && (i + 1) % checkpoint_every == 0) {
+      ASSERT_TRUE(db.Checkpoint().ok());
+    }
+  }
+}
+
+// Small logs so PostgreSQL recycles segments and the MySQL circular log
+// wraps; MySQL flushes fuzzily from the commit path.
+Image NewImage(DbFlavor flavor, DbOptions* options) {
+  Image image;
+  image.layout = flavor == DbFlavor::kPostgres ? DbLayout::Postgres() : DbLayout::MySql();
+  image.layout.wal_segment_size = 64 * image.layout.wal_page_size;
+  options->default_buckets = 2;
+  if (flavor == DbFlavor::kMySql) {
+    options->auto_checkpoint_wal_bytes = 8 * 1024;
+    options->fuzzy_batch_pages = 4;
+  }
+  return image;
+}
+
+Status CreateTables(Database& db) {
+  GINJA_RETURN_IF_ERROR(db.Create());
+  for (const char* name : {"big", "mid", "small", "tiny", "empty"}) {
+    GINJA_RETURN_IF_ERROR(db.CreateTable(name));
+  }
+  return Status::Ok();
+}
+
+// Expects the recovered rows to be the committed ones, naming the keys
+// that differ rather than printing both maps.
+void ExpectCommittedRows(const Opened& opened, const Image& image) {
+  for (const auto& [table, key] : image.keys) {
+    const auto* want = [&]() -> const Bytes* {
+      auto t = image.rows.find(table);
+      if (t == image.rows.end()) return nullptr;
+      auto k = t->second.find(key);
+      return k == t->second.end() ? nullptr : &k->second;
+    }();
+    const auto* got = [&]() -> const Bytes* {
+      auto t = opened.rows.find(table);
+      if (t == opened.rows.end()) return nullptr;
+      auto k = t->second.find(key);
+      return k == t->second.end() ? nullptr : &k->second;
+    }();
+    if (want == nullptr) {
+      EXPECT_EQ(got, nullptr) << table << "/" << key << " should be gone";
+    } else {
+      ASSERT_NE(got, nullptr) << table << "/" << key << " is missing";
+      EXPECT_TRUE(*got == *want) << table << "/" << key << " has a stale value";
+    }
+  }
+}
+
+TEST_P(DatabaseTest, OpenIsTheSameForAnyK) {
+  DbOptions options;
+  Image image = NewImage(GetParam(), &options);
+  {
+    Database db(image.fs, image.layout, options);
+    ASSERT_TRUE(CreateTables(db).ok());
+    // PostgreSQL checkpoints every 250 txns, MySQL flushes fuzzily; both
+    // crash with committed work past the last checkpoint.
+    RunWorkload(db, image, 1200, /*seed=*/7,
+                GetParam() == DbFlavor::kPostgres ? 250 : 0);
+    ASSERT_GT(db.WalEndLsn(), db.CheckpointLsn());
+  }
+  const Opened serial = ExpectSameForAnyK(image);
+  ExpectCommittedRows(serial, image);
+  for (const auto& [table, rows] : image.rows) {
+    EXPECT_EQ(serial.row_counts.at(table), rows.size()) << table;
+  }
+  EXPECT_FALSE(serial.checkpoint.empty());
+}
+
+TEST_P(DatabaseTest, TornRedistributionIsTheSameForAnyK) {
+  // A checkpoint after the buckets doubled rewrites every page. The crash
+  // comes before the catalog write, and of the table's pages only those
+  // past the old end of the file landed, so rows that moved to a new bucket
+  // sit both in its page (newer flush LSN) and in the stale page of their
+  // old bucket.
+  DbOptions options;
+  Image image = NewImage(GetParam(), &options);
+  options.auto_checkpoint_wal_bytes = 0;
+  // Room for the whole run: a forced flush would end the redistribution.
+  image.layout.wal_segment_size = 4096 * image.layout.wal_page_size;
+  const std::string file = image.layout.TableFileName("big");
+  auto log = std::make_shared<WriteLogFs>(image.fs);
+  Database db(log, image.layout, options);
+  ASSERT_TRUE(CreateTables(db).ok());
+  RunWorkload(db, image, 150, /*seed=*/11);
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_TRUE(db.DirtyPages("big").empty());
+  const std::uint64_t old_end = *image.fs->FileSize(file);
+  RunWorkload(db, image, 400, /*seed=*/12);
+  // A split marks every bucket dirty at LSN 0; no commit after the
+  // checkpoint has LSN 0.
+  const auto dirty = db.DirtyPages("big");
+  ASSERT_FALSE(dirty.empty());
+  ASSERT_EQ(dirty.front().first_dirty_lsn, 0u);
+  (void)log->TakeLog();
+  log->CrashAt(image.layout.CatalogFileName(), file, old_end);
+  EXPECT_FALSE(db.Checkpoint().ok());
+  std::size_t landed = 0;
+  for (const auto& entry : log->TakeLog()) landed += std::get<0>(entry) == file;
+  ASSERT_GT(landed, 0u);  // new pages landed beside the stale ones
+
+  const Opened serial = ExpectSameForAnyK(image);
+  ExpectCommittedRows(serial, image);
+}
+
+TEST_P(DatabaseTest, RecordForUnknownTableIsSkippedForAnyK) {
+  // The WAL holds records of a table the catalog no longer lists (dropped
+  // before the crash): every K skips them and redoes the rest.
+  DbOptions options;
+  Image image = NewImage(GetParam(), &options);
+  options.auto_checkpoint_wal_bytes = 0;
+  Bytes catalog_without_gone;
+  {
+    auto fs = std::make_shared<MemFs>();
+    Database db(fs, image.layout, options);
+    ASSERT_TRUE(CreateTables(db).ok());
+    catalog_without_gone = *fs->ReadAll(image.layout.CatalogFileName());
+  }
+  {
+    Database db(image.fs, image.layout, options);
+    ASSERT_TRUE(CreateTables(db).ok());
+    ASSERT_TRUE(db.CreateTable("gone").ok());
+    RunWorkload(db, image, 200, /*seed=*/13);
+    for (int i = 0; i < 20; ++i) {
+      auto txn = db.Begin();
+      ASSERT_TRUE(db.Put(txn, "gone", "g" + std::to_string(i), Bytes(40, 'g')).ok());
+      ASSERT_TRUE(db.Put(txn, "tiny", "t" + std::to_string(i), Bytes(8, 't')).ok());
+      ASSERT_TRUE(db.Commit(txn).ok());
+      image.keys.emplace("tiny", "t" + std::to_string(i));
+      image.keys.emplace("gone", "g" + std::to_string(i));
+      image.rows["tiny"]["t" + std::to_string(i)] = Bytes(8, 't');
+    }
+  }
+  ASSERT_TRUE(image.fs->Truncate(image.layout.CatalogFileName(), 0).ok());
+  ASSERT_TRUE(image.fs->Write(image.layout.CatalogFileName(), 0,
+                              View(catalog_without_gone), true).ok());
+
+  const Opened serial = ExpectSameForAnyK(image);
+  EXPECT_EQ(serial.tables.size(), 5u);
+  EXPECT_EQ(serial.rows.count("gone"), 0u);
+  ExpectCommittedRows(serial, image);
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, DatabaseTest,

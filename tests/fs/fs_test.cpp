@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "fs/intercept_fs.h"
 #include "fs/local_fs.h"
@@ -120,6 +123,96 @@ TEST_P(VfsConformance, ReadAllViewOfMissingFileIsNotFound) {
   EXPECT_FALSE(called);
 }
 
+// Bytes whose value depends on their offset, so a misplaced copy shows.
+Bytes Pattern(std::uint64_t offset, std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(((offset + i) * 31 + 7) >> 3);
+  }
+  return out;
+}
+
+TEST_P(VfsConformance, GrowthPastSeveralDoublingsKeepsEveryByte) {
+  // Appends of odd sizes, small and large, grow the file from one byte to
+  // megabytes: every byte must survive every growth.
+  const std::size_t sizes[] = {1, 4095, 4097, 65536, 300001};
+  std::uint64_t size = 0;
+  for (int i = 0; size < 3 * 1024 * 1024; ++i) {
+    const std::size_t n = sizes[i % 5];
+    ASSERT_TRUE(vfs_->Write("f", size, View(Pattern(size, n)), false).ok());
+    size += n;
+  }
+  auto all = vfs_->ReadAll("f");
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(*all == Pattern(0, size));
+  auto middle = vfs_->Read("f", size / 3, 10000);
+  ASSERT_TRUE(middle.ok());
+  EXPECT_TRUE(*middle == Pattern(size / 3, 10000));
+  // A write far past the end leaves a zero hole over several doublings.
+  ASSERT_TRUE(vfs_->Write("f", 4 * size, View(B("z")), false).ok());
+  auto hole = vfs_->Read("f", size, 3 * size);
+  ASSERT_TRUE(hole.ok());
+  EXPECT_TRUE(*hole == Bytes(3 * size, 0));
+  ASSERT_TRUE(vfs_->ReadAllView("f", [&](ByteView file) {
+                    EXPECT_EQ(file.size(), 4 * size + 1);
+                    EXPECT_EQ(file.back(), 'z');
+                    return Status::Ok();
+                  }).ok());
+}
+
+TEST_P(VfsConformance, TruncateThenRegrowReadsZeros) {
+  ASSERT_TRUE(vfs_->Write("f", 0, View(Bytes(100'000, 0xAB)), false).ok());
+  ASSERT_TRUE(vfs_->Truncate("f", 5'000).ok());
+  EXPECT_EQ(*vfs_->FileSize("f"), 5'000u);
+  // Regrow by writing past the end: the cut bytes come back as zeros.
+  ASSERT_TRUE(vfs_->Write("f", 90'000, View(B("x")), false).ok());
+  auto all = vfs_->ReadAll("f");
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 90'001u);
+  EXPECT_TRUE(std::all_of(all->begin(), all->begin() + 5'000,
+                          [](std::uint8_t b) { return b == 0xAB; }));
+  EXPECT_TRUE(std::all_of(all->begin() + 5'000, all->begin() + 90'000,
+                          [](std::uint8_t b) { return b == 0; }));
+  // Regrow by truncating up: zeros again, past the old end too.
+  ASSERT_TRUE(vfs_->Truncate("f", 10).ok());
+  ASSERT_TRUE(vfs_->Truncate("f", 200'000).ok());
+  all = vfs_->ReadAll("f");
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 200'000u);
+  EXPECT_TRUE(std::all_of(all->begin() + 10, all->end(),
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST_P(VfsConformance, ConcurrentViewReadersWhileAnotherFileIsWritten) {
+  // Readers view one file while a writer grows another (remapping it many
+  // times): every view sees the whole, unchanged file.
+  const Bytes a = Pattern(0, 1 << 20);
+  ASSERT_TRUE(vfs_->Write("a", 0, View(a), false).ok());
+  std::atomic<int> bad_views{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 30; ++i) {
+        const Status st = vfs_->ReadAllView("a", [&](ByteView file) {
+          if (!std::equal(file.begin(), file.end(), a.begin(), a.end())) ++bad_views;
+          return Status::Ok();
+        });
+        if (!st.ok()) ++bad_views;
+      }
+    });
+  }
+  std::uint64_t size = 0;
+  for (int i = 0; i < 48; ++i) {
+    ASSERT_TRUE(vfs_->Write("b", size, View(Pattern(size, 65536)), false).ok());
+    size += 65536;
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad_views.load(), 0);
+  auto b = vfs_->ReadAll("b");
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(*b == Pattern(0, size));
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, VfsConformance,
                          ::testing::Values("mem", "local", "intercept"));
 
@@ -129,6 +222,27 @@ TEST(MemFs, CloneIsDeepCopy) {
   auto clone = fs->Clone();
   ASSERT_TRUE(fs->Write("f", 0, View(B("v2")), false).ok());
   EXPECT_EQ(ToString(View(*clone->ReadAll("f"))), "v1");
+}
+
+TEST(MemFs, CloneStaysIndependentAsBothGrow) {
+  auto fs = std::make_shared<MemFs>();
+  ASSERT_TRUE(fs->Write("f", 0, View(Pattern(0, 10'000)), false).ok());
+  auto clone = fs->Clone();
+  // Each side grows and rewrites its copy past several doublings.
+  ASSERT_TRUE(fs->Write("f", 10'000, View(Bytes(500'000, 'o')), false).ok());
+  ASSERT_TRUE(clone->Write("f", 5'000, View(Bytes(200'000, 'c')), false).ok());
+  ASSERT_TRUE(clone->Write("g", 0, View(B("new")), false).ok());
+  ASSERT_TRUE(fs->Truncate("f", 20'000).ok());
+
+  Bytes original = Pattern(0, 10'000);
+  original.resize(20'000, 'o');
+  EXPECT_TRUE(*fs->ReadAll("f") == original);
+  EXPECT_FALSE(fs->Exists("g"));
+  Bytes copy = Pattern(0, 5'000);
+  copy.resize(205'000, 'c');
+  EXPECT_TRUE(*clone->ReadAll("f") == copy);
+  EXPECT_EQ(fs->TotalBytes(), 20'000u);
+  EXPECT_EQ(clone->TotalBytes(), 205'003u);
 }
 
 // -- InterceptFs -----------------------------------------------------------------

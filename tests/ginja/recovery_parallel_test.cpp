@@ -260,6 +260,18 @@ class SlowFirstWriteFs : public MemFs {
   std::atomic<bool> stalled_{false};
 };
 
+// A target whose every write takes 2 ms, like a slow disk: each item's
+// apply leaves the workers time to decode the items after it, however fast
+// the caller would otherwise be.
+class SlowWritesFs : public MemFs {
+ public:
+  Status Write(std::string_view path, std::uint64_t offset, ByteView data,
+               bool sync) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return MemFs::Write(path, offset, data, sync);
+  }
+};
+
 // Holds the GET of one object until `later` GETs of other objects have
 // been served, the way a slow first dump part holds a colocated restore.
 // Times out (and says so) rather than hanging a window that cannot get
@@ -405,7 +417,11 @@ TEST(RecoveryParallelTest, DecodedAheadBytesStayWithinBudget) {
   }
   for (std::size_t budget : {largest / 2, largest, 4 * largest}) {
     SCOPED_TRACE("budget=" + std::to_string(budget));
-    const DirectOutcome ahead = ApplyWhole(backup, 8, budget);
+    // Slow writes stall the apply, so the workers must decode ahead: the
+    // first pump may come before any blob landed, and a blob too large to
+    // prepay waits for the next one.
+    const DirectOutcome ahead =
+        ApplyWhole(backup, 8, budget, std::make_shared<SlowWritesFs>());
     EXPECT_EQ(ahead.result.items_applied, serial.result.items_applied);
     EXPECT_LE(ahead.result.peak_ahead_bytes, budget);
     EXPECT_GT(ahead.result.items_decoded_ahead, 0u);

@@ -118,6 +118,29 @@ TEST(Tpcc, WorkloadIsUpdateHeavy) {
   EXPECT_GT(result.TpmTotal(), result.TpmC());
 }
 
+TEST(Tpcc, MaxTxnsEndsTheRunAfterThatManyTransactions) {
+  TpccFixture fx;
+  TpccRunOptions options;
+  options.terminals = 3;
+  options.wall_seconds = 600;  // ignored once max_txns is set
+  options.max_txns = 200;
+  const auto result = RunTpcc(*fx.workload, options);
+  EXPECT_EQ(result.total_txns + result.aborted_txns, 200u);
+
+  // One terminal and a fixed count: two runs leave the same database.
+  Lsn wal_end[2];
+  std::uint64_t orders[2];
+  for (int run = 0; run < 2; ++run) {
+    TpccFixture single;
+    options.terminals = 1;
+    (void)RunTpcc(*single.workload, options);
+    wal_end[run] = single.db->WalEndLsn();
+    orders[run] = single.db->RowCount("orders");
+  }
+  EXPECT_EQ(wal_end[0], wal_end[1]);
+  EXPECT_EQ(orders[0], orders[1]);
+}
+
 TEST(Tpcc, SurvivesCrashRecovery) {
   TpccFixture fx;
   SplitMix64 rng(6);
