@@ -7,7 +7,7 @@
 #include "bench_common.h"
 #include "common/codec/aes128.h"
 #include "common/codec/hmac.h"
-#include "common/codec/lzss.h"
+#include "common/codec/lzh.h"
 
 using namespace ginja;
 using namespace ginja::bench;
@@ -51,7 +51,7 @@ double MeasureMBps(Fn&& fn, std::size_t bytes_per_op) {
 // Direct codec throughput: the pre-refactor envelope pipeline (a full-buffer
 // copy per stage, per-object AES key schedule) against the zero-copy
 // EncodeInto path, both with compression+encryption on. Both sides link
-// today's codec primitives (SHA-NI, AES-NI, word-wise LZSS), so the ratio
+// today's codec primitives (SHA-NI, AES-NI, LZ77 + Huffman), so the ratio
 // isolates the copy/allocation overhead alone; EXPERIMENTS.md records the
 // cumulative before/after against the seed encoder.
 void RunCodecThroughput() {
@@ -78,8 +78,8 @@ void RunCodecThroughput() {
     // and expand the AES key schedule per object.
     auto before = [&] {
       ++nonce;
-      Bytes processed = Lzss::Compress(View(payload));
-      std::uint8_t flags = 0x01;
+      Bytes processed = Lzh::Compress(View(payload));
+      std::uint8_t flags = 0x05;  // compressed | entropy-coded
       if (processed.size() >= payload.size()) {
         processed.assign(payload.begin(), payload.end());
         flags = 0;

@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): the hot primitives on Ginja's commit
-// path — LZSS, AES-128-CTR, HMAC-SHA1, CRC-32, the full envelope encode
-// (with latency percentiles), WAL appends, and page aggregation — plus both
-// halves of a cold restore (Ginja::Recover of a bucket, Database::Open).
+// path — the v1 LZSS and LZ77 + Huffman codecs, AES-128-CTR, HMAC-SHA1,
+// CRC-32, the full envelope encode (with latency percentiles), WAL appends,
+// and page aggregation — plus both halves of a cold restore
+// (Ginja::Recover of a bucket, Database::Open).
 // Codec throughput runs at 8 KiB / 256 KiB / 4 MiB; bytes_per_second and
 // the p50/p95/p99 counters land in the JSON output (--benchmark_format=json).
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "common/codec/crc32.h"
 #include "common/codec/envelope.h"
 #include "common/codec/hmac.h"
+#include "common/codec/lzh.h"
 #include "common/codec/lzss.h"
 #include "common/codec/sha1.h"
 #include "common/rng.h"
@@ -48,31 +50,105 @@ Bytes TpccLikePage(std::size_t size, std::uint64_t seed) {
   return page;
 }
 
-void BM_LzssCompress(benchmark::State& state) {
-  const Bytes page = TpccLikePage(static_cast<std::size_t>(state.range(0)), 1);
+// What a codec benchmark compresses: TPC-C-like rows (TpccLikePage), or the
+// engine's own bytes — table files (8 KiB pages, rows at the head and zero
+// tails) or the WAL — from a TPC-C population checkpointed and then run
+// for 3000 transactions.
+enum class Shape { kRows, kPages, kWal };
+
+Bytes ShapedInput(Shape shape, std::size_t size) {
+  if (shape == Shape::kRows) return TpccLikePage(size, 1);
+  static const std::pair<Bytes, Bytes> engine = [] {
+    const DbLayout layout = DbLayout::Postgres();
+    auto fs = std::make_shared<MemFs>();
+    Database db(fs, layout);
+    TpccConfig config;
+    config.scale = 20;
+    TpccWorkload tpcc(&db, config);
+    SplitMix64 rng(7);
+    if (db.Create().ok() && tpcc.Populate().ok() && db.Checkpoint().ok()) {
+      for (int i = 0; i < 3000; ++i) (void)tpcc.Execute(tpcc.PickType(rng), rng);
+    }
+    std::pair<Bytes, Bytes> out;  // pages, WAL
+    auto files = fs->ListFiles("");
+    for (const auto& path : files.ok() ? *files : std::vector<std::string>{}) {
+      auto bytes = fs->ReadAll(path);
+      if (!bytes.ok()) continue;
+      Append(path.rfind("pg_xlog/", 0) == 0 ? out.second : out.first, View(*bytes));
+    }
+    return out;
+  }();
+  const Bytes& source = shape == Shape::kPages ? engine.first : engine.second;
+  Bytes out;
+  while (!source.empty() && out.size() < size) {
+    Append(out, ByteView(source).first(std::min(source.size(), size - out.size())));
+  }
+  return out;
+}
+
+template <typename Codec>
+void CompressBench(benchmark::State& state, Shape shape) {
+  const Bytes input = ShapedInput(shape, static_cast<std::size_t>(state.range(0)));
+  std::size_t compressed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Lzss::Compress(View(page)));
+    const Bytes out = Codec::Compress(View(input));
+    compressed = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["ratio"] =
+      static_cast<double>(input.size()) / static_cast<double>(std::max<std::size_t>(compressed, 1));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+// bytes_per_second counts decoded (output) bytes, so two codecs compare
+// on the same payloads whatever their ratios.
+template <typename Codec>
+void DecompressBench(benchmark::State& state, Shape shape) {
+  const Bytes input = ShapedInput(shape, static_cast<std::size_t>(state.range(0)));
+  const Bytes compressed = Codec::Compress(View(input));
+  Bytes out(input.size());
+  for (auto _ : state) {
+    if (!Codec::DecompressInto(View(compressed), out.data(), out.size())) {
+      state.SkipWithError("decompress failed");
+      break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_LzssCompress)
+
+// The v1 LZSS stream (still decoded for objects written before the
+// entropy stage) and the LZ77 + Huffman stream envelopes write.
+void BM_LzssCompress(benchmark::State& state, Shape shape) { CompressBench<Lzss>(state, shape); }
+void BM_LzssDecompress(benchmark::State& state, Shape shape) { DecompressBench<Lzss>(state, shape); }
+void BM_LzhCompress(benchmark::State& state, Shape shape) { CompressBench<Lzh>(state, shape); }
+void BM_LzhDecompress(benchmark::State& state, Shape shape) { DecompressBench<Lzh>(state, shape); }
+
+BENCHMARK_CAPTURE(BM_LzssCompress, rows, Shape::kRows)
     ->Arg(512)
     ->Arg(8192)
     ->Arg(65536)
     ->Arg(256 * 1024)
     ->Arg(4 * 1024 * 1024);
-
-void BM_LzssDecompress(benchmark::State& state) {
-  const Bytes page = TpccLikePage(static_cast<std::size_t>(state.range(0)), 1);
-  const Bytes compressed = Lzss::Compress(View(page));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Lzss::Decompress(View(compressed)));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_LzssDecompress)->Arg(8192)->Arg(65536);
+BENCHMARK_CAPTURE(BM_LzssDecompress, rows, Shape::kRows)->Arg(8192)->Arg(65536);
+BENCHMARK_CAPTURE(BM_LzhCompress, rows, Shape::kRows)
+    ->Arg(512)
+    ->Arg(8192)
+    ->Arg(65536)
+    ->Arg(256 * 1024)
+    ->Arg(4 * 1024 * 1024);
+BENCHMARK_CAPTURE(BM_LzhDecompress, rows, Shape::kRows)->Arg(8192)->Arg(65536);
+BENCHMARK_CAPTURE(BM_LzssCompress, pages, Shape::kPages)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzssDecompress, pages, Shape::kPages)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzhCompress, pages, Shape::kPages)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzhDecompress, pages, Shape::kPages)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzssCompress, wal, Shape::kWal)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzssDecompress, wal, Shape::kWal)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzhCompress, wal, Shape::kWal)->Arg(8192)->Arg(256 * 1024);
+BENCHMARK_CAPTURE(BM_LzhDecompress, wal, Shape::kWal)->Arg(8192)->Arg(256 * 1024);
 
 // The engine checksums every WAL page on commit and every page and record
 // at redo; 8 KiB is one page.

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/codec/codec_pool.h"
+#include "common/codec/lzh.h"
 #include "common/codec/lzss.h"
 
 namespace ginja {
@@ -15,6 +16,25 @@ constexpr std::uint32_t kMagicV2 = 0x324A4E47u;  // "GNJ2" little-endian
 constexpr std::uint32_t kMagicV3 = 0x334A4E47u;  // "GNJ3" little-endian
 constexpr std::uint8_t kFlagCompressed = 0x01;
 constexpr std::uint8_t kFlagEncrypted = 0x02;
+// Set with kFlagCompressed: the compressed streams are Lzh streams, not the
+// v1 LZSS streams of objects written before the entropy stage.
+constexpr std::uint8_t kFlagEntropyCoded = 0x04;
+constexpr std::uint8_t kKnownFlags =
+    kFlagCompressed | kFlagEncrypted | kFlagEntropyCoded;
+
+// The decoder for a compressed stream under `flags`.
+struct StreamCodec {
+  std::optional<std::size_t> (*decoded_size)(ByteView);
+  bool (*decompress_into)(ByteView, std::uint8_t*, std::size_t);
+  std::size_t max_expansion;  // most bytes out per stream byte
+};
+constexpr StreamCodec kLzssCodec{&Lzss::DecodedSize, &Lzss::DecompressInto,
+                                 Lzss::kMaxMatch};
+constexpr StreamCodec kLzhCodec{&Lzh::DecodedSize, &Lzh::DecompressInto,
+                                Lzh::kMaxExpansion};
+const StreamCodec& CodecFor(std::uint8_t flags) {
+  return (flags & kFlagEntropyCoded) ? kLzhCodec : kLzssCodec;
+}
 
 // CTR blocks reserved per v2 chunk: chunk i starts its keystream at counter
 // i * BlocksPerChunk. enc_len never exceeds chunk_bytes (raw-store
@@ -190,9 +210,9 @@ void Envelope::EncodeV1Into(const PayloadView& payload, std::uint64_t nonce,
     stats_.bytes_compressed.Add(payload.size());
     Bytes scratch;
     const ByteView whole = GatherRange(payload, 0, payload.size(), scratch);
-    Lzss::CompressAppend(whole, out);
+    Lzh::CompressAppend(whole, out);
     if (out.size() - kHeaderSize < payload.size()) {
-      flags |= kFlagCompressed;
+      flags |= kFlagCompressed | kFlagEntropyCoded;
     } else {
       // Incompressible: store raw so the envelope never costs more storage
       // than the plaintext would.
@@ -220,7 +240,7 @@ void Envelope::EncodeV2Into(const PayloadView& payload, std::uint64_t nonce,
   const std::uint64_t blocks_per_chunk = BlocksPerChunk(chunk_bytes);
 
   std::uint8_t flags = 0;
-  if (options_.compress) flags |= kFlagCompressed;
+  if (options_.compress) flags |= kFlagCompressed | kFlagEntropyCoded;
   if (options_.encrypt) flags |= kFlagEncrypted;
 
   out.clear();
@@ -242,7 +262,7 @@ void Envelope::EncodeV2Into(const PayloadView& payload, std::uint64_t nonce,
 
     bool compressed = false;
     if (options_.compress) {
-      Lzss::CompressAppend(chunk, dst);
+      Lzh::CompressAppend(chunk, dst);
       if (dst.size() - body_pos < len) {
         compressed = true;
       } else {
@@ -273,7 +293,7 @@ void Envelope::EncodeV2Into(const PayloadView& payload, std::uint64_t nonce,
     }
   } else {
     // Chunks encode concurrently into per-chunk buffers, then concatenate.
-    // Identical bytes to the serial path: each chunk's LZSS stream and CTR
+    // Identical bytes to the serial path: each chunk's stream and CTR
     // counter range depend only on (payload, chunk index).
     std::vector<Bytes> bodies(nchunks);
     std::vector<std::uint32_t> tokens(nchunks);
@@ -345,14 +365,14 @@ Result<std::size_t> Envelope::PayloadSize(ByteView enveloped) const {
   }
   if (magic != kMagicV1) return Status::Corruption("bad envelope magic");
   if (!(flags & kFlagCompressed)) return body.size();
-  // A compressed v1 body opens with the LZSS stream's size varint, under
-  // the keystream's first bytes when encrypted.
+  // A compressed v1 body opens with the stream's size varint (Lzh and v1
+  // LZSS streams alike), under the keystream's first bytes when encrypted.
   body = body.first(std::min<std::size_t>(body.size(), 10));
   if (flags & kFlagEncrypted) {
     body = DecryptToScratch(enc_aes_, body, GetU64(enveloped.data() + 5), 0);
   }
   const auto size = GetVarint(body, pos);
-  if (!size) return Status::Corruption("LZSS stream corrupt");
+  if (!size) return Status::Corruption("compressed stream corrupt");
   return static_cast<std::size_t>(*size);
 }
 
@@ -366,6 +386,10 @@ Result<std::size_t> Envelope::DecodeAt(ByteView enveloped, const Aes128& aes,
     return Status::Corruption("bad envelope magic");
   }
   const std::uint8_t flags = enveloped[4];
+  if ((flags & ~kKnownFlags) != 0 ||
+      (flags & (kFlagCompressed | kFlagEntropyCoded)) == kFlagEntropyCoded) {
+    return Status::Corruption("unknown envelope flags");
+  }
   const std::uint64_t nonce = GetU64(enveloped.data() + 5);
 
   MacTag stored_mac;
@@ -389,6 +413,7 @@ Result<std::size_t> Envelope::DecodeV3At(ByteView enveloped, Bytes& out) const {
   // tail (truncate there). Every complete segment still MAC-verifies on
   // its own, so corruption inside an earlier segment is caught too. Each
   // segment decodes straight after the previous one's payload.
+  if (enveloped[4] != 0) return Status::Corruption("unknown stream flags");
   std::size_t end = 0;
   GINJA_RETURN_IF_ERROR(ForEachSegment(enveloped, [&](ByteView seg) {
     auto seg_end = DecodeAt(seg, enc_aes_, out, end);
@@ -417,11 +442,12 @@ Result<std::size_t> Envelope::DecodeV1At(std::uint8_t flags,
     stats_.bytes_encrypted.Add(body.size());
     body = DecryptToScratch(aes, body, nonce, 0);
   }
-  const auto size = Lzss::DecodedSize(body);
-  if (!size) return Status::Corruption("LZSS stream corrupt");
+  const StreamCodec& codec = CodecFor(flags);
+  const auto size = codec.decoded_size(body);
+  if (!size) return Status::Corruption("compressed stream corrupt");
   EnsureSize(out, at + *size);
-  if (!Lzss::DecompressInto(body, out.data() + at, *size)) {
-    return Status::Corruption("LZSS stream corrupt");
+  if (!codec.decompress_into(body, out.data() + at, *size)) {
+    return Status::Corruption("compressed stream corrupt");
   }
   stats_.bytes_decompressed.Add(*size);
   return at + *size;
@@ -451,6 +477,7 @@ Result<std::size_t> Envelope::DecodeV2At(std::uint8_t flags,
     std::size_t expect = 0;  // payload bytes
     bool compressed = false;
   };
+  const StreamCodec& codec = CodecFor(flags);
   std::vector<ChunkRef> chunks;
   std::size_t spos = 0;
   std::size_t logical = 0;
@@ -468,7 +495,7 @@ Result<std::size_t> Envelope::DecodeV2At(std::uint8_t flags,
     if (enc_len > *chunk_bytes || enc_len > stream.size() - spos) {
       return Status::Corruption("v2 chunk length out of range");
     }
-    if (compressed ? expect > enc_len * Lzss::kMaxMatch : expect != enc_len) {
+    if (compressed ? expect > enc_len * codec.max_expansion : expect != enc_len) {
       return Status::Corruption("v2 chunk size mismatch");
     }
     chunks.push_back({spos, enc_len, logical, expect, compressed});
@@ -504,7 +531,7 @@ Result<std::size_t> Envelope::DecodeV2At(std::uint8_t flags,
       return;
     }
     if (encrypted) src = DecryptToScratch(aes, src, nonce, counter);
-    if (!Lzss::DecompressInto(src, dst + c.begin, c.expect)) {
+    if (!codec.decompress_into(src, dst + c.begin, c.expect)) {
       corrupt.store(true, std::memory_order_relaxed);
       return;
     }
@@ -517,7 +544,7 @@ Result<std::size_t> Envelope::DecodeV2At(std::uint8_t flags,
   }
   stats_.bytes_decompressed.Add(decompressed.load(std::memory_order_relaxed));
   if (corrupt.load(std::memory_order_relaxed)) {
-    return Status::Corruption("v2 chunk LZSS stream corrupt");
+    return Status::Corruption("v2 chunk stream corrupt");
   }
   return at + *total;
 }

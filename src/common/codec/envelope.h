@@ -1,23 +1,29 @@
 // Object envelope: the on-cloud byte format of every Ginja object.
 //
-// Encoding applies, in order: LZSS compression (optional) → AES-128-CTR
-// encryption (optional) → HMAC-SHA1 over the processed payload (always,
-// §5.4: "basic integrity protection by storing a MAC of each object
-// together with it"). Decoding verifies the MAC before doing anything
-// else and reverses the pipeline.
+// Encoding applies, in order: compression (optional; LZ77 + Huffman, lzh.h)
+// → AES-128-CTR encryption (optional) → HMAC-SHA1 over the processed
+// payload (always, §5.4: "basic integrity protection by storing a MAC of
+// each object together with it"). Decoding verifies the MAC before doing
+// anything else and reverses the pipeline.
 //
 // Two wire versions share a 33-byte header (magic u32, flags u8, nonce u64,
 // mac 20B):
 //
 //   v1 'GNJ1' — payload is a single stream:
-//     payload ...            (LZSS stream if bit0, AES-CTR'd if bit1)
+//     payload ...            (compressed stream if bit0, AES-CTR'd if bit1)
 //
 //   v2 'GNJ2' — chunked layout used above parallel_encode_threshold:
 //     varint total_size      logical payload bytes
 //     varint chunk_bytes     logical bytes per chunk (last may be short)
 //     per chunk: u32 token = (enc_len << 1) | compressed, enc_len bytes
 //
-// v2 chunks hold independent LZSS streams and use CTR counter offset
+// Flag bits: 0x01 compressed, 0x02 encrypted, 0x04 entropy-coded (set with
+// 0x01: compressed streams are Lzh streams; without it they are the v1
+// LZSS streams of objects written before the entropy stage, which still
+// decode). Encoders write 0x04 whenever they compress. A decoder rejects
+// any other bit as Corruption. The flags byte sits outside the MAC.
+//
+// v2 chunks hold independent compressed streams and use CTR counter offset
 // chunk_index * blocks_per_chunk, so chunks encode concurrently with
 // disjoint keystream ranges and byte-identical output regardless of the
 // thread count. Incompressible chunks store raw (compressed bit 0), which
@@ -30,7 +36,7 @@
 // streaming them):
 //
 //   v3 'GNJ3' — segment container, no header MAC:
-//     u32 magic, u8 flags (reserved, 0)           the 5-byte prologue
+//     u32 magic, u8 flags (reserved, 0; else Corruption)  the 5-byte prologue
 //     per segment: u32 seg_len, seg_len bytes     a complete v1/v2 envelope
 //
 // Each segment is a self-contained envelope with its own MAC and its own

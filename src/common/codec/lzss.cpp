@@ -6,6 +6,7 @@
 
 namespace ginja {
 
+namespace lz {
 namespace {
 
 constexpr std::size_t kHashBits = 15;
@@ -20,8 +21,8 @@ inline std::uint32_t HashAt(const std::uint8_t* p) {
 
 // Length of the common prefix of a and b, capped at max_len. Compares a word
 // at a time; the XOR of two words pinpoints the first differing byte.
-inline std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
-                               std::size_t max_len) {
+inline std::size_t CommonPrefix(const std::uint8_t* a, const std::uint8_t* b,
+                                std::size_t max_len) {
   std::size_t len = 0;
 #if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   while (len + 8 <= max_len) {
@@ -39,7 +40,136 @@ inline std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
   return len;
 }
 
+inline std::size_t PutVarintAt(std::uint8_t* p, std::size_t at, std::size_t v) {
+  while (v >= 0x80) {
+    p[at++] = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  p[at++] = static_cast<std::uint8_t>(v);
+  return at;
+}
+
 }  // namespace
+
+Parser::Parser(ByteView input) : input_(input) {
+  // Hash chains: head[h] = most recent position with hash h; prev[i] = the
+  // previous position with the same hash as i. The tables are thread-local
+  // so repeated calls (and the per-chunk parallel encoders) skip the
+  // allocation, and they store positions offset by `base_`, which starts
+  // past every value an earlier parse on this thread stored: an entry below
+  // base_ reads as "no position", so `head` needs no reset per parse (it
+  // is 128 KiB; clearing it dominated small inputs). `prev` needs no
+  // initialisation at all — a chain only reaches entries inserted this
+  // parse, and insertion writes prev[i] before linking i into its chain.
+  thread_local std::vector<std::uint32_t> head;
+  thread_local std::vector<std::uint32_t> prev;
+  thread_local std::uint64_t next_base = 0;
+  if (head.empty() || next_base + input.size() > UINT32_MAX) {
+    head.assign(kHashSize, 0);
+    next_base = 1;
+  }
+  base_ = static_cast<std::uint32_t>(next_base);
+  next_base += input.size();
+  if (prev.size() < input.size()) prev.resize(input.size());
+  head_ = head.data();
+  prev_ = prev.data();
+}
+
+std::size_t Parser::Parse(std::size_t limit, Token* out, TokenCounts& counts) {
+  const std::uint8_t* const data = input_.data();
+  const std::size_t size = input_.size();
+  const std::uint32_t base = base_;
+  limit = std::min(limit, size);
+  std::size_t n = 0;
+  std::size_t pos = pos_;
+  auto insert = [&](std::size_t at) {
+    const std::uint32_t h = HashAt(data + at);
+    prev_[at] = head_[h];
+    head_[h] = base + static_cast<std::uint32_t>(at);
+  };
+  while (pos < limit) {
+    std::size_t best_len = 0;
+    std::size_t best_dist = 0;
+    if (pos + kMinMatch <= size) {
+      // The next position's chain head, fetched while this one's chain is
+      // walked: most positions are literals, which move on by one.
+      if (pos + 1 + kMinMatch <= size) __builtin_prefetch(&head_[HashAt(data + pos + 1)]);
+      std::uint32_t entry = head_[HashAt(data + pos)];
+      const std::size_t max_len = std::min(kMaxMatch, size - pos);
+      for (int probes = 0; entry >= base && probes < kMaxChainProbes; ++probes) {
+        const std::size_t cand = entry - base;
+        const std::size_t dist = pos - cand;
+        if (dist > kWindow) break;
+        const std::uint8_t* a = data + cand;
+        const std::uint8_t* b = data + pos;
+        // A candidate can only beat best_len if it also matches at that
+        // offset, so reject most losers with one byte compare.
+        if (best_len > 0 && a[best_len] != b[best_len]) {
+          entry = prev_[cand];
+          continue;
+        }
+        const std::size_t len = CommonPrefix(a, b, max_len);
+        if (len > best_len) {
+          best_len = len;
+          best_dist = dist;
+          if (len == max_len) break;
+        }
+        entry = prev_[cand];
+      }
+    }
+
+    if (best_len >= kMinMatch) {
+      const Token t = MatchToken(best_dist, best_len);
+      out[n++] = t;
+      ++counts.litlen[Symbol(t)];
+      ++counts.dist[DistSymbol(t)];
+      // Insert hash entries for every covered position (cheap, improves
+      // later matches on page-structured data).
+      const std::size_t end = pos + best_len;
+      for (; pos < end && pos + kMinMatch <= size; ++pos) insert(pos);
+      pos = end;
+    } else {
+      out[n++] = LiteralToken(data[pos]);
+      ++counts.litlen[data[pos]];
+      if (pos + kMinMatch <= size) insert(pos);
+      ++pos;
+    }
+  }
+  pos_ = pos;
+  return n;
+}
+
+Token* TokenScratch(std::size_t n) {
+  thread_local std::vector<Token> tokens;
+  if (tokens.size() < n) tokens.resize(n);
+  return tokens.data();
+}
+
+void V1Writer::Put(const Token* tokens, std::size_t n) {
+  // A token takes at most 5 bytes and a group's flag byte one more per 8
+  // tokens; the slack is trimmed at the end.
+  std::size_t at = out_.size();
+  out_.resize(at + n * 5 + n / 8 + 1);
+  std::uint8_t* const p = out_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (count_ == 0) {
+      flag_pos_ = at;
+      p[at++] = 0;
+    }
+    const Token t = tokens[i];
+    if (IsMatch(t)) {
+      p[flag_pos_] |= static_cast<std::uint8_t>(1u << count_);
+      at = PutVarintAt(p, at, MatchDistance(t));
+      at = PutVarintAt(p, at, MatchLength(t) - kMinMatch);
+    } else {
+      p[at++] = static_cast<std::uint8_t>(Symbol(t));
+    }
+    if (++count_ == 8) count_ = 0;
+  }
+  out_.resize(at);
+}
+
+}  // namespace lz
 
 Bytes Lzss::Compress(ByteView input) {
   Bytes out;
@@ -51,91 +181,14 @@ Bytes Lzss::Compress(ByteView input) {
 void Lzss::CompressAppend(ByteView input, Bytes& out) {
   PutVarint(out, input.size());
   if (input.empty()) return;
-
-  // Hash chains: head[h] = most recent position with hash h; prev[i] = the
-  // previous position with the same hash as i. The scratch vectors are
-  // thread-local so repeated calls (and the per-chunk parallel encoders)
-  // skip the allocation; `head` must be reset every call, but `prev` needs
-  // no initialisation — a chain only reaches entries inserted this call,
-  // and insertion writes prev[i] before linking i into its chain.
-  thread_local std::vector<std::int32_t> head;
-  thread_local std::vector<std::int32_t> prev;
-  head.assign(kHashSize, -1);
-  if (prev.size() < input.size()) prev.resize(input.size());
-
-  Bytes pending;          // token payload bytes for the current flag group
-  std::uint8_t flags = 0; // bit i set => token i is a match
-  int flag_count = 0;
-  std::size_t flag_pos = out.size();
-  out.push_back(0);  // placeholder for first control byte
-
-  auto flush_group = [&](bool start_new) {
-    out[flag_pos] = flags;
-    Append(out, View(pending));
-    pending.clear();
-    flags = 0;
-    flag_count = 0;
-    if (start_new) {
-      flag_pos = out.size();
-      out.push_back(0);
-    }
-  };
-
-  std::size_t pos = 0;
-  while (pos < input.size()) {
-    std::size_t best_len = 0;
-    std::size_t best_dist = 0;
-    if (pos + kMinMatch <= input.size()) {
-      const std::uint32_t h = HashAt(input.data() + pos);
-      std::int32_t cand = head[h];
-      const std::size_t max_len = std::min(kMaxMatch, input.size() - pos);
-      for (int probes = 0; cand >= 0 && probes < kMaxChainProbes; ++probes) {
-        const std::size_t dist = pos - static_cast<std::size_t>(cand);
-        if (dist > kWindow) break;
-        const std::uint8_t* a = input.data() + cand;
-        const std::uint8_t* b = input.data() + pos;
-        // A candidate can only beat best_len if it also matches at that
-        // offset, so reject most losers with one byte compare.
-        if (best_len > 0 && a[best_len] != b[best_len]) {
-          cand = prev[cand];
-          continue;
-        }
-        const std::size_t len = MatchLength(a, b, max_len);
-        if (len > best_len) {
-          best_len = len;
-          best_dist = dist;
-          if (len == max_len) break;
-        }
-        cand = prev[cand];
-      }
-    }
-
-    if (best_len >= kMinMatch) {
-      flags |= static_cast<std::uint8_t>(1u << flag_count);
-      PutVarint(pending, best_dist);
-      PutVarint(pending, best_len - kMinMatch);
-      // Insert hash entries for every covered position (cheap, improves
-      // later matches on page-structured data).
-      const std::size_t end = pos + best_len;
-      for (; pos < end && pos + kMinMatch <= input.size(); ++pos) {
-        const std::uint32_t h = HashAt(input.data() + pos);
-        prev[pos] = head[h];
-        head[h] = static_cast<std::int32_t>(pos);
-      }
-      pos = end;
-    } else {
-      pending.push_back(input[pos]);
-      if (pos + kMinMatch <= input.size()) {
-        const std::uint32_t h = HashAt(input.data() + pos);
-        prev[pos] = head[h];
-        head[h] = static_cast<std::int32_t>(pos);
-      }
-      ++pos;
-    }
-
-    if (++flag_count == 8) flush_group(pos < input.size());
+  constexpr std::size_t kStep = 64 * 1024;  // tokens buffered per write
+  lz::Parser parser(input);
+  lz::V1Writer writer(out);
+  lz::Token* const tokens = lz::TokenScratch(kStep);
+  lz::TokenCounts unused = {};  // the v1 layout needs no symbol counts
+  while (!parser.done()) {
+    writer.Put(tokens, parser.Parse(parser.pos() + kStep, tokens, unused));
   }
-  if (flag_count > 0) flush_group(false);
 }
 
 std::optional<Bytes> Lzss::Decompress(ByteView input) {
@@ -160,53 +213,19 @@ bool Lzss::DecompressInto(ByteView input, std::uint8_t* dst, std::size_t len) {
   std::size_t pos = 0;
   const auto orig_size = GetVarint(input, pos);
   if (!orig_size || *orig_size != len) return false;
+  lz::OutputSink sink{dst, 0, len};
+  return lz::ReadV1Tokens(input.subspan(pos), sink);
+}
 
-  std::size_t out = 0;
-  while (out < len) {
-    if (pos >= input.size()) return false;
-    const std::uint8_t flags = input[pos++];
-    for (int bit = 0; bit < 8 && out < len; ++bit) {
-      if (flags & (1u << bit)) {
-        const auto dist = GetVarint(input, pos);
-        const auto len_enc = GetVarint(input, pos);
-        if (!dist || !len_enc || *dist == 0 || *dist > out ||
-            *len_enc > kMaxMatch - kMinMatch ||
-            *len_enc + kMinMatch > len - out) {
-          return false;
-        }
-        const std::size_t n = *len_enc + kMinMatch;
-        std::uint8_t* to = dst + out;
-        const std::uint8_t* from = to - *dist;
-        if (*dist >= n) {
-          std::memcpy(to, from, n);
-        } else {
-          // Overlapping run: seed with the `dist`-byte period, then double
-          // the copied region until the match is filled.
-          std::memcpy(to, from, *dist);
-          std::size_t copied = *dist;
-          while (copied < n) {
-            const std::size_t m = std::min(copied, n - copied);
-            std::memcpy(to + copied, to, m);
-            copied += m;
-          }
-        }
-        out += n;
-      } else {
-        // Literal run: consume every consecutive 0-flag in this group with
-        // one block copy instead of a byte-at-a-time loop.
-        int run = 1;
-        while (bit + run < 8 && !(flags & (1u << (bit + run)))) ++run;
-        const std::size_t take = std::min<std::size_t>(
-            {static_cast<std::size_t>(run), len - out, input.size() - pos});
-        if (take == 0) return false;
-        std::memcpy(dst + out, input.data() + pos, take);
-        pos += take;
-        out += take;
-        bit += static_cast<int>(take) - 1;
-      }
-    }
-  }
-  return pos == input.size();  // the encoder never leaves trailing bytes
+std::optional<std::vector<lz::Token>> Lzss::Tokens(ByteView input) {
+  const auto size = DecodedSize(input);
+  if (!size) return std::nullopt;
+  std::size_t pos = 0;
+  (void)GetVarint(input, pos);
+  std::vector<lz::Token> tokens;
+  lz::TokenSink sink{&tokens, 0, *size};
+  if (!lz::ReadV1Tokens(input.subspan(pos), sink)) return std::nullopt;
+  return tokens;
 }
 
 }  // namespace ginja

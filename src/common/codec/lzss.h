@@ -1,34 +1,33 @@
-// LZSS compression implemented from scratch.
+// LZSS compression implemented from scratch: the v1 compressed stream.
 //
-// Stand-in for the paper's "ZLIB configured for fastest operation" (§6):
-// a greedy LZ77 variant with a hash-chain match finder, emitting
-// (literal | back-reference) tokens with varint lengths. On WAL pages full
-// of TPC-C rows it achieves roughly the paper's compression rate (~1.4×).
+// The first stand-in for the paper's "ZLIB configured for fastest
+// operation" (§6): the greedy hash-chain LZ77 parse of lz_tokens.h with
+// its tokens written raw. Envelopes no longer write this stream (they
+// write the entropy-coded one of lzh.h over the same parse); its decoder
+// stays so objects written before restore, and its encoder stays for
+// tests, fixtures and benchmarks.
 //
-// Format: [varint original_size] then a token stream. Each control byte
-// holds 8 flags (LSB first); flag=0 → literal byte, flag=1 → match:
-// varint distance (>=1), varint length - kMinMatch (a match is at most
-// kMaxMatch bytes). The stream ends exactly after the token that completes
-// original_size.
+// Format: [varint original_size] then the v1 token layout (lz_tokens.h).
+// The stream ends exactly after the token that completes original_size.
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/codec/lz_tokens.h"
 
 namespace ginja {
 
 class Lzss {
  public:
-  static constexpr std::size_t kMinMatch = 4;
-  static constexpr std::size_t kMaxMatch = 255 + kMinMatch;
-  static constexpr std::size_t kWindow = 1 << 16;
+  static constexpr std::size_t kMinMatch = lz::kMinMatch;
+  static constexpr std::size_t kMaxMatch = lz::kMaxMatch;
+  static constexpr std::size_t kWindow = lz::kWindow;
 
   static Bytes Compress(ByteView input);
 
-  // Appends the compressed stream to `out` without allocating an output
-  // buffer of its own — the envelope encoder compresses straight into the
-  // upload buffer it has already reserved.
+  // Appends the compressed stream to `out`.
   static void CompressAppend(ByteView input, Bytes& out);
 
   // Returns nullopt if the stream is malformed/truncated.
@@ -45,6 +44,9 @@ class Lzss {
   // or a malformed, truncated or over-long stream. Back-references may not
   // reach before dst.
   static bool DecompressInto(ByteView input, std::uint8_t* dst, std::size_t len);
+
+  // The tokens a stream holds, or nullopt when it is malformed.
+  static std::optional<std::vector<lz::Token>> Tokens(ByteView input);
 };
 
 }  // namespace ginja

@@ -1,6 +1,6 @@
 // Seeded-mutation tests for the in-place decoders: Lzss::DecompressInto,
-// Envelope::DecodeInto (GNJ1, GNJ2 and GNJ3), the view-returning
-// DecodeEntries and the GMF1 manifest decoder — plus the object-name
+// Lzh::DecompressInto, Envelope::DecodeInto (GNJ1, GNJ2 and GNJ3), the
+// view-returning DecodeEntries and the GMF1 manifest decoder — plus the object-name
 // decoders, which must accept only the spelling they encode. Every truncation point and a few hundred seeded
 // single-byte flips of valid streams must fail cleanly (false or
 // Corruption, a MAC failure for authenticated bytes) and never touch
@@ -10,15 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "common/codec/envelope.h"
 #include "common/codec/hmac.h"
+#include "common/codec/lzh.h"
 #include "common/codec/lzss.h"
 #include "common/rng.h"
 #include "ginja/dedup.h"
 #include "ginja/object_id.h"
 #include "ginja/payload.h"
+#include "tests/common/codec_inputs.h"
 
 namespace ginja {
 namespace {
@@ -152,6 +157,61 @@ TEST(DecoderMutation, LzssRejectsHandCraftedMalformedTokens) {
   EXPECT_FALSE(Lzss::Decompress(View(huge)).has_value());
 }
 
+// -- Lzh --------------------------------------------------------------------------
+
+// A page-shaped and a WAL-shaped input: the first codes mostly matches,
+// the second mostly literals, so flips land in both kinds of code.
+std::vector<Bytes> LzhInputs(std::uint64_t seed) {
+  return {testing_inputs::PageShaped(6000, seed), testing_inputs::WalShaped(3000, seed + 1)};
+}
+
+TEST(DecoderMutation, LzhDecompressIntoRoundTripsAndChecksTheSize) {
+  for (const Bytes& plain : LzhInputs(1)) {
+    const Bytes stream = Lzh::Compress(View(plain));
+    FencedBuffer out(plain.size());
+    ASSERT_TRUE(Lzh::DecompressInto(View(stream), out.data(), out.size()));
+    EXPECT_TRUE(std::equal(plain.begin(), plain.end(), out.view().begin()));
+    EXPECT_TRUE(out.FencesIntact());
+    for (std::size_t wrong : {plain.size() - 1, plain.size() + 1, std::size_t{0}}) {
+      FencedBuffer other(wrong);
+      EXPECT_FALSE(Lzh::DecompressInto(View(stream), other.data(), other.size())) << wrong;
+      EXPECT_TRUE(other.FencesIntact()) << wrong;
+    }
+    Bytes trailing = stream;
+    trailing.push_back(0);
+    EXPECT_FALSE(Lzh::DecompressInto(View(trailing), out.data(), out.size()));
+  }
+}
+
+TEST(DecoderMutation, LzhRejectsEveryTruncation) {
+  for (const Bytes& plain : LzhInputs(2)) {
+    const Bytes stream = Lzh::Compress(View(plain));
+    for (std::size_t keep = 0; keep < stream.size(); ++keep) {
+      const Bytes cut = Exact(ByteView(stream.data(), keep));
+      FencedBuffer out(plain.size());
+      EXPECT_FALSE(Lzh::DecompressInto(View(cut), out.data(), out.size())) << keep;
+      EXPECT_TRUE(out.FencesIntact()) << keep;
+      EXPECT_FALSE(Lzh::Decompress(View(cut)).has_value()) << keep;
+    }
+  }
+}
+
+TEST(DecoderMutation, LzhSeededFlipsStayInBounds) {
+  for (const Bytes& plain : LzhInputs(3)) {
+    const Bytes stream = Lzh::Compress(View(plain));
+    SplitMix64 rng(37);
+    for (int trial = 0; trial < kFlips; ++trial) {
+      Bytes mutated = Exact(View(stream));
+      mutated[rng.NextBelow(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+      FencedBuffer out(plain.size());
+      (void)Lzh::DecompressInto(View(mutated), out.data(), out.size());
+      EXPECT_TRUE(out.FencesIntact()) << "trial " << trial;
+      const auto decoded = Lzh::Decompress(View(mutated));
+      EXPECT_LE(decoded.value_or(Bytes{}).size(), mutated.size() * Lzh::kMaxExpansion);
+    }
+  }
+}
+
 // -- Envelope -------------------------------------------------------------------
 
 enum class Version { kV1, kV2, kV3 };
@@ -259,7 +319,7 @@ TEST_P(EnvelopeMutation, SeededFlipsFailOutsideTheUnauthenticatedHeaderBytes) {
 
 TEST(DecoderMutation, EnvelopeFlipsBehindAResealedMacStayInBounds) {
   // Re-sealing the MAC after the flip hands corrupt bodies to the
-  // structural decoders (v2 token table, chunk slices, LZSS) — the inputs
+  // structural decoders (v2 token table, chunk slices, Lzh) — the inputs
   // a MAC normally screens out — so they must bounds-check on their own.
   for (const Version version : {Version::kV1, Version::kV2}) {
     for (const int mode : {0, 1, 3}) {
@@ -280,8 +340,41 @@ TEST(DecoderMutation, EnvelopeFlipsBehindAResealedMacStayInBounds) {
         if (!st.ok()) {
           EXPECT_EQ(st.code(), ErrorCode::kCorruption) << "trial " << trial;
         } else {
-          EXPECT_LE(out.size(), mutated.size() * Lzss::kMaxMatch) << "trial " << trial;
+          EXPECT_LE(out.size(), mutated.size() * Lzh::kMaxExpansion) << "trial " << trial;
         }
+      }
+    }
+  }
+}
+
+TEST(DecoderMutation, LegacyLzssEnvelopeFlipsBehindAResealedMacStayInBounds) {
+  // The same for the frozen objects whose bodies are LZSS streams (flag
+  // 0x04 clear), which still go through the LZSS decoder.
+  EnvelopeOptions options;
+  options.compress = true;
+  options.encrypt = true;
+  options.password = "legacy-fixture";
+  const Envelope env(options);
+  const auto mac_key = DeriveKey(options.password, "ginja-mac");
+  for (const char* name : {"gnj1_compress_encrypt.bin", "gnj2_compress_encrypt.bin"}) {
+    std::ifstream f(std::string(GINJA_FIXTURE_DIR) + "/" + name, std::ios::binary);
+    const Bytes object((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+    ASSERT_GT(object.size(), Envelope::kHeaderSize) << name;
+    SplitMix64 rng(97);
+    Bytes out;
+    for (int trial = 0; trial < kFlips; ++trial) {
+      Bytes mutated = Exact(View(object));
+      const std::size_t at =
+          Envelope::kHeaderSize + rng.NextBelow(mutated.size() - Envelope::kHeaderSize);
+      mutated[at] ^= static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+      const MacTag mac = HmacSha1(ByteView(mac_key.data(), mac_key.size()),
+                                  ByteView(mutated).subspan(Envelope::kHeaderSize));
+      std::memcpy(mutated.data() + 13, mac.data(), mac.size());
+      const Status st = env.DecodeInto(View(mutated), out);
+      if (!st.ok()) {
+        EXPECT_EQ(st.code(), ErrorCode::kCorruption) << name << " trial " << trial;
+      } else {
+        EXPECT_LE(out.size(), mutated.size() * Lzss::kMaxMatch) << name << " trial " << trial;
       }
     }
   }

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "common/codec/aes128.h"
 #include "common/codec/codec_pool.h"
 #include "common/codec/envelope.h"
 #include "common/codec/hmac.h"
+#include "common/codec/lzh.h"
 #include "common/codec/lzss.h"
+#include "common/codec/sha1.h"
 #include "common/rng.h"
+#include "tests/common/codec_inputs.h"
 
 namespace ginja {
 namespace {
@@ -81,17 +87,18 @@ TEST(EnvelopeV2, LargePayloadsBecomeV2) {
   EXPECT_EQ(*decoded, payload);
 }
 
-// The legacy v1 byte layout must be stable: a v1 object written by the old
-// single-buffer encoder and one written by EncodeInto are interchangeable,
-// which the verifier/failover/PITR paths rely on. Reproduce the old
-// encoder's output by hand and compare.
+// The v1 byte layout must be stable: a v1 object written by the
+// single-buffer form of the encoder and one written by EncodeInto are
+// interchangeable, which the verifier/failover/PITR paths rely on.
+// Reproduce that form by hand (compress, encrypt, MAC, header with flags
+// compressed | encrypted | entropy-coded) and compare.
 TEST(EnvelopeV2, V1LayoutMatchesLegacyEncoder) {
   EnvelopeOptions o = AllOn();
   Envelope env(o);
   const Bytes payload = CompressiblePayload(4096, 3);
   const std::uint64_t nonce = 99;
 
-  Bytes processed = Lzss::Compress(View(payload));
+  Bytes processed = Lzh::Compress(View(payload));
   ASSERT_LT(processed.size(), payload.size());
   Aes128 aes(DeriveKey(o.password, "ginja-enc"));
   processed = aes.Ctr(View(processed), nonce);
@@ -100,12 +107,112 @@ TEST(EnvelopeV2, V1LayoutMatchesLegacyEncoder) {
       HmacSha1(ByteView(mac_key.data(), mac_key.size()), View(processed));
   Bytes legacy;
   PutU32(legacy, 0x314A4E47u);
-  legacy.push_back(0x03);  // compressed | encrypted
+  legacy.push_back(0x07);  // compressed | encrypted | entropy-coded
   PutU64(legacy, nonce);
   Append(legacy, ByteView(mac.data(), mac.size()));
   Append(legacy, View(processed));
 
   EXPECT_EQ(env.Encode(View(payload), nonce), legacy);
+}
+
+// -- objects written before the entropy stage ---------------------------------
+
+// Frozen objects from the encoder that wrote v1 LZSS streams (flags 0x03,
+// compressed | encrypted): a GNJ1 object of 16 KiB and a GNJ2 object of
+// 32 KiB in four 8 KiB chunks, each holding page-shaped then WAL-shaped
+// bytes (tests/common/codec_inputs.h). Buckets written then must restore.
+struct LegacyFixture {
+  const char* file;
+  std::uint32_t magic;
+  std::size_t pages, wal;  // payload = PageShaped(pages, seed) + WalShaped(wal, seed + 1)
+  std::uint64_t seed;
+  const char* payload_sha1;
+};
+
+constexpr LegacyFixture kLegacyFixtures[] = {
+    {"gnj1_compress_encrypt.bin", 0x314A4E47u, 8 * 1024, 8 * 1024, 1,
+     "0ffe46663dfefe9c74ea6b0956674fae511e9574"},
+    {"gnj2_compress_encrypt.bin", 0x324A4E47u, 16 * 1024, 16 * 1024, 3,
+     "3dda8a2197e671d0bcd5466febee7bd0ff1b514a"},
+};
+
+Bytes ReadFixture(const char* name) {
+  std::ifstream f(std::string(GINJA_FIXTURE_DIR) + "/" + name, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+EnvelopeOptions LegacyOptions() {
+  EnvelopeOptions o;
+  o.compress = true;
+  o.encrypt = true;
+  o.password = "legacy-fixture";
+  return o;
+}
+
+TEST(EnvelopeLegacy, FrozenLzssObjectsStillDecode) {
+  const Envelope env(LegacyOptions());
+  for (const LegacyFixture& fx : kLegacyFixtures) {
+    const Bytes object = ReadFixture(fx.file);
+    ASSERT_GT(object.size(), Envelope::kHeaderSize) << fx.file;
+    EXPECT_EQ(GetU32(object.data()), fx.magic) << fx.file;
+    EXPECT_EQ(object[4], 0x03) << fx.file;  // no entropy-coded bit
+
+    auto payload = env.Decode(View(object));
+    ASSERT_TRUE(payload.ok()) << fx.file << ": " << payload.status().ToString();
+    const Sha1::Digest d = Sha1::Hash(View(*payload));
+    EXPECT_EQ(ToHex(ByteView(d.data(), d.size())), fx.payload_sha1) << fx.file;
+    Bytes expect = testing_inputs::PageShaped(fx.pages, fx.seed);
+    Append(expect, View(testing_inputs::WalShaped(fx.wal, fx.seed + 1)));
+    EXPECT_EQ(*payload, expect) << fx.file;
+    auto size = env.PayloadSize(View(object));
+    ASSERT_TRUE(size.ok()) << fx.file;
+    EXPECT_EQ(*size, expect.size()) << fx.file;
+  }
+}
+
+TEST(EnvelopeLegacy, UnknownFlagBitsAreCorruption) {
+  const Envelope env(AllOn(/*threshold=*/1024, /*chunk=*/512));
+  for (std::size_t size : {std::size_t{800}, std::size_t{3000}}) {  // v1, v2
+    const Bytes object = env.Encode(View(CompressiblePayload(size, 8)), 5);
+    ASSERT_EQ(object[4], 0x07) << size;  // compressed | encrypted | entropy-coded
+    ASSERT_TRUE(env.Decode(View(object)).ok()) << size;
+    // The flags byte is outside the MAC, so only the decoder's own check
+    // stops these.
+    for (std::uint8_t flags : {0x0F, 0x87, 0x47, 0x06}) {
+      Bytes mutated = object;
+      mutated[4] = flags;
+      auto decoded = env.Decode(View(mutated));
+      ASSERT_FALSE(decoded.ok()) << size << " flags " << int{flags};
+      EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+    }
+  }
+  Bytes stream = Envelope::StreamPrologue();
+  Envelope::AppendStreamSegment(stream, View(env.Encode(View(CompressiblePayload(800, 9)), 6)));
+  ASSERT_TRUE(env.Decode(View(stream)).ok());
+  stream[4] = 0x01;  // the v3 prologue's reserved flags
+  auto decoded = env.Decode(View(stream));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+}
+
+TEST(EnvelopeLegacy, EveryEncodeCompressesWithTheEntropyCodedStream) {
+  // A v1 object's body and each compressed v2 chunk are Lzh streams.
+  const Envelope env(AllOn(/*threshold=*/4096, /*chunk=*/2048));
+  EnvelopeOptions plain = AllOn(4096, 2048);
+  plain.encrypt = false;
+  const Envelope clear(plain);
+  const Bytes payload = CompressiblePayload(2000, 10);
+  const Bytes v1 = clear.Encode(View(payload), 3);
+  ASSERT_EQ(v1[4], 0x05);  // compressed | entropy-coded
+  EXPECT_EQ(Lzh::Decompress(ByteView(v1).subspan(Envelope::kHeaderSize)).value_or(Bytes{}),
+            payload);
+  const Bytes big = CompressiblePayload(6000, 11);
+  const Bytes v2 = clear.Encode(View(big), 4);
+  ASSERT_EQ(GetU32(v2.data()), 0x324A4E47u);
+  EXPECT_EQ(v2[4], 0x05);
+  auto decoded = env.Decode(View(env.Encode(View(big), 4)));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, big);
 }
 
 // -- cross-version round trips ------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/memory_store.h"
+#include "common/codec/lzh.h"
 #include "common/codec/lzss.h"
 #include "common/rng.h"
 #include "db/database.h"
@@ -140,6 +141,31 @@ TEST_P(CorruptionFuzz, LzssNeverCrashesOnRandomInput) {
     // A lucky flip may still decode; the envelope MAC exists precisely to
     // catch this. Here we only require sane output size.
     EXPECT_LE(result->size(), 16u * 1024u);
+  }
+}
+
+TEST_P(CorruptionFuzz, LzhNeverCrashesOnRandomInput) {
+  SplitMix64 rng(GetParam() * 37 + 11);
+  Bytes garbage(rng.NextInRange(1, 4096));
+  for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.Next());
+  (void)Lzh::Decompress(View(garbage));
+  // A garbage body behind a plausible size header and Huffman block header.
+  Bytes framed;
+  PutVarint(framed, 512);
+  framed.push_back(0);
+  PutVarint(framed, 512);
+  PutVarint(framed, garbage.size());
+  Append(framed, View(garbage));
+  (void)Lzh::Decompress(View(framed));
+
+  Bytes data(512);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.NextBelow(4));
+  Bytes compressed = Lzh::Compress(View(data));
+  compressed[rng.NextBelow(compressed.size())] ^=
+      static_cast<std::uint8_t>(1u << rng.NextBelow(8));
+  auto result = Lzh::Decompress(View(compressed));
+  if (result) {
+    EXPECT_LE(result->size(), compressed.size() * Lzh::kMaxExpansion);
   }
 }
 

@@ -130,77 +130,77 @@ TEST(GoldenBucket, BufferedCommit) {
   const CommitRun run = RunCommit(GoldenConfig());
   const Bucket expected = {
       {"WAL/0_pg_xlog|000000010000000000000001_0_230",
-       "5475b51222fcd85c350b442682af7ecb8e6a6b26"},
+       "f50371ff4967c16c00a83f65211a2dca42e1e97e"},
       {"WAL/10_pg_xlog|000000010000000000000002_0_990",
-       "f20a45d91772305f3f47a6c5541f50a02ced24d6"},
+       "24496ea82f63120f100bc23f9e8629f9b2aa92e0"},
       {"WAL/11_pg_xlog|000000010000000000000000_0_1000",
-       "ffa9c728ee43ab8fcd673d18841a5eba7bfe9414"},
+       "b7311936f271b297da0b94810c233e979c1684d4"},
       {"WAL/12_pg_xlog|000000010000000000000002_0_1230",
-       "f51dd36ab788ef7fdee5dbefea34557015001de5"},
+       "d2b3895a0f4e44700f46f645b1c75f88e288b4cf"},
       {"WAL/13_pg_xlog|000000010000000000000000_0_1240",
-       "8b7519ed1e6da7642810a2197d1bd86859af3271"},
+       "6b6966cebf96b55d3fb28abd55d6c28031e04614"},
       {"WAL/14_pg_xlog|000000010000000000000001_0_1250",
-       "23f1536b147f1b1c9e948efc61103fe9f29482ce"},
+       "e818ae57704f224e9019b56ad162309626d0064b"},
       {"WAL/15_pg_xlog|000000010000000000000000_0_1480",
-       "e9c00f638dac5dfc0b8f67140c119e790aaf0288"},
+       "2768426bb2fef77440b3d28bf82ca5103f9651ae"},
       {"WAL/16_pg_xlog|000000010000000000000001_0_1490",
-       "17078c261748e26f80e552ea08322abba3fc7298"},
+       "0b8e42c5b66d1595af6fd62a8424b883b45dff9c"},
       {"WAL/17_pg_xlog|000000010000000000000002_0_1500",
-       "dc484e9eb30b1bb38ed91e08f3a919f0a59d884a"},
+       "f0da619c449dcaa76d926b832ffb760006b07642"},
       {"WAL/18_pg_xlog|000000010000000000000001_0_1730",
-       "e7859daee8ca677a0037b0f5840fbd0ee84b04b6"},
+       "714e6b7a86897871bba09dc9f912baa5febd5f65"},
       {"WAL/19_pg_xlog|000000010000000000000002_0_1740",
-       "438d36ea35a056ec1a645f6528a61c73d21f74cf"},
+       "25b6f3b96148954c5cf314b545d30c3de2b5cfa8"},
       {"WAL/1_pg_xlog|000000010000000000000002_0_240",
-       "7a039d449acc0cb92e27e1f57c741861576537f1"},
+       "1d010f2d253a29cb09279ac6aa5cf7ec68a721c5"},
       {"WAL/20_pg_xlog|000000010000000000000000_0_1750",
-       "31db11bc8daef409bafe23f9747cbd8a5a778bf8"},
+       "19262272f46247f27c723c05cf9ea24b2deb0cdf"},
       {"WAL/21_pg_xlog|000000010000000000000002_0_1980",
-       "b4ceda554bb1ee321010d3086a86cc4672ca60e6"},
+       "97f69521d95cff2bbfa8719a5d3c08c6055fbba2"},
       {"WAL/22_pg_xlog|000000010000000000000000_0_1990",
-       "2520aee23b3641e3c50bd3905733512214b82737"},
+       "8caa205e8d7b7e92aa1ea200d8e9e81de073c271"},
       {"WAL/23_pg_xlog|000000010000000000000001_0_2000",
-       "7571f719395b961d4a3987e15dda786445d5f3ef"},
+       "c4ee47def9a9bb0bb5b6c9ec982e718fa3d10407"},
       {"WAL/24_pg_xlog|000000010000000000000000_0_2230",
-       "efbaa73c4f12f26659e224a4670abd2a44e424ca"},
+       "f78bc6f9915797e5d40323898c2a7fb025e7142e"},
       {"WAL/25_pg_xlog|000000010000000000000001_0_2240",
-       "337f9ff4172f3057f05e4ca22103765eb5521993"},
+       "fa9104021a361523c7881e1636d4cba512b75e43"},
       {"WAL/26_pg_xlog|000000010000000000000002_0_2250",
-       "a61d51e62a90c42f4d63682ba9b5ea1240e0bb81"},
+       "daa4c7bfd4f55b3d6eaf189a688060e97eb012d0"},
       {"WAL/27_pg_xlog|000000010000000000000001_0_2480",
-       "f39315dff74c1c8018fbe8693a04028702fda7ba"},
+       "025eb7d36fbc29818ef36be1e9693325971a953d"},
       {"WAL/28_pg_xlog|000000010000000000000002_0_2490",
-       "9dd83f9808b03034cd1be2be7aa1a211ad1bcd2b"},
+       "00fac5bfec750a116bb078325abfe379812e824d"},
       {"WAL/29_pg_xlog|000000010000000000000000_0_2500",
-       "a3aab50d7ea2058d18681dd7fa6ca2a48d58436a"},
+       "5630c63f5ef7eb39ecb3d8cb14bcc19bb2233308"},
       {"WAL/2_pg_xlog|000000010000000000000000_0_250",
-       "baa53213af75686bbbc106880cac811b678d7ff4"},
+       "b1b92d52e8da3f4efc21d720b82a0752d26f6871"},
       {"WAL/30_pg_xlog|000000010000000000000002_0_2730",
-       "1ea26c54e01d63b5feb7629428851b0dad9a6de9"},
+       "d2059101920d2efd77fe5da42c0c1a0ccb3ef128"},
       {"WAL/31_pg_xlog|000000010000000000000000_0_2740",
-       "43c70218eb6732e28e11a077225d1bfc716a040c"},
+       "a82a7357ff34dc28a786ecbfe2e23e7abc4c5407"},
       {"WAL/32_pg_xlog|000000010000000000000001_0_2750",
-       "9b970035f818728031917594ced3898788432769"},
+       "13352044ee5698b32741b0986d955ef087faf7b3"},
       {"WAL/33_pg_xlog|000000010000000000000000_0_2980",
-       "df513e2db579a530ccb271a0e0d35f705cfa2082"},
+       "b79b7dd6a324a15afd3fd0e2bb65cf1f373214ad"},
       {"WAL/34_pg_xlog|000000010000000000000001_0_2990",
-       "74a631e67f815fd5d4ae387b03a8e8a7edde8999"},
+       "637f43cc2de79a5e16955fef6fa90177fec0bc92"},
       {"WAL/35_pg_xlog|000000010000000000000002_0_3000",
-       "f48aa20eabb53f8a7ced20bcf8a9064bc82bf307"},
+       "4035369f2f006d11218c7021bad8b32089bbb461"},
       {"WAL/3_pg_xlog|000000010000000000000002_0_480",
-       "4532f85dcee365b0ae59fb85bd3e6ed5173943c8"},
+       "be894cb734441acccfc691f8e1cc4fb879e3514f"},
       {"WAL/4_pg_xlog|000000010000000000000000_0_490",
-       "6ed81cdafa58b0965a7dd51450aa388a9ab8d7be"},
+       "df3c108a90d61ad0b35e65bf9a92b7d30870d002"},
       {"WAL/5_pg_xlog|000000010000000000000001_0_500",
-       "029044edfa42635ba00d32d0dc4e16046eeccc86"},
+       "8258a623f6ec0869fbdadec38b7e7610562dec2f"},
       {"WAL/6_pg_xlog|000000010000000000000000_0_730",
-       "9ce96f8323d73b4383d404e0cdf8b91d47f21b72"},
+       "d02d80e7fc19bc3709f67660919ff46e343a798a"},
       {"WAL/7_pg_xlog|000000010000000000000001_0_740",
-       "4e798998403b29e2f10b6e6d231f44bc7f310c5e"},
+       "deef6e2c888a5970e6252391cff13b1d33e108e2"},
       {"WAL/8_pg_xlog|000000010000000000000002_0_750",
-       "b5874a03abb2fbddc591aeff9a72f07a1030ac3a"},
+       "938ce5b709094ed1ea8bd00fe8924a687ca4ad23"},
       {"WAL/9_pg_xlog|000000010000000000000001_0_980",
-       "b2f460c8d2f10355ce6732881ea1e21ec4c222b7"},
+       "ab5066137cdb1d5827bc09cc3e6fb7ebc523a5af"},
   };
   EXPECT_EQ(Render(run.bucket), Render(expected));
   EXPECT_EQ(Render(run.trace), Render(kBatchFrontiers));
@@ -213,29 +213,29 @@ TEST(GoldenBucket, StreamedCommit) {
   const CommitRun run = RunCommit(config);
   const Bucket expected = {
       {"WAL/0_pg_xlog|000000010000000000000000_0_250",
-       "a6de264f446eaa027f9f4b4b9be14c6b7ab893ec"},
+       "adcf2e0579e8d4640c12b235e7d28918084c31bd"},
       {"WAL/10_pg_xlog|000000010000000000000000_0_2750",
-       "46ddcd626855833d5df6b2b87c3e001f73ec202e"},
+       "dc10b8be5a9dbc0e3f7942bbc5ac9b711dcd2b9b"},
       {"WAL/11_pg_xlog|000000010000000000000000_16384_3000",
-       "39587269d724f7713c96dc4bb2a633c08c9e0023"},
+       "980c377453c95c76ccba55d7beb9bf9432e772c4"},
       {"WAL/1_pg_xlog|000000010000000000000000_16384_500",
-       "610c01c1622303e3b9675fa5509b9032afbe0c17"},
+       "518b3d013a9d3a6440208c90b2f9315462f2950b"},
       {"WAL/2_pg_xlog|000000010000000000000000_8192_750",
-       "ed7215387c156e90fdd7b1e2ae05d49c4bd54a7b"},
+       "17fbb33dea815a56ddff4f740344785e194f96d7"},
       {"WAL/3_pg_xlog|000000010000000000000000_0_1000",
-       "37aa339eb4c5542aa72a7406fffe7f3d0c656f7a"},
+       "28b83e211106bce746283064ffb46375d97f1983"},
       {"WAL/4_pg_xlog|000000010000000000000000_0_1250",
-       "426c025b200bed9c38bfbba60785cadf2ad72537"},
+       "a38ebe9dbf5e7f47f0f57dacf46454ad1514c38e"},
       {"WAL/5_pg_xlog|000000010000000000000000_0_1500",
-       "fba68359af736933d12fc6357d37328d96d85d66"},
+       "7f34386cd3fb509b7e4942b438f0fe2a69fd1c4b"},
       {"WAL/6_pg_xlog|000000010000000000000000_16384_1750",
-       "d0b33d4623dcccaf59711d2fc6bf3b306e6d4fda"},
+       "7276969c84e862140bc0e083e6066fe32799a94b"},
       {"WAL/7_pg_xlog|000000010000000000000000_8192_2000",
-       "7e159b656dbb62c4ce6278e8969f39836f127e14"},
+       "1a3ae356d22e90b8a0db020fccfe7bedc524ec80"},
       {"WAL/8_pg_xlog|000000010000000000000000_8192_2250",
-       "caf410b03c4941bb334caff989bcd60533540e76"},
+       "e96d8a06413274f96c240e9d57524adf13a8c81d"},
       {"WAL/9_pg_xlog|000000010000000000000000_0_2500",
-       "f0bf5d2a8bfdec2bfc476b185a4f49b7f98bb207"},
+       "c7ed76c5d781f86604c302184868611fd658f749"},
   };
   EXPECT_EQ(Render(run.bucket), Render(expected));
   EXPECT_EQ(Render(run.trace), Render(kBatchFrontiers));
@@ -252,29 +252,29 @@ TEST(GoldenBucket, StreamedEarlyAckCommit) {
   const CommitRun run = RunCommit(config);
   const Bucket expected = {
       {"WAL/0_pg_xlog|000000010000000000000000_0_250",
-       "a6de264f446eaa027f9f4b4b9be14c6b7ab893ec"},
+       "adcf2e0579e8d4640c12b235e7d28918084c31bd"},
       {"WAL/10_pg_xlog|000000010000000000000000_0_2750",
-       "46ddcd626855833d5df6b2b87c3e001f73ec202e"},
+       "dc10b8be5a9dbc0e3f7942bbc5ac9b711dcd2b9b"},
       {"WAL/11_pg_xlog|000000010000000000000000_16384_3000",
-       "39587269d724f7713c96dc4bb2a633c08c9e0023"},
+       "980c377453c95c76ccba55d7beb9bf9432e772c4"},
       {"WAL/1_pg_xlog|000000010000000000000000_16384_500",
-       "610c01c1622303e3b9675fa5509b9032afbe0c17"},
+       "518b3d013a9d3a6440208c90b2f9315462f2950b"},
       {"WAL/2_pg_xlog|000000010000000000000000_8192_750",
-       "ed7215387c156e90fdd7b1e2ae05d49c4bd54a7b"},
+       "17fbb33dea815a56ddff4f740344785e194f96d7"},
       {"WAL/3_pg_xlog|000000010000000000000000_0_1000",
-       "37aa339eb4c5542aa72a7406fffe7f3d0c656f7a"},
+       "28b83e211106bce746283064ffb46375d97f1983"},
       {"WAL/4_pg_xlog|000000010000000000000000_0_1250",
-       "426c025b200bed9c38bfbba60785cadf2ad72537"},
+       "a38ebe9dbf5e7f47f0f57dacf46454ad1514c38e"},
       {"WAL/5_pg_xlog|000000010000000000000000_0_1500",
-       "fba68359af736933d12fc6357d37328d96d85d66"},
+       "7f34386cd3fb509b7e4942b438f0fe2a69fd1c4b"},
       {"WAL/6_pg_xlog|000000010000000000000000_16384_1750",
-       "d0b33d4623dcccaf59711d2fc6bf3b306e6d4fda"},
+       "7276969c84e862140bc0e083e6066fe32799a94b"},
       {"WAL/7_pg_xlog|000000010000000000000000_8192_2000",
-       "7e159b656dbb62c4ce6278e8969f39836f127e14"},
+       "1a3ae356d22e90b8a0db020fccfe7bedc524ec80"},
       {"WAL/8_pg_xlog|000000010000000000000000_8192_2250",
-       "caf410b03c4941bb334caff989bcd60533540e76"},
+       "e96d8a06413274f96c240e9d57524adf13a8c81d"},
       {"WAL/9_pg_xlog|000000010000000000000000_0_2500",
-       "f0bf5d2a8bfdec2bfc476b185a4f49b7f98bb207"},
+       "c7ed76c5d781f86604c302184868611fd658f749"},
   };
   EXPECT_EQ(Render(run.bucket), Render(expected));
 }
@@ -317,13 +317,13 @@ Bucket RunDumps(GinjaConfig config) {
 TEST(GoldenBucket, MonolithicDump) {
   const Bucket expected = {
       {"DB/0_dump_100394_s1_l100_p3of4",
-       "4c145d9301183b8115cf59f2e316a25f35239ab4"},
+       "374bc736e9e641a2ed6f97b559d2ad4dcae48780"},
       {"DB/0_dump_192535_s1_l100_p2of4",
-       "9c582fa0a8e76c3024d2cf8f2a74f1725365c670"},
+       "5bb01b907044a2340e766f4064709f97d2cce8a2"},
       {"DB/0_dump_262165_s1_l100_p0of4",
-       "d53f069a90773ff58f47415a91161f5f7c00e312"},
+       "95f683cee82a352ee15c6e3557965fdbc926a465"},
       {"DB/0_dump_262167_s1_l100_p1of4",
-       "cc0e73b09ebfb558bba0cc3515859ae1d415bedf"},
+       "d78392420c1b99ad18ea2cb5807160c12555e34d"},
   };
   EXPECT_EQ(Render(RunDumps(GoldenConfig())), Render(expected));
 }
@@ -333,17 +333,17 @@ TEST(GoldenBucket, DedupDump) {
   config.dedup_dumps = true;
   const Bucket expected = {
       {"CHUNK/115140238e7a4785c5755abaaf23462ae34a6f9d_8192",
-       "ea98288b2c82002629f1044d3798bebb50223711"},
+       "62cc52640d99cbf49e1aa7fa6b416f52b29d9d77"},
       {"CHUNK/323c42e29b8f934502525116e4423c5678a326b2_262144",
-       "66ee4b952b03cb90a04b6853d2d9b1c17e87f9a3"},
+       "83f1c305fbdeccbbf511c310b238fd5b7bd8845e"},
       {"CHUNK/5370e6b938352d7a628ee71df75de33a0d45aeb8_192512",
-       "e349c5fa90374c3e695170c253e9e8ce7bf60d37"},
+       "fcc18470923e011a8a18175a712c7c1475efd26f"},
       {"CHUNK/6b49e09be451e187cc565dd95ebe297de49f973f_262144",
-       "9112ab36039b279be9e3e978ae34be1aef820851"},
+       "93388cb183b8c409258ff7220b0128a33f14f8da"},
       {"CHUNK/7774af64838432bc845da0ea1d305e49113a260a_92160",
-       "0e58ccfccb24a23f8b3a0627a705640681bc157c"},
+       "c8d4fabf89b24bd1043473b2ac3ed4bc2767e4d0"},
       {"DB/0_manifest_817152_s1_l100_p0of1",
-       "d2a86dd3a0003194f91eabb6313ef5bf0df23723"},
+       "19892969ae68a02c69c0f1d83728688864f5af14"},
   };
   EXPECT_EQ(Render(RunDumps(config)), Render(expected));
 }
